@@ -160,6 +160,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     print(f"delta_min = {result.delta_min:.6f}")
     print(f"critical = {result.critical_value:.6f} (alpha = {result.alpha})")
     print(f"significant = {'true' if result.significant else 'false'}")
+    print(f"converged = {'true' if result.converged else 'false'}")
     print(f"ci = [{ci[0]:.6f}, {ci[1]:.6f}]")
     return 0
 

@@ -132,7 +132,11 @@ class OptimizerReport:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Exponent estimate for one pair of increment samples."""
+    """Exponent estimate for one pair of increment samples.
+
+    ``converged`` is false when the minimizer ran out of its
+    evaluation budget; ``h_hat`` is then only the best point seen.
+    """
 
     h_hat: float
     delta_min: float
@@ -144,6 +148,7 @@ class EstimationResult:
     a_max: int
     seed: int
     ci_half_width: float
+    converged: bool = True
 
     def __post_init__(self) -> None:
         if self.significant != (self.delta_min < self.critical_value):
@@ -483,6 +488,27 @@ def _permute(sample, plan: PermutationPlan):
     return uniform_sample_permute(sample, plan)
 
 
+def _frozen_minimizer(
+    pair: RescaledPair, plan: PermutationPlan
+) -> tuple[Callable[[OptimizerConfig], OptimizerReport], int, int]:
+    # Decorrelate both samples once, with independent streams derived
+    # from the plan's seed, and freeze the objective on the result.
+    # Returns a runner minimizing it under a config, and the sizes n, m.
+    sub = np.random.SeedSequence(plan.seed).generate_state(2)
+    fine = _permute(pair.fine, replace(plan, seed=int(sub[0])))
+    coarse = _permute(pair.coarse, replace(plan, seed=int(sub[1])))
+    frozen = scaled_diameter_fn(RescaledPair(fine=fine, coarse=coarse, a_max=pair.a_max))
+
+    def run(config: OptimizerConfig) -> OptimizerReport:
+        # The objective is stepwise, so Brent and Nelder-Mead get the
+        # 50-point scan unless the caller already set one.
+        if config.method in ("brent", "nelder_mead") and config.prescan_points == 0:
+            config = replace(config, prescan_points=50)
+        return minimize_scalar(frozen, config)
+
+    return run, len(fine), len(coarse)
+
+
 def estimate_hurst(
     pair: RescaledPair,
     plan: PermutationPlan,
@@ -520,14 +546,8 @@ def estimate_hurst(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    sub = np.random.SeedSequence(plan.seed).generate_state(2)
-    fine = _permute(pair.fine, replace(plan, seed=int(sub[0])))
-    coarse = _permute(pair.coarse, replace(plan, seed=int(sub[1])))
-    frozen = scaled_diameter_fn(RescaledPair(fine=fine, coarse=coarse, a_max=pair.a_max))
-    if config.method in ("brent", "nelder_mead") and config.prescan_points == 0:
-        config = replace(config, prescan_points=50)
-    report = minimize_scalar(frozen, config)
-    n, m = len(fine), len(coarse)
+    run, n, m = _frozen_minimizer(pair, plan)
+    report = run(config)
     critical = ks_critical(n, m, alpha)
     sd = estimator_sd(VarianceInputs(a_max=pair.a_max, n=n, m=m))
     return EstimationResult(
@@ -541,6 +561,7 @@ def estimate_hurst(
         a_max=pair.a_max,
         seed=plan.seed,
         ci_half_width=normal_quantile(1.0 - alpha / 2.0) * sd,
+        converged=report.converged,
     )
 
 
@@ -580,17 +601,10 @@ def bench_optimizers(
             plan = PermutationPlan(
                 scheme="uniform_sample", subsample_size=subsample, seed=int(seeds[1])
             )
-            sub = np.random.SeedSequence(plan.seed).generate_state(2)
-            fine = _permute(pair.fine, replace(plan, seed=int(sub[0])))
-            coarse = _permute(pair.coarse, replace(plan, seed=int(sub[1])))
-            frozen = scaled_diameter_fn(
-                RescaledPair(fine=fine, coarse=coarse, a_max=a_max)
-            )
+            run, _, _ = _frozen_minimizer(pair, plan)
             for config in configs:
-                if config.method in ("brent", "nelder_mead") and config.prescan_points == 0:
-                    config = replace(config, prescan_points=50)
                 try:
-                    rep_out = minimize_scalar(frozen, config)
+                    rep_out = run(config)
                     rows.append(
                         BenchRow(
                             method=config.method,
@@ -621,16 +635,18 @@ def bench_optimizers(
 
 def write_bench_csv(rows: Sequence[BenchRow], path) -> None:
     """Write benchmark rows to CSV (method, h_true, rep, h_hat,
-    delta_min, evaluations, wall_time_s)."""
+    delta_min, evaluations, wall_time_s, error); ``error`` is empty
+    for a cell that ran and holds the failure message otherwise."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["method", "h_true", "rep", "h_hat", "delta_min", "evaluations", "wall_time_s"]
+            ["method", "h_true", "rep", "h_hat", "delta_min", "evaluations", "wall_time_s",
+             "error"]
         )
         for r in rows:
             writer.writerow(
                 [r.method, repr(r.h_true), r.rep, repr(r.h_hat), repr(r.delta_min),
-                 r.evaluations, repr(r.wall_time_s)]
+                 r.evaluations, repr(r.wall_time_s), r.error]
             )

@@ -207,9 +207,13 @@ def _parse_series(file) -> tuple[list[SeriesRecord], int, int]:
                 raise CsvFormatError(
                     f"{file}: line {lineno}: bad value {raw_value!r}"
                 ) from None
-            if math.isnan(value):
-                dropped += 1
-                continue
+            if not math.isfinite(value):
+                if math.isnan(value):
+                    dropped += 1
+                    continue
+                raise CsvFormatError(
+                    f"{file}: line {lineno}: non-finite value {raw_value!r}"
+                )
             records.append(SeriesRecord(date=date, value=value))
     records.sort(key=lambda r: r.date)
     for prev, cur in zip(records, records[1:]):
@@ -241,8 +245,8 @@ def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
     Raises
     ------
     CsvFormatError
-        On malformed headers, unparseable rows (with line number), or
-        duplicate dates.
+        On malformed headers, unparseable or infinite values (with
+        line number), or duplicate dates.
     """
     if value_scale not in VALUE_SCALES:
         raise ValueError(f"value_scale must be one of {VALUE_SCALES}")

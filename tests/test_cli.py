@@ -67,8 +67,27 @@ class TestEstimate:
         assert h_hat == pytest.approx(0.518700, abs=1e-6)
         assert "delta_min = " in stdout
         assert "critical = " in stdout
-        assert "significant = true" in stdout
+        assert "significant = true\nconverged = true\n" in stdout
         assert "ci = [" in stdout
+
+    def test_exhausted_budget_prints_not_converged(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        run(capsys, "simulate", "--hurst", "0.5", "--length", "4096",
+            "--seed", "7", "--out", str(out))
+        code, stdout, _ = run(
+            capsys, "estimate", "--input", str(out), "--amax", "50",
+            "--subseq", "500", "--seed", "7", "--max-evals", "30",
+        )
+        assert code == 0
+        assert "converged = false\n" in stdout
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+    def test_infinite_value_is_input_error_with_line(self, tmp_path, capsys, cell):
+        file = tmp_path / "inf.csv"
+        file.write_text(f"date,value\n2001-01-01,1.0\n2001-01-02,{cell}\n2001-01-03,2.0\n")
+        code, _, err = run(capsys, "estimate", "--input", str(file), "--amax", "2")
+        assert code == 1
+        assert f"{file}: line 3: non-finite value {cell!r}" in err
 
     def test_missing_input_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "estimate")

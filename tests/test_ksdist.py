@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, IncrementSample, increments, simulate_fbm
@@ -56,6 +56,25 @@ def _ks_brute(x, y):
         fy = np.mean(y < t)
         best = max(best, abs(fx - fy))
     return float(best)
+
+
+def _ks_pooled(a, b):
+    """The pooled evaluation the kernel must match bit for bit: both
+    step functions at every pooled point and immediately to its left,
+    four searchsorted calls over all n + m points."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    pooled = np.concatenate([a, b])
+    n, m = a.size, b.size
+    fa_r = np.searchsorted(a, pooled, side="right") / n
+    fb_r = np.searchsorted(b, pooled, side="right") / m
+    fa_l = np.searchsorted(a, pooled, side="left") / n
+    fb_l = np.searchsorted(b, pooled, side="left") / m
+    return float(max(np.abs(fa_r - fb_r).max(), np.abs(fa_l - fb_l).max()))
+
+
+# Small integer alphabets force ties within and across samples.
+tied_samples = st.lists(st.integers(-4, 4), min_size=1, max_size=40)
 
 
 class TestEcdf:
@@ -129,20 +148,25 @@ class TestKsTwoSample:
 
     def test_exhaustive_tiny_instances_with_ties(self):
         # Every pair of samples drawn from a 3-letter alphabet up to
-        # size 3 on each side: ties and repeats included.
+        # size 3 on each side: ties, repeats, unequal sizes and D = 0
+        # included.  Both argument orders give the pooled scan's float.
         alphabet = [0.0, 1.0, 2.0]
         pool = [
             list(c)
             for k in (1, 2, 3)
             for c in itertools.product(alphabet, repeat=k)
         ]
-        count = 0
+        count = zeros = 0
         for xs in pool:
             for ys in pool:
                 x, y = np.array(xs), np.array(ys)
-                assert _ks(x, y) == pytest.approx(_ks_brute(x, y), abs=1e-14)
+                d = _ks(x, y)
+                assert d == pytest.approx(_ks_brute(x, y), abs=1e-14)
+                assert d == _ks(y, x) == _ks_pooled(x, y)
                 count += 1
+                zeros += d == 0.0
         assert count == len(pool) ** 2 >= 1000
+        assert zeros > 0
 
     def test_matches_reference_implementation(self):
         import scipy.stats
@@ -153,6 +177,41 @@ class TestKsTwoSample:
             y = rng.standard_normal(rng.integers(1, 40)) + rng.uniform(-1, 1)
             want = scipy.stats.ks_2samp(x, y, method="exact").statistic
             assert _ks(x, y) == pytest.approx(want, abs=1e-12)
+
+
+class TestBitIdenticalToPooledScan:
+    """The one-sided kernel returns exactly the float of the pooled
+    scan, not merely a close one: argmin tie-breaks compare these
+    values with ``==``."""
+
+    @given(tied_samples, tied_samples, st.sampled_from([1.0, 3.0, 7.0, 10.0]))
+    @settings(max_examples=400)
+    def test_ks_two_sample_both_orders(self, xs, ys, scale):
+        x, y = np.array(xs) / scale, np.array(ys) / scale
+        want = _ks_pooled(x, y)
+        assert _ks(x, y) == want
+        assert _ks(y, x) == want
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=40),
+        st.lists(st.integers(-6, 6), min_size=2, max_size=40),
+        st.sampled_from([2, 10, 21, 50]),
+        st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=400)
+    def test_frozen_objective_matches_rescaled_pooled_scan(self, xs, ys, a_max, h):
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        fine, coarse = np.array(xs) / 4.0, np.array(ys, dtype=float)
+        fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
+        assert fn(h) == _ks_pooled(fine, np.sort(coarse) * float(a_max) ** (-h))
+
+    def test_real_rescaling_on_simulated_increments(self):
+        path = simulate_fbm(FgnSpec(hurst=0.3, length=1025, seed=12))
+        pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 21), a_max=21)
+        fn = scaled_diameter_fn(pair)
+        fine, coarse = pair.fine.values, np.sort(pair.coarse.values)
+        for h in np.linspace(0.001, 1.0, 200):
+            assert fn(float(h)) == _ks_pooled(fine, coarse * 21.0 ** (-float(h)))
 
 
 class TestKsCritical:

@@ -239,6 +239,17 @@ class TestEstimateHurst:
         assert res.alpha == 0.01
         assert res.critical_value == ks_critical(500, 500, 0.01)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exhausted_budget_is_flagged(self, method):
+        # A minimizer cut off by max_evals must not pass as a normal
+        # estimate: the best point seen comes back with converged off.
+        pair, plan = _pair_plan(0.5, 1, 2)
+        short = estimate_hurst(pair, plan, OptimizerConfig(method=method, max_evals=30))
+        assert short.converged is False
+        assert 0.0 < short.h_hat <= 1.0
+        full = estimate_hurst(pair, plan, OptimizerConfig(method=method))
+        assert full.converged is True
+
     @pytest.mark.parametrize("h0,want_mean,want_sd", [
         (0.2, 0.1987, 0.0218),
         (0.5, 0.4980, 0.0299),
@@ -343,8 +354,20 @@ class TestBench:
         assert len(got) == 2
         assert set(got[0]) == {
             "method", "h_true", "rep", "h_hat", "delta_min",
-            "evaluations", "wall_time_s",
+            "evaluations", "wall_time_s", "error",
         }
         assert float(got[0]["h_hat"]) == rows[0].h_hat
         assert float(got[0]["delta_min"]) == rows[0].delta_min
         assert int(got[1]["evaluations"]) == rows[1].evaluations
+        assert got[0]["error"] == got[1]["error"] == ""
+
+    def test_csv_keeps_failure_reason(self, tmp_path):
+        bad = OptimizerConfig(method="grid", grid_step=1e-1, bounds=(0.01, 0.05))
+        rows = bench_optimizers([0.5], 1, [OptimizerConfig(method="brent"), bad], base_seed=0)
+        out = tmp_path / "bench.csv"
+        write_bench_csv(rows, out)
+        with open(out, newline="") as fh:
+            got = {r["method"]: r for r in csv.DictReader(fh)}
+        assert got["grid"]["error"] == "no grid points inside bounds"
+        assert math.isnan(float(got["grid"]["h_hat"]))
+        assert got["brent"]["error"] == ""
