@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for input problems (bad flags, missing or
 malformed files), 2 for numerical failures (degenerate samples,
-embedding errors).
+embedding errors, an analysis window whose minimizer ran out of its
+budget).
 """
 
 from __future__ import annotations
@@ -13,41 +14,42 @@ import datetime as dt
 import logging
 import sys
 
-import numpy as np
-
-from hurstks.fgn import EmbeddingError, FgnSpec, Path, increments, simulate_fbm
+from hurstks.fgn import EmbeddingError, FgnSpec, increments, simulate_fbm
 from hurstks.ksdist import RescaledPair
-from hurstks.minimize import (
-    METHODS,
-    OptimizerConfig,
-    bench_optimizers,
-    estimate_hurst,
-    write_bench_csv,
-)
-from hurstks.permute import SCHEMES, DegenerateSampleError, PermutationPlan
+from hurstks.minimize import METHODS, bench_optimizers, estimate_hurst, write_bench_csv
+from hurstks.permute import SCHEMES, DegenerateSampleError
 from hurstks.pipeline import (
     CsvFormatError,
-    RunManifest,
-    WindowConfig,
+    NotConvergedError,
+    build_manifest,
     load_series,
+    optimizer_config,
     parse_manifest,
+    permutation_plan,
     run_static_analysis,
+    series_path,
 )
 from hurstks.stats import VarianceInputs, confidence_interval
 
 __all__ = ["main"]
 
 
-def _add_optimizer_flags(p: argparse.ArgumentParser, default_method: str = "brent") -> None:
-    p.add_argument("--optimizer", choices=METHODS, default=default_method)
-    p.add_argument("--grid-step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--max-evals", type=int, default=10_000)
+# Subcommand parsers use argument_default=SUPPRESS: a flag without a
+# default is absent unless given, so its setting keeps the dataclass
+# default (see pipeline.build_manifest).
 
 
-def _add_permutation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--perm-scheme", choices=SCHEMES, default="uniform_sample")
-    p.add_argument("--block-length", type=int, default=128)
+def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid-step", type=float)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--max-evals", type=int)
+
+
+def _add_estimation_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--optimizer", choices=METHODS)
+    _add_optimizer_flags(p)
+    p.add_argument("--perm-scheme", choices=SCHEMES)
+    p.add_argument("--block-length", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scaling-exponent estimation from rescaled increment distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    given_only = {"argument_default": argparse.SUPPRESS}
 
     sim = sub.add_parser("simulate", help="write a simulated fractional Brownian path as CSV")
     sim.add_argument("--hurst", type=float, required=True)
@@ -65,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--start-date", type=dt.date.fromisoformat, default=dt.date(2000, 1, 3))
     sim.add_argument("--out", required=True)
 
-    est = sub.add_parser("estimate", help="estimate the exponent of one series")
+    est = sub.add_parser("estimate", help="estimate the exponent of one series", **given_only)
     est.add_argument("--input", required=True)
     est.add_argument(
         "--input-scale",
@@ -78,24 +81,25 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--subseq", type=int, default=None)
     est.add_argument("--alpha", type=float, default=0.05)
     est.add_argument("--seed", type=int, default=0)
-    _add_optimizer_flags(est)
-    _add_permutation_flags(est)
+    _add_estimation_flags(est)
 
-    ana = sub.add_parser("analyze", help="windowed analysis of one or two series")
+    # Destinations are manifest keys (see pipeline.build_manifest).
+    ana = sub.add_parser("analyze", help="windowed analysis of one or two series", **given_only)
     ana.add_argument("--manifest", help="flat key=value manifest file (overrides other flags)")
     ana.add_argument("--input")
     ana.add_argument("--input2")
-    ana.add_argument("--input-scale", choices=("level", "log"), default="level")
-    ana.add_argument("--window", type=int, default=1512)
-    ana.add_argument("--amax", type=int, default=21)
-    ana.add_argument("--subseq", type=int, default=None)
-    ana.add_argument("--alpha", type=float, default=0.05)
-    ana.add_argument("--seed", type=int, default=0)
-    ana.add_argument("--out-dir", default=".")
-    _add_optimizer_flags(ana)
-    _add_permutation_flags(ana)
+    ana.add_argument("--input-scale", choices=("level", "log"))
+    ana.add_argument("--window", type=int, dest="window_length")
+    ana.add_argument("--amax", type=int, dest="a_max")
+    ana.add_argument("--subseq", type=int)
+    ana.add_argument("--alpha", type=float)
+    ana.add_argument("--seed", type=int)
+    ana.add_argument("--out-dir")
+    _add_estimation_flags(ana)
 
-    ben = sub.add_parser("bench", help="benchmark the minimizers on simulated paths")
+    ben = sub.add_parser(
+        "bench", help="benchmark the minimizers on simulated paths", **given_only
+    )
     ben.add_argument("--h-list", default="0.2,0.4,0.6,0.8")
     ben.add_argument("--reps", type=int, default=10)
     ben.add_argument("--methods", default="grid,brent,nelder_mead,simulated_annealing")
@@ -103,9 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--amax", type=int, default=50)
     ben.add_argument("--subseq", type=int, default=500)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--grid-step", type=float, default=1e-4)
-    ben.add_argument("--tolerance", type=float, default=1e-6)
-    ben.add_argument("--max-evals", type=int, default=10_000)
+    _add_optimizer_flags(ben)
     ben.add_argument("--out", required=True)
 
     return parser
@@ -128,29 +130,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     records = load_series(args.input, value_scale=args.input_scale)
-    if len(records) < 2:
-        raise CsvFormatError(f"{args.input}: fewer than two usable rows")
-    values = np.array([r.value for r in records])
-    path = Path(np.log(values)) if args.input_scale == "level" else Path(values)
+    path = series_path(args.input, records, args.input_scale)
     if len(path) <= args.amax:
         raise CsvFormatError(f"{args.input}: series shorter than the coarse lag")
     pair = RescaledPair(
         fine=increments(path, 1), coarse=increments(path, args.amax), a_max=args.amax
     )
     subseq = args.subseq if args.subseq is not None else len(pair.coarse)
-    plan = PermutationPlan(
-        scheme=args.perm_scheme,
-        block_length=args.block_length,
-        subsample_size=subseq if args.perm_scheme == "uniform_sample" else None,
-        seed=args.seed,
-    )
-    config = OptimizerConfig(
-        method=args.optimizer,
-        grid_step=args.grid_step,
-        tolerance=args.tolerance,
-        max_evals=args.max_evals,
-    )
-    result = estimate_hurst(pair, plan, config, alpha=args.alpha)
+    settings = vars(args)
+    plan = permutation_plan(settings, subsample_size=subseq, seed=args.seed)
+    result = estimate_hurst(pair, plan, optimizer_config(settings), alpha=args.alpha)
     ci = confidence_interval(
         result.h_hat,
         VarianceInputs(a_max=result.a_max, n=result.n, m=result.m),
@@ -166,32 +155,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.manifest:
-        manifest = parse_manifest(args.manifest)
+    settings = vars(args)
+    if "manifest" in settings:
+        manifest = parse_manifest(settings["manifest"])
+    elif "input" in settings:
+        manifest = build_manifest(settings)
     else:
-        if not args.input:
-            raise CsvFormatError("analyze needs --manifest or --input")
-        inputs = (args.input,) if not args.input2 else (args.input, args.input2)
-        manifest = RunManifest(
-            inputs=inputs,
-            window=WindowConfig(
-                window_length=args.window,
-                a_max=args.amax,
-                subseq=args.subseq,
-                alpha=args.alpha,
-            ),
-            optimizer=OptimizerConfig(
-                method=args.optimizer,
-                grid_step=args.grid_step,
-                tolerance=args.tolerance,
-                max_evals=args.max_evals,
-            ),
-            perm_scheme=args.perm_scheme,
-            block_length=args.block_length,
-            input_scale=args.input_scale,
-            master_seed=args.seed,
-            out_dir=args.out_dir,
-        )
+        raise CsvFormatError("analyze needs --manifest or --input")
     report = run_static_analysis(manifest)
     for rep in report.series:
         print(f"{rep.input}: {rep.n_windows} windows (remainder {rep.remainder})")
@@ -223,15 +193,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise CsvFormatError(f"unknown methods: {unknown}")
-    configs = [
-        OptimizerConfig(
-            method=m,
-            grid_step=args.grid_step,
-            tolerance=args.tolerance,
-            max_evals=args.max_evals,
-        )
-        for m in methods
-    ]
+    configs = [optimizer_config({**vars(args), "optimizer": m}) for m in methods]
     rows = bench_optimizers(
         h_values,
         args.reps,
@@ -267,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (DegenerateSampleError, EmbeddingError, FloatingPointError) as exc:
+    except (DegenerateSampleError, EmbeddingError, FloatingPointError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CsvFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:

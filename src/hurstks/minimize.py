@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "EstimationResult",
     "BenchRow",
     "METHODS",
-    "BENCH_METHOD_NAMES",
     "grid_search",
     "brent_min",
     "nelder_mead",
@@ -41,10 +40,6 @@ __all__ = [
 
 METHODS = ("grid", "brent", "nelder_mead", "simulated_annealing")
 
-# Method names admitted in benchmark CSV files.  The last three are
-# reserved for results merged from external implementations.
-BENCH_METHOD_NAMES = METHODS + ("genetic", "particle_swarm", "direct_search")
-
 # Inverse golden ratio squared; fraction kept by a golden-section step.
 _GOLDEN = 0.3819660112501051
 
@@ -53,6 +48,12 @@ _GOLDEN = 0.3819660112501051
 # the grid mesh outward from the incumbent and gives up a direction
 # after this many consecutive non-improving cells.
 _SWEEP_GAP = 150
+
+# Brent and Nelder-Mead first evaluate this many evenly spaced points
+# and restart inside the best one's bracket unless their own run
+# clearly beats it: on a stepwise objective a local method alone can
+# settle in a poor basin.
+_SCAN_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,6 @@ class OptimizerConfig:
     seed : int, optional
         Seed for the annealing proposal chain (ignored by the
         deterministic methods).
-    prescan_points : int, optional
-        When positive, Brent and Nelder-Mead verify their result
-        against a coarse scan with this many points, restart inside
-        the scan's best bracket if the scan won by more than
-        ``tolerance``, and finish with a plateau sweep of the
-        ``grid_step`` mesh around the incumbent.  Zero disables the
-        safeguard; estimation runs enable it because the empirical
-        objective is stepwise.
     """
 
     method: str = "brent"
@@ -92,7 +85,6 @@ class OptimizerConfig:
     bounds: tuple[float, float] | None = None
     max_evals: int = 10_000
     seed: int = 0
-    prescan_points: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -103,8 +95,6 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
-        if self.prescan_points < 0:
-            raise ValueError("prescan_points must be nonnegative")
         if self.bounds is not None:
             lo, hi = self.bounds
             if not (0.0 < lo < hi <= 1.0):
@@ -206,7 +196,21 @@ class _Tracker:
         return f
 
 
-def _report(method: str, tracker: _Tracker, t0: float, converged: bool) -> OptimizerReport:
+def _run(
+    method: str,
+    objective: Callable[[float], float],
+    config: OptimizerConfig,
+    search: Callable[[_Tracker, float, float], None],
+) -> OptimizerReport:
+    # Run one search over the resolved bounds under the evaluation
+    # budget; an exhausted budget ends it early and unconverged.
+    t0 = time.perf_counter()
+    tracker = _Tracker(objective, config.max_evals)
+    converged = True
+    try:
+        search(tracker, *config.resolved_bounds())
+    except _Budget:
+        converged = False
     if tracker.evaluations == 0:
         raise ValueError("optimizer made no evaluations")
     return OptimizerReport(
@@ -226,22 +230,18 @@ def grid_search(objective: Callable[[float], float], config: OptimizerConfig) ->
     ``floor(1 / grid_step)``; custom bounds restrict the mesh to their
     intersection.  Ties go to the smallest exponent.
     """
-    t0 = time.perf_counter()
-    lo, hi = config.resolved_bounds()
-    step = config.grid_step
-    count = int(math.floor(1.0 / step + 1e-6))
-    mesh = np.minimum(np.arange(1, count + 1) * step, 1.0)
-    mesh = mesh[(mesh >= lo) & (mesh <= hi)]
-    if mesh.size == 0:
-        raise ValueError("no grid points inside bounds")
-    tracker = _Tracker(objective, config.max_evals)
-    converged = True
-    try:
+
+    def search(tracker: _Tracker, lo: float, hi: float) -> None:
+        step = config.grid_step
+        count = int(math.floor(1.0 / step + 1e-6))
+        mesh = np.minimum(np.arange(1, count + 1) * step, 1.0)
+        mesh = mesh[(mesh >= lo) & (mesh <= hi)]
+        if mesh.size == 0:
+            raise ValueError("no grid points inside bounds")
         for h in mesh:
             tracker(float(h))
-    except _Budget:
-        converged = False
-    return _report("grid", tracker, t0, converged)
+
+    return _run("grid", objective, config, search)
 
 
 def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
@@ -344,22 +344,14 @@ def _scan_then_refine(
     objective: Callable[[float], float],
     config: OptimizerConfig,
 ) -> OptimizerReport:
-    t0 = time.perf_counter()
-    lo, hi = config.resolved_bounds()
-    tracker = _Tracker(objective, config.max_evals)
-    converged = True
-    try:
-        scan_f = None
-        scan_j = 0
-        mesh = np.empty(0)
-        if config.prescan_points > 1:
-            mesh = np.linspace(lo, hi, config.prescan_points)
-            values = [tracker(float(h)) for h in mesh]
-            scan_j = int(np.argmin(values))
-            scan_f = values[scan_j]
+
+    def search(tracker: _Tracker, lo: float, hi: float) -> None:
+        mesh = np.linspace(lo, hi, _SCAN_POINTS)
+        values = [tracker(float(h)) for h in mesh]
+        scan_j = int(np.argmin(values))
         tracker.start_phase()
         core(tracker, lo, hi, config.tolerance)
-        if scan_f is not None and not (tracker.phase_f < scan_f - config.tolerance):
+        if not (tracker.phase_f < values[scan_j] - config.tolerance):
             # The local run did not clearly beat the coarse scan, so
             # the scan's basin is at least as good: refine inside its
             # bracket so the returned point is at full resolution.
@@ -367,20 +359,20 @@ def _scan_then_refine(
             hi2 = float(mesh[min(scan_j + 1, mesh.size - 1)])
             if hi2 > lo2:
                 core(tracker, lo2, hi2, config.tolerance)
-        if config.prescan_points > 0:
-            _plateau_sweep(tracker, lo, hi, config.grid_step)
-    except _Budget:
-        converged = False
-    return _report(method, tracker, t0, converged)
+        _plateau_sweep(tracker, lo, hi, config.grid_step)
+
+    return _run(method, objective, config, search)
 
 
 def brent_min(objective: Callable[[float], float], config: OptimizerConfig) -> OptimizerReport:
     """Brent minimization (golden section + parabolic interpolation).
 
-    Terminates when the bracket is narrower than ``tolerance`` or the
-    budget runs out; the returned point is the best one evaluated.
-    With ``prescan_points > 0`` the result is additionally checked
-    against a coarse scan (see :class:`OptimizerConfig`).
+    A coarse scan of the bounds comes first; the local run restarts
+    inside the scan's best bracket unless it beat the scan by more
+    than ``tolerance``, and a plateau sweep of the ``grid_step`` mesh
+    around the incumbent finishes.  Terminates when the bracket is
+    narrower than ``tolerance`` or the budget runs out; the returned
+    point is the best one evaluated.
     """
     return _scan_then_refine(_brent_core, "brent", objective, config)
 
@@ -446,12 +438,9 @@ def simulated_annealing(
     ``grid_step`` mesh.  Returns the best point seen; the whole run is
     a pure function of ``seed``.
     """
-    t0 = time.perf_counter()
-    lo, hi = config.resolved_bounds()
-    rng = np.random.default_rng(config.seed)
-    tracker = _Tracker(objective, config.max_evals)
-    converged = True
-    try:
+
+    def search(tracker: _Tracker, lo: float, hi: float) -> None:
+        rng = np.random.default_rng(config.seed)
         x = 0.5 * (lo + hi)
         fx = tracker(x)
         temp = 0.1
@@ -462,9 +451,8 @@ def simulated_annealing(
                 x, fx = u, fu
             temp = max(temp * 0.95, 1e-300)
         _plateau_sweep(tracker, lo, hi, config.grid_step)
-    except _Budget:
-        converged = False
-    return _report("simulated_annealing", tracker, t0, converged)
+
+    return _run("simulated_annealing", objective, config, search)
 
 
 _DISPATCH = {
@@ -488,25 +476,17 @@ def _permute(sample, plan: PermutationPlan):
     return uniform_sample_permute(sample, plan)
 
 
-def _frozen_minimizer(
+def _frozen_objective(
     pair: RescaledPair, plan: PermutationPlan
-) -> tuple[Callable[[OptimizerConfig], OptimizerReport], int, int]:
+) -> tuple[Callable[[float], float], int, int]:
     # Decorrelate both samples once, with independent streams derived
     # from the plan's seed, and freeze the objective on the result.
-    # Returns a runner minimizing it under a config, and the sizes n, m.
+    # Returns the objective and the sizes n, m.
     sub = np.random.SeedSequence(plan.seed).generate_state(2)
     fine = _permute(pair.fine, replace(plan, seed=int(sub[0])))
     coarse = _permute(pair.coarse, replace(plan, seed=int(sub[1])))
     frozen = scaled_diameter_fn(RescaledPair(fine=fine, coarse=coarse, a_max=pair.a_max))
-
-    def run(config: OptimizerConfig) -> OptimizerReport:
-        # The objective is stepwise, so Brent and Nelder-Mead get the
-        # 50-point scan unless the caller already set one.
-        if config.method in ("brent", "nelder_mead") and config.prescan_points == 0:
-            config = replace(config, prescan_points=50)
-        return minimize_scalar(frozen, config)
-
-    return run, len(fine), len(coarse)
+    return frozen, len(fine), len(coarse)
 
 
 def estimate_hurst(
@@ -533,9 +513,7 @@ def estimate_hurst(
         Decorrelation scheme; under ``uniform_sample`` with
         ``subsample_size`` T both samples end up with T values.
     config : OptimizerConfig
-        Minimizer choice and settings.  Brent and Nelder-Mead get the
-        50-point scan safeguard here unless the caller already set
-        one, because the empirical objective is piecewise constant.
+        Minimizer choice and settings.
     alpha : float, optional
         Significance level for the threshold and the confidence
         interval.
@@ -546,8 +524,8 @@ def estimate_hurst(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    run, n, m = _frozen_minimizer(pair, plan)
-    report = run(config)
+    frozen, n, m = _frozen_objective(pair, plan)
+    report = minimize_scalar(frozen, config)
     critical = ks_critical(n, m, alpha)
     sd = estimator_sd(VarianceInputs(a_max=pair.a_max, n=n, m=m))
     return EstimationResult(
@@ -601,34 +579,24 @@ def bench_optimizers(
             plan = PermutationPlan(
                 scheme="uniform_sample", subsample_size=subsample, seed=int(seeds[1])
             )
-            run, _, _ = _frozen_minimizer(pair, plan)
+            frozen, _, _ = _frozen_objective(pair, plan)
             for config in configs:
                 try:
-                    rep_out = run(config)
-                    rows.append(
-                        BenchRow(
-                            method=config.method,
-                            h_true=float(h_true),
-                            rep=rep,
-                            h_hat=rep_out.h_hat,
-                            delta_min=rep_out.delta_min,
-                            evaluations=rep_out.evaluations,
-                            wall_time_s=rep_out.wall_time_s,
-                        )
+                    out = minimize_scalar(frozen, config)
+                    result = dict(
+                        h_hat=out.h_hat,
+                        delta_min=out.delta_min,
+                        evaluations=out.evaluations,
+                        wall_time_s=out.wall_time_s,
                     )
                 except Exception as exc:  # noqa: BLE001 - record and move on
-                    rows.append(
-                        BenchRow(
-                            method=config.method,
-                            h_true=float(h_true),
-                            rep=rep,
-                            h_hat=math.nan,
-                            delta_min=math.nan,
-                            evaluations=0,
-                            wall_time_s=0.0,
-                            error=str(exc),
-                        )
+                    result = dict(
+                        h_hat=math.nan, delta_min=math.nan, evaluations=0, wall_time_s=0.0,
+                        error=str(exc),
                     )
+                rows.append(
+                    BenchRow(method=config.method, h_true=float(h_true), rep=rep, **result)
+                )
     rows.sort(key=lambda r: (r.h_true, r.method, r.rep))
     return rows
 
@@ -641,12 +609,8 @@ def write_bench_csv(rows: Sequence[BenchRow], path) -> None:
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "h_true", "rep", "h_hat", "delta_min", "evaluations", "wall_time_s",
-             "error"]
-        )
+        writer.writerow([f.name for f in fields(BenchRow)])
         for r in rows:
             writer.writerow(
-                [r.method, repr(r.h_true), r.rep, repr(r.h_hat), repr(r.delta_min),
-                 r.evaluations, repr(r.wall_time_s), r.error]
+                [repr(v) if isinstance(v, float) else v for v in astuple(r)]
             )

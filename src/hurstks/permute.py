@@ -37,8 +37,8 @@ class PermutationPlan:
 
     Parameters
     ----------
-    scheme : str
-        Either ``"block"`` or ``"uniform_sample"``.
+    scheme : str, optional
+        Either ``"block"`` or ``"uniform_sample"`` (the default).
     block_length : int, optional
         Block size for the block scheme.
     subsample_size : int, optional
@@ -48,7 +48,7 @@ class PermutationPlan:
         Master seed; every draw the plan makes derives from it.
     """
 
-    scheme: str
+    scheme: str = "uniform_sample"
     block_length: int = 128
     subsample_size: int | None = None
     seed: int = 0

@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -43,12 +44,17 @@ __all__ = [
     "SeriesReport",
     "RunReport",
     "CsvFormatError",
+    "NotConvergedError",
     "load_series",
     "log_transform",
+    "series_path",
     "load_intraday",
     "realized_vol",
     "window_partition",
     "parse_manifest",
+    "build_manifest",
+    "optimizer_config",
+    "permutation_plan",
     "run_static_analysis",
 ]
 
@@ -59,6 +65,10 @@ VALUE_SCALES = ("level", "log")
 
 class CsvFormatError(ValueError):
     """Input file violates the expected CSV layout."""
+
+
+class NotConvergedError(RuntimeError):
+    """A window's minimizer ran out of its evaluation budget."""
 
 
 @dataclass(frozen=True)
@@ -122,8 +132,8 @@ class RunManifest:
     inputs: tuple[str, ...]
     window: WindowConfig = WindowConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    perm_scheme: str = "uniform_sample"
-    block_length: int = 128
+    perm_scheme: str = PermutationPlan.scheme
+    block_length: int = PermutationPlan.block_length
     input_scale: str = "level"
     master_seed: int = 0
     out_dir: str = "."
@@ -172,8 +182,13 @@ class RunReport:
     warnings: tuple[str, ...]
 
 
-def _parse_series(file) -> tuple[list[SeriesRecord], int, int]:
-    """Parse a date,value CSV; returns (records, rows_parsed, dropped)."""
+def _parse_series(file, value_scale: str) -> tuple[list[SeriesRecord], int, int]:
+    """Parse a date,value CSV; returns (records, rows_parsed, dropped).
+
+    Under ``value_scale="level"`` non-positive values count as dropped.
+    """
+    if value_scale not in VALUE_SCALES:
+        raise ValueError(f"value_scale must be one of {VALUE_SCALES}")
     records: list[SeriesRecord] = []
     dropped = 0
     parsed = 0
@@ -219,6 +234,10 @@ def _parse_series(file) -> tuple[list[SeriesRecord], int, int]:
     for prev, cur in zip(records, records[1:]):
         if prev.date == cur.date:
             raise CsvFormatError(f"{file}: duplicate date {cur.date.isoformat()}")
+    if value_scale == "level":
+        kept = [r for r in records if r.value > 0.0]
+        dropped += len(records) - len(kept)
+        records = kept
     return records, parsed, dropped
 
 
@@ -248,13 +267,7 @@ def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
         On malformed headers, unparseable or infinite values (with
         line number), or duplicate dates.
     """
-    if value_scale not in VALUE_SCALES:
-        raise ValueError(f"value_scale must be one of {VALUE_SCALES}")
-    records, parsed, dropped = _parse_series(file)
-    if value_scale == "level":
-        kept = [r for r in records if r.value > 0.0]
-        dropped += len(records) - len(kept)
-        records = kept
+    records, parsed, dropped = _parse_series(file, value_scale)
     if dropped:
         level = logging.WARNING if dropped > 0.01 * max(parsed, 1) else logging.INFO
         logger.log(level, "%s: dropped %d of %d rows", file, dropped, parsed)
@@ -269,6 +282,16 @@ def log_transform(records: Sequence[SeriesRecord]) -> Path:
     if np.any(values <= 0.0):
         raise ValueError("log transform needs positive values")
     return Path(np.log(values))
+
+
+def series_path(file, records: Sequence[SeriesRecord], value_scale: str) -> Path:
+    """Path of loaded records: log levels, or the values as given under
+    ``value_scale="log"``; CsvFormatError below two records."""
+    if len(records) < 2:
+        raise CsvFormatError(f"{file}: fewer than two usable rows")
+    if value_scale == "level":
+        return log_transform(records)
+    return Path(np.array([r.value for r in records]))
 
 
 def load_intraday(file) -> dict[dt.date, list[float]]:
@@ -358,38 +381,82 @@ def window_partition(path: Path, config: WindowConfig) -> list[Path]:
     return [Path(path.values[w * size : (w + 1) * size]) for w in range(count)]
 
 
+# Manifest key -> (type, settings object, field it sets).  A key not
+# given keeps the field's dataclass default.
 _MANIFEST_KEYS = {
-    "input": str,
-    "input2": str,
-    "input_scale": str,
-    "window_length": int,
-    "a_max": int,
-    "subseq": int,
-    "alpha": float,
-    "optimizer": str,
-    "grid_step": float,
-    "tolerance": float,
-    "max_evals": int,
-    "prescan_points": int,
-    "perm_scheme": str,
-    "block_length": int,
-    "seed": int,
-    "out_dir": str,
+    "input": (str, "inputs", "input"),
+    "input2": (str, "inputs", "input2"),
+    "input_scale": (str, "run", "input_scale"),
+    "window_length": (int, "window", "window_length"),
+    "a_max": (int, "window", "a_max"),
+    "subseq": (int, "window", "subseq"),
+    "alpha": (float, "window", "alpha"),
+    "optimizer": (str, "optimizer", "method"),
+    "grid_step": (float, "optimizer", "grid_step"),
+    "tolerance": (float, "optimizer", "tolerance"),
+    "max_evals": (int, "optimizer", "max_evals"),
+    "perm_scheme": (str, "plan", "scheme"),
+    "block_length": (int, "plan", "block_length"),
+    "seed": (int, "run", "master_seed"),
+    "out_dir": (str, "run", "out_dir"),
 }
+
+# '#' opens a comment at line start or after whitespace, not inside a
+# value such as the path runs/a#1.csv.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _fields(settings: Mapping[str, object], part: str) -> dict:
+    return {
+        field: settings[key]
+        for key, (_, where, field) in _MANIFEST_KEYS.items()
+        if where == part and key in settings
+    }
+
+
+def optimizer_config(settings: Mapping[str, object]) -> OptimizerConfig:
+    """OptimizerConfig from the optimizer keys among manifest keys
+    (``optimizer``, ``grid_step``, ``tolerance``, ``max_evals``)."""
+    return OptimizerConfig(**_fields(settings, "optimizer"))
+
+
+def permutation_plan(settings: Mapping[str, object], **fixed) -> PermutationPlan:
+    """PermutationPlan from ``perm_scheme`` and ``block_length`` among
+    manifest keys, plus the fields given in ``fixed``."""
+    return PermutationPlan(**_fields(settings, "plan"), **fixed)
+
+
+def build_manifest(settings: Mapping[str, object]) -> RunManifest:
+    """RunManifest from manifest keys mapped to typed values.
+
+    ``input`` is required and ``input2`` optional; every other key
+    that is absent keeps its dataclass default.  Names that are not
+    manifest keys are ignored.
+    """
+    plan = permutation_plan(settings)
+    return RunManifest(
+        inputs=tuple(settings[k] for k in ("input", "input2") if k in settings),
+        window=WindowConfig(**_fields(settings, "window")),
+        optimizer=optimizer_config(settings),
+        perm_scheme=plan.scheme,
+        block_length=plan.block_length,
+        **_fields(settings, "run"),
+    )
 
 
 def parse_manifest(file) -> RunManifest:
     """Read a flat ``key = value`` manifest file into a RunManifest.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are an
-    error.  Keys mirror the manifest fields (``input`` and optional
-    ``input2`` for the series, ``optimizer`` for the method name,
-    ``seed`` for the master seed).
+    Blank lines and ``#`` comments (at the start of a line or after
+    whitespace) are ignored; unknown keys are an error.  Keys mirror
+    the manifest fields (``input`` and optional ``input2`` for the
+    series, ``optimizer`` for the method name, ``seed`` for the master
+    seed); see :func:`build_manifest`.
     """
     raw: dict[str, str] = {}
     with open(file) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = _COMMENT.split(line, 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
@@ -404,35 +471,10 @@ def parse_manifest(file) -> RunManifest:
     if "input" not in raw:
         raise CsvFormatError(f"{file}: missing required key 'input'")
     try:
-        typed = {k: _MANIFEST_KEYS[k](v) for k, v in raw.items()}
+        typed = {k: _MANIFEST_KEYS[k][0](v) for k, v in raw.items()}
     except ValueError as exc:
         raise CsvFormatError(f"{file}: {exc}") from None
-    inputs = [typed["input"]]
-    if "input2" in typed:
-        inputs.append(typed["input2"])
-    window = WindowConfig(
-        window_length=typed.get("window_length", 1512),
-        a_max=typed.get("a_max", 21),
-        subseq=typed.get("subseq"),
-        alpha=typed.get("alpha", 0.05),
-    )
-    optimizer = OptimizerConfig(
-        method=typed.get("optimizer", "brent"),
-        grid_step=typed.get("grid_step", 1e-4),
-        tolerance=typed.get("tolerance", 1e-6),
-        max_evals=typed.get("max_evals", 10_000),
-        prescan_points=typed.get("prescan_points", 0),
-    )
-    return RunManifest(
-        inputs=tuple(inputs),
-        window=window,
-        optimizer=optimizer,
-        perm_scheme=typed.get("perm_scheme", "uniform_sample"),
-        block_length=typed.get("block_length", 128),
-        input_scale=typed.get("input_scale", "level"),
-        master_seed=typed.get("seed", 0),
-        out_dir=typed.get("out_dir", "."),
-    )
+    return build_manifest(typed)
 
 
 def _estimate_one_window(
@@ -450,7 +492,7 @@ def _estimate_one_window(
     plan = PermutationPlan(
         scheme=manifest.perm_scheme,
         block_length=manifest.block_length,
-        subsample_size=wc.resolved_subseq() if manifest.perm_scheme == "uniform_sample" else None,
+        subsample_size=wc.resolved_subseq(),
         seed=int(seeds[0]),
     )
     optimizer = replace(manifest.optimizer, seed=int(seeds[1]))
@@ -459,19 +501,9 @@ def _estimate_one_window(
 
 def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesReport, list[str]]:
     file = manifest.inputs[series_idx]
-    records, parsed, dropped = _parse_series(file)
+    records, parsed, dropped = _parse_series(file, manifest.input_scale)
+    path = series_path(file, records, manifest.input_scale)
     warnings: list[str] = []
-    if manifest.input_scale == "level":
-        kept = [r for r in records if r.value > 0.0]
-        dropped += len(records) - len(kept)
-        records = kept
-        if len(records) < 2:
-            raise CsvFormatError(f"{file}: fewer than two usable rows")
-        path = log_transform(records)
-    else:
-        if len(records) < 2:
-            raise CsvFormatError(f"{file}: fewer than two usable rows")
-        path = Path(np.array([r.value for r in records]))
     if dropped > 0.01 * max(parsed, 1):
         warnings.append(f"{file}: dropped {dropped} of {parsed} rows (>1%)")
     windows = window_partition(path, manifest.window)
@@ -479,6 +511,11 @@ def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesRepor
     rows = []
     for w, wpath in enumerate(windows):
         result = _estimate_one_window(wpath, manifest, series_idx, w)
+        if not result.converged:
+            raise NotConvergedError(
+                f"{file}: window {w}: minimizer ran out of its budget of "
+                f"{manifest.optimizer.max_evals} evaluations"
+            )
         ci_lo, ci_hi = confidence_interval(
             result.h_hat,
             VarianceInputs(a_max=result.a_max, n=result.n, m=result.m),
@@ -512,38 +549,33 @@ def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesRepor
     return report, warnings
 
 
+# Per-window output fields: name and value, in windows.csv column order.
+_WINDOW_COLUMNS = (
+    ("window_index", lambda row: row.window_index),
+    ("start_date", lambda row: row.start_date.isoformat()),
+    ("end_date", lambda row: row.end_date.isoformat()),
+    ("h_hat", lambda row: row.result.h_hat),
+    ("delta_min", lambda row: row.result.delta_min),
+    ("critical", lambda row: row.result.critical_value),
+    ("significant", lambda row: row.result.significant),
+    ("ci_lo", lambda row: row.ci_lo),
+    ("ci_hi", lambda row: row.ci_hi),
+)
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
 def _write_windows_csv(path: str, series: Iterable[SeriesReport]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "window_index",
-                "start_date",
-                "end_date",
-                "h_hat",
-                "delta_min",
-                "critical",
-                "significant",
-                "ci_lo",
-                "ci_hi",
-            ]
-        )
+        writer.writerow([name for name, _ in _WINDOW_COLUMNS])
         for rep in series:
             for row in rep.windows:
-                res = row.result
-                writer.writerow(
-                    [
-                        row.window_index,
-                        row.start_date.isoformat(),
-                        row.end_date.isoformat(),
-                        repr(res.h_hat),
-                        repr(res.delta_min),
-                        repr(res.critical_value),
-                        "true" if res.significant else "false",
-                        repr(row.ci_lo),
-                        repr(row.ci_hi),
-                    ]
-                )
+                writer.writerow([_csv_cell(get(row)) for _, get in _WINDOW_COLUMNS])
 
 
 def _report_json(manifest: RunManifest, report: RunReport) -> dict:
@@ -571,18 +603,7 @@ def _report_json(manifest: RunManifest, report: RunReport) -> dict:
             "n_windows": rep.n_windows,
             "remainder": rep.remainder,
             "windows": [
-                {
-                    "window_index": row.window_index,
-                    "start_date": row.start_date.isoformat(),
-                    "end_date": row.end_date.isoformat(),
-                    "h_hat": row.result.h_hat,
-                    "delta_min": row.result.delta_min,
-                    "critical": row.result.critical_value,
-                    "significant": row.result.significant,
-                    "ci_lo": row.ci_lo,
-                    "ci_hi": row.ci_hi,
-                }
-                for row in rep.windows
+                {name: get(row) for name, get in _WINDOW_COLUMNS} for row in rep.windows
             ],
         }
         if rep.aggregate is not None:

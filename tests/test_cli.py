@@ -182,13 +182,26 @@ class TestAnalyze:
         manifest = tmp_path / "run.manifest"
         manifest.write_text(
             f"input = {file}\nout_dir = {tmp_path / 'a'}\nseed = 9\n"
+            "a_max = 15\nalpha = 0.1\noptimizer = nelder_mead\ntolerance = 1e-5\n"
         )
         run(capsys, "analyze", "--manifest", str(manifest))
         run(capsys, "analyze", "--input", file, "--out-dir", str(tmp_path / "b"),
-            "--seed", "9")
-        ja = json.loads((tmp_path / "a" / "report.json").read_text())
-        jb = json.loads((tmp_path / "b" / "report.json").read_text())
-        assert ja["series"] == jb["series"]
+            "--seed", "9", "--amax", "15", "--alpha", "0.1", "--optimizer", "nelder_mead",
+            "--tolerance", "1e-5")
+        for name in ("report.json", "windows.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_exhausted_budget_is_numerical_failure(self, tmp_path, capsys):
+        file = _level_csv(tmp_path, "v.csv", 3024)
+        out_dir = tmp_path / "o"
+        code, _, err = run(
+            capsys, "analyze", "--input", file, "--out-dir", str(out_dir),
+            "--max-evals", "30",
+        )
+        assert code == 2
+        assert f"{file}: window 0: minimizer ran out of its budget of 30 evaluations" in err
+        assert not (out_dir / "report.json").exists()
+        assert not (out_dir / "windows.csv").exists()
 
     def test_two_series_prints_z(self, tmp_path, capsys):
         fa = _level_csv(tmp_path, "a.csv", 3024, seed=0)

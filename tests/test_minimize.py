@@ -10,7 +10,6 @@ import pytest
 from hurstks.fgn import FgnSpec, increments, simulate_fbm
 from hurstks.ksdist import RescaledPair, gaussian_diameter, ks_critical
 from hurstks.minimize import (
-    BENCH_METHOD_NAMES,
     METHODS,
     BenchRow,
     EstimationResult,
@@ -47,7 +46,6 @@ class TestConfig:
         {"bounds": (0.5, 0.4)},
         {"bounds": (-0.1, 0.5)},
         {"bounds": (0.5, 1.2)},
-        {"prescan_points": -1},
     ])
     def test_field_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -100,12 +98,13 @@ class TestBrent:
     def test_quadratic_interior_minimum(self):
         r = brent_min(quad, OptimizerConfig(method="brent"))
         assert abs(r.h_hat - 0.5) < 1e-5
-        assert r.evaluations < 60
         assert r.converged
 
     def test_quadratic_with_prescan(self):
-        r = brent_min(quad, OptimizerConfig(method="brent", prescan_points=50))
+        # The 50-point scan always runs before the local search.
+        r = brent_min(quad, OptimizerConfig(method="brent"))
         assert abs(r.h_hat - 0.5) < 1e-5
+        assert r.evaluations > 50
 
     def test_nonsmooth_vee(self):
         r = brent_min(lambda h: abs(h - 0.3), OptimizerConfig(method="brent"))
@@ -130,8 +129,9 @@ class TestNelderMead:
         assert r.converged
 
     def test_quadratic_with_prescan(self):
-        r = nelder_mead(quad, OptimizerConfig(method="nelder_mead", prescan_points=50))
+        r = nelder_mead(quad, OptimizerConfig(method="nelder_mead"))
         assert abs(r.h_hat - 0.5) < 1e-4
+        assert r.evaluations > 50
 
     def test_nonsmooth_vee(self):
         r = nelder_mead(lambda h: abs(h - 0.3), OptimizerConfig(method="nelder_mead"))
@@ -174,14 +174,11 @@ class TestSimulatedAnnealing:
 class TestDispatch:
     @pytest.mark.parametrize("method", METHODS)
     def test_routes_by_config(self, method):
-        cfg = OptimizerConfig(method=method, max_evals=12_000, prescan_points=10)
+        cfg = OptimizerConfig(method=method, max_evals=12_000)
         r = minimize_scalar(quad, cfg)
         assert isinstance(r, OptimizerReport)
         assert r.method == method
         assert abs(r.h_hat - 0.5) < 1e-2
-
-    def test_bench_name_list_extends_methods(self):
-        assert set(METHODS) < set(BENCH_METHOD_NAMES)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_delta_min_consistent(self, method):
@@ -192,16 +189,15 @@ class TestDispatch:
 
 
 class TestPopulationCurve:
-    @pytest.mark.parametrize("prescan", [0, 50])
-    def test_recovers_generating_exponent(self, prescan):
+    @pytest.mark.parametrize("a_max", [21, 50])
+    def test_recovers_generating_exponent(self, a_max):
         # Distance between a standard normal CDF and its a^{h-h0}
         # rescaling is minimised exactly at h0: every local method must
         # land there on the smooth population curve.
         for h0 in np.arange(0.1, 0.95, 0.1):
-            pop = lambda h, h0=h0: gaussian_diameter(50.0 ** (2.0 * (h0 - h)))
-            cfg = OptimizerConfig(method="brent", prescan_points=prescan)
-            r = brent_min(pop, cfg)
-            assert abs(r.h_hat - h0) < 1e-5, (h0, prescan)
+            pop = lambda h, h0=h0: gaussian_diameter(float(a_max) ** (2.0 * (h0 - h)))
+            r = brent_min(pop, OptimizerConfig(method="brent"))
+            assert abs(r.h_hat - h0) < 1e-5, (h0, a_max)
 
 
 def _pair_plan(h0, path_seed, plan_seed):

@@ -249,6 +249,19 @@ class TestManifest:
         assert m.out_dir == "out"
         assert m.perm_scheme == "uniform_sample"
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        file = _write(
+            tmp_path / "m",
+            "# full-line comment\n"
+            "   # indented comment\n"
+            "input = runs/a#1.csv\n"
+            "input2 = runs/b.csv # inline comment\n"
+            "seed = 4\t# tab before the comment\n",
+        )
+        m = parse_manifest(file)
+        assert m.inputs == ("runs/a#1.csv", "runs/b.csv")
+        assert m.master_seed == 4
+
     def test_second_input_is_optional(self, tmp_path):
         file = _write(tmp_path / "m", "input = a.csv\ninput2 = b.csv\n")
         assert parse_manifest(file).inputs == ("a.csv", "b.csv")
