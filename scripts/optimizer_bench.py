@@ -13,6 +13,7 @@ Example
 """
 
 import argparse
+import math
 import sys
 from collections import defaultdict
 
@@ -55,26 +56,28 @@ def main(argv=None):
         cells[(r.h_true, r.rep)][r.method] = r
     total = len(cells)
     print(f"{total} cells x {len(methods)} methods -> {args.out}")
-    print(f"{'method':<22}{'agree':>8}{'mean evals':>12}{'max evals':>11}{'mean time':>11}")
+    print(f"{'method':<22}{'agree':>8}{'mean evals':>12}{'max evals':>11}{'mean s':>11}")
+    left_out = 0
     for method in methods:
         if method == "grid":
             continue
-        agree = evals = 0
-        ev_max = 0
-        time_s = 0.0
-        for cell in cells.values():
-            gr, me = cell["grid"], cell[method]
-            if me.error:
-                continue
-            agree += int(abs(me.h_hat - gr.h_hat) <= args.tolerance)
-            evals += me.evaluations
-            ev_max = max(ev_max, me.evaluations)
-            time_s += me.wall_time_s
+        # A cell counts only when both the method and the grid ran to
+        # convergence: a truncated run is not an estimate to compare.
+        kept = [
+            (cell["grid"], cell[method]) for cell in cells.values()
+            if cell["grid"].converged and cell[method].converged
+        ]
+        left_out += total - len(kept)
+        used = len(kept) or math.nan
+        agree = sum(int(abs(me.h_hat - gr.h_hat) <= args.tolerance) for gr, me in kept)
+        evals = [me.evaluations for _, me in kept]
+        time_s = sum(me.wall_time_s for _, me in kept)
         print(
-            f"{method:<22}{agree:>5}/{total:<4}{evals / total:>10.0f}"
-            f"{ev_max:>11}{time_s / total:>10.4f}s"
+            f"{method:<22}{agree:>5}/{len(kept):<4}{sum(evals) / used:>10.0f}"
+            f"{max(evals, default=0):>11}{time_s / used:>11.4f}"
         )
     print(f"(grid reference: 10^4 evaluations per cell, step 1e-4)")
+    print(f"left out {left_out} method cells that failed or did not converge (or whose grid did not)")
     return 0
 
 

@@ -32,7 +32,10 @@ def parse_args(argv=None):
     p.add_argument("--subseq", type=int, default=500, help="subsample size per side")
     p.add_argument("--optimizer", default="brent")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.reps < 2:
+        p.error("--reps must be at least 2: the spread needs two paths per exponent")
+    return args
 
 
 def main(argv=None):

@@ -205,7 +205,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     write_bench_csv(rows, args.out)
     failures = sum(1 for r in rows if r.error)
-    print(f"wrote {len(rows)} rows to {args.out} ({failures} failures)")
+    unconverged = sum(1 for r in rows if not (r.error or r.converged))
+    print(
+        f"wrote {len(rows)} rows to {args.out} "
+        f"({failures} failures, {unconverged} not converged)"
+    )
     return 0
 
 

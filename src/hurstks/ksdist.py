@@ -106,6 +106,70 @@ def _ks_sorted(
     return float(max(up.max(), dn.max()))
 
 
+# Most (row, window point) pairs one block may compare; it also bounds
+# every temporary of the block.  Above ~256 KB per array, page faults
+# eat what the vectorisation saves.
+_BLOCK_ELEMENTS = 1 << 14
+
+# Fewest rows a block may have: below this, a block's own rank searches
+# and set-up cost more than they save, and the rows are evaluated one
+# by one (at 500 x 500 the break-even lay near 8-10 rows).
+_BLOCK_MIN_ROWS = 8
+
+
+def _ks_block(
+    a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+) -> np.ndarray:
+    # _ks_sorted(a, b * s, ...) for every s in scales, bit for bit.
+    # Over the block, the product b_j * s lies between b_j * min(s)
+    # and b_j * max(s) (rounding is monotone), so fine points below
+    # base_j rank under every product and points from top_j = base_j +
+    # width_j on above it: only the window [base_j, top_j) needs
+    # comparing row by row.
+    # An empty window fixes both ranks at base_j for the whole block.
+    # The ranks are then the same integers searchsorted returns, and
+    # they go through _ks_sorted's own float expressions.
+    k = scales.size
+    n = a.size
+    ends = b * scales.min(), b * scales.max()
+    base = np.searchsorted(a, np.minimum(*ends), side="left")
+    width = np.searchsorted(a, np.maximum(*ends), side="right") - base
+    # Window widths grow with the block's span, so the pair count grows
+    # about as k**2: split into this many pieces to fit the budget.
+    pieces = max(1, math.ceil(math.sqrt(k * int(width.sum()) / _BLOCK_ELEMENTS)))
+    if k < pieces * _BLOCK_MIN_ROWS:
+        # Too few rows per piece to repay a block's fixed costs.
+        return np.array([_ks_sorted(a, b * s, up_base, dn_base) for s in scales])
+    if pieces > 1:
+        return np.concatenate(
+            [_ks_block(a, b, part, up_base, dn_base) for part in np.array_split(scales, pieces)]
+        )
+    out = np.full(k, -np.inf)
+    fixed = width == 0
+    if fixed.any():
+        rank = base[fixed] / n
+        out[:] = max((up_base[fixed] - rank).max(), (rank - dn_base[fixed]).max())
+    # Widest windows first, so the columns whose window reaches offset
+    # t are a prefix; count, offset by offset, the window points at or
+    # below and strictly below each product.
+    cols = np.flatnonzero(~fixed)
+    cols = cols[np.argsort(-width[cols])]
+    if cols.size:
+        start = base[cols]
+        prod = b[cols] * scales[:, None]
+        right = np.zeros(prod.shape, dtype=np.intp)
+        left = np.zeros(prod.shape, dtype=np.intp)
+        reach = np.searchsorted(-width[cols], -np.arange(width[cols[0]]), side="left")
+        for t, c in enumerate(reach.tolist()):
+            points = a[start[:c] + t]
+            right[:, :c] += points <= prod[:, :c]
+            left[:, :c] += points < prod[:, :c]
+        up = up_base[cols] - (start + right) / n
+        dn = (start + left) / n - dn_base[cols]
+        np.maximum(out, np.maximum(up.max(axis=1), dn.max(axis=1)), out=out)
+    return out
+
+
 def _jump_bases(m: int) -> tuple[np.ndarray, np.ndarray]:
     # G at the right and left limit of its j-th jump, j = 0 .. m-1.
     return np.arange(1, m + 1) / m, np.arange(m) / m
@@ -159,6 +223,11 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     positive factor, so order is preserved) and ranks it into the fine
     sample.  Use this closure, not repeated calls to
     :func:`diameter_objective`, inside optimization loops.
+
+    The closure's ``many(hursts)`` method returns the values at a
+    sequence of exponents as an array, equal bit for bit to calling
+    the closure on each.  It evaluates them in blocks, which pays off
+    for a run of nearby exponents such as consecutive mesh points.
     """
     fine = np.sort(pair.fine.values)
     coarse = np.sort(pair.coarse.values)
@@ -172,6 +241,17 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
             raise ValueError("hurst must lie in (0, 1]")
         return _ks_sorted(fine, coarse * a_max ** (-hurst), up_base, dn_base)
 
+    def many(hursts: Sequence[float]) -> np.ndarray:
+        hs = [float(h) for h in hursts]
+        if not all(0.0 < h <= 1.0 for h in hs):
+            raise ValueError("hurst must lie in (0, 1]")
+        if not hs:
+            return np.empty(0)
+        # The scalar path's own power: np.power may round differently.
+        scales = np.array([a_max ** (-h) for h in hs])
+        return _ks_block(fine, coarse, scales, up_base, dn_base)
+
+    objective.many = many
     return objective
 
 

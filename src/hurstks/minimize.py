@@ -10,10 +10,12 @@ annealing are the cheaper alternatives benchmarked against it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +50,10 @@ _GOLDEN = 0.3819660112501051
 # the grid mesh outward from the incumbent and gives up a direction
 # after this many consecutive non-improving cells.
 _SWEEP_GAP = 150
+
+# The grid search hands its mesh to the objective's block evaluation
+# this many points at a time.
+_PREFETCH_CHUNK = 256
 
 # Brent and Nelder-Mead first evaluate this many evenly spaced points
 # and restart inside the best one's bracket unless their own run
@@ -147,7 +153,12 @@ class EstimationResult:
 
 @dataclass
 class BenchRow:
-    """One benchmark cell: a method applied to one frozen objective."""
+    """One benchmark cell: a method applied to one frozen objective.
+
+    ``error`` holds the message of an exception that ended the cell;
+    ``converged`` is false when the minimizer ran out of its budget or
+    the cell failed.
+    """
 
     method: str
     h_true: float
@@ -157,6 +168,7 @@ class BenchRow:
     evaluations: int
     wall_time_s: float
     error: str = ""
+    converged: bool = True
 
 
 class _Budget(Exception):
@@ -170,11 +182,18 @@ class _Tracker:
     every minimizer inherits one deterministic tie-break rule.  A
     phase marker lets the scan safeguard compare the local method's
     own best against the scan's.
+
+    The values of the run are kept by exponent: a repeated exponent
+    still counts as an evaluation, against the budget and in the
+    tie-break, but the objective is not called again.  ``prefetch``
+    fills these values ahead of a walk over a run of exponents.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
         self._fn = fn
+        self._many = getattr(fn, "many", None)
         self._max = max_evals
+        self.values: dict[float, float] = {}
         self.evaluations = 0
         self.best_h = math.nan
         self.best_f = math.inf
@@ -183,11 +202,24 @@ class _Tracker:
     def start_phase(self) -> None:
         self.phase_f = math.inf
 
+    def prefetch(self, hs: Iterable[float]) -> None:
+        """Evaluate in one block call the exponents that the next
+        calls will ask for, in that order, as far as the budget
+        reaches.  Does nothing for an objective without ``many``."""
+        if self._many is None:
+            return
+        ahead = itertools.islice(hs, self._max - self.evaluations)
+        todo = [h for h in ahead if h not in self.values]
+        if todo:
+            self.values.update(zip(todo, self._many(todo).tolist()))
+
     def __call__(self, h: float) -> float:
         if self.evaluations >= self._max:
             raise _Budget
         self.evaluations += 1
-        f = self._fn(h)
+        f = self.values.get(h)
+        if f is None:
+            f = self.values[h] = self._fn(h)
         if f < self.best_f or (f == self.best_f and h < self.best_h):
             self.best_f = f
             self.best_h = h
@@ -238,8 +270,11 @@ def grid_search(objective: Callable[[float], float], config: OptimizerConfig) ->
         mesh = mesh[(mesh >= lo) & (mesh <= hi)]
         if mesh.size == 0:
             raise ValueError("no grid points inside bounds")
-        for h in mesh:
-            tracker(float(h))
+        for start in range(0, mesh.size, _PREFETCH_CHUNK):
+            chunk = mesh[start : start + _PREFETCH_CHUNK].tolist()
+            tracker.prefetch(chunk)
+            for h in chunk:
+                tracker(h)
 
     return _run("grid", objective, config, search)
 
@@ -319,23 +354,26 @@ def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None
     anchors = [k for k in (kf, kf + 1) if k_lo <= k <= k_hi]
     if not anchors:
         anchors = [min(max(kf, k_lo), k_hi)]
-    f0, k0 = min((tracker(min(k * step, 1.0)), k) for k in anchors)
-    cur, gap, k = f0, 0, k0 - 1
-    while k >= k_lo and gap <= _SWEEP_GAP:
-        fk = tracker(min(k * step, 1.0))
-        if fk <= cur:
-            cur, gap = fk, 0
-        else:
-            gap += 1
-        k -= 1
-    cur, gap, k = f0, 0, k0 + 1
-    while k <= k_hi and gap <= _SWEEP_GAP:
-        fk = tracker(min(k * step, 1.0))
-        if fk < cur:
-            cur, gap = fk, 0
-        else:
-            gap += 1
-        k += 1
+
+    def cell(k: int) -> float:
+        return min(k * step, 1.0)
+
+    f0, k0 = min((tracker(cell(k)), k) for k in anchors)
+    for way, keeps in ((-1, operator.le), (1, operator.lt)):
+        cur, gap, k = f0, 0, k0 + way
+        while k_lo <= k <= k_hi and gap <= _SWEEP_GAP:
+            h = cell(k)
+            if h not in tracker.values:
+                # However the values turn out, the walk visits at least
+                # these next cells, so none of them is computed in vain.
+                last = min(max(k + way * (_SWEEP_GAP - gap), k_lo), k_hi)
+                tracker.prefetch(map(cell, range(k, last + way, way)))
+            fk = tracker(h)
+            if keeps(fk, cur):
+                cur, gap = fk, 0
+            else:
+                gap += 1
+            k += way
 
 
 def _scan_then_refine(
@@ -588,11 +626,12 @@ def bench_optimizers(
                         delta_min=out.delta_min,
                         evaluations=out.evaluations,
                         wall_time_s=out.wall_time_s,
+                        converged=out.converged,
                     )
                 except Exception as exc:  # noqa: BLE001 - record and move on
                     result = dict(
                         h_hat=math.nan, delta_min=math.nan, evaluations=0, wall_time_s=0.0,
-                        error=str(exc),
+                        error=str(exc), converged=False,
                     )
                 rows.append(
                     BenchRow(method=config.method, h_true=float(h_true), rep=rep, **result)
@@ -603,8 +642,9 @@ def bench_optimizers(
 
 def write_bench_csv(rows: Sequence[BenchRow], path) -> None:
     """Write benchmark rows to CSV (method, h_true, rep, h_hat,
-    delta_min, evaluations, wall_time_s, error); ``error`` is empty
-    for a cell that ran and holds the failure message otherwise."""
+    delta_min, evaluations, wall_time_s, error, converged); ``error``
+    is empty for a cell that ran and holds the failure message
+    otherwise, ``converged`` is ``True`` or ``False``."""
     import csv
 
     with open(path, "w", newline="") as fh:

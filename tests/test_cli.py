@@ -239,12 +239,27 @@ class TestBench:
         )
         assert code == 0
         assert "wrote 2 rows" in stdout
-        assert "(0 failures)" in stdout
+        assert "(0 failures, 0 not converged)" in stdout
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert {r["method"] for r in rows} == {"brent"}
         assert all(0.0 < float(r["h_hat"]) <= 1.0 for r in rows)
+
+    def test_exhausted_budget_is_counted_apart_from_failures(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, stdout, _ = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent,grid",
+            "--length", "1025", "--subseq", "200", "--max-evals", "30", "--out", str(out),
+        )
+        assert code == 0
+        assert "wrote 2 rows" in stdout
+        assert "(0 failures, 2 not converged)" in stdout
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["evaluations"], r["error"], r["converged"]) for r in rows] == [
+            ("30", "", "False")
+        ] * 2
 
     def test_unknown_method_is_input_error(self, tmp_path, capsys):
         code, _, err = run(

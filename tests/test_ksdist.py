@@ -418,3 +418,99 @@ class TestDiameterCurve:
             pts = diameter_curve(pair, grid)
             argmins.append(min(pts, key=lambda p: (p.value, p.hurst)).hurst)
         assert float(np.mean(argmins)) == pytest.approx(0.5, abs=0.05)
+
+
+def _mesh_run(step, k0, length):
+    return [min(k * step, 1.0) for k in range(k0, k0 + length) if k * step < 1.0 + step]
+
+
+# Coarse values with zeros of both signs; fine values on a quarter
+# lattice, so exact scales such as 16 ** -0.25 = 0.5 land products on
+# fine points and the <= and < counts differ.
+coarse_with_zeros = st.lists(
+    st.one_of(st.integers(-8, 8).map(float), st.just(-0.0)), min_size=2, max_size=60
+)
+
+
+class TestBlockEvaluation:
+    """``many`` returns exactly the floats of per-exponent calls."""
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=70),
+        coarse_with_zeros,
+        st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
+        st.sampled_from([1e-4, 1e-3, 1e-2]),
+        st.integers(1, 10_000),
+        st.integers(1, 600),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mesh_run_matches_per_exponent_calls(self, xs, coarse, a_max, step, k0, length):
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        k0 = min(k0, int(round(1.0 / step)))
+        fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
+        hs = _mesh_run(step, k0, length)
+        assert fn.many(hs).tolist() == [fn(h) for h in hs]
+
+    @pytest.mark.parametrize("a_max", [2, 4, 16])
+    def test_exact_scales_on_tied_lattice(self, a_max):
+        # Runs through h = 0.25, 0.5, 0.75, 1, where a_max ** -h is a
+        # power of two and products of integers hit fine points exactly.
+        rng = np.random.default_rng(a_max)
+        fine = rng.integers(-40, 41, 300) / 4.0
+        coarse = rng.integers(-30, 31, 200).astype(float)
+        coarse[:3] = [0.0, -0.0, 0.0]
+        fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
+        for step in (1e-2, 1e-3, 1e-4):
+            for centre in (0.25, 0.5, 0.75, 1.0):
+                k = int(round(centre / step))
+                hs = _mesh_run(step, max(k - 40, 1), 81)
+                assert centre in hs
+                assert fn.many(hs).tolist() == [fn(h) for h in hs]
+
+    def test_long_runs_split_and_wide_runs_go_row_by_row(self, monkeypatch):
+        import hurstks.ksdist as ksdist
+
+        path = simulate_fbm(FgnSpec(hurst=0.4, length=4097, seed=5))
+        fine, coarse = increments(path, 1), increments(path, 50)
+        pair = RescaledPair(
+            fine=IncrementSample(values=fine.values[:500], lag=1),
+            coarse=IncrementSample(values=coarse.values[:400], lag=50),
+            a_max=50,
+        )
+        fn = scaled_diameter_fn(pair)
+        runs = {
+            "scan": np.linspace(1e-3, 1.0, 50).tolist(),
+            "mesh 1e-3": _mesh_run(1e-3, 1, 600),
+            "mesh 1e-4": _mesh_run(1e-4, 4000, 600),
+        }
+        want = {name: [fn(h) for h in hs] for name, hs in runs.items()}
+        calls = {"_ks_block": 0, "_ks_sorted": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ksdist, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ksdist, name, counted)
+        got = {}
+        for name, hs in runs.items():
+            calls.update(_ks_block=0, _ks_sorted=0)
+            assert fn.many(hs).tolist() == want[name]
+            got[name] = dict(calls)
+        # A 50-point scan of the whole interval is too wide for any
+        # block; a 600-cell run of the fine mesh splits into blocks.
+        assert got["scan"] == {"_ks_block": 1, "_ks_sorted": 50}
+        assert got["mesh 1e-4"]["_ks_block"] > 1
+        assert got["mesh 1e-4"]["_ks_sorted"] == 0
+
+    def test_any_order_and_repeats(self):
+        rng = np.random.default_rng(4)
+        fn = scaled_diameter_fn(_pair(rng.integers(-5, 6, 80) / 2.0, rng.integers(-5, 6, 70), a_max=9))
+        hs = [0.9, 0.3, 0.3, 1.0, 0.001, 0.5001, 0.5]
+        assert fn.many(hs).tolist() == [fn(h) for h in hs]
+        assert fn.many(hs[::-1]).tolist() == [fn(h) for h in hs[::-1]]
+
+    def test_empty_run_and_domain(self):
+        fn = scaled_diameter_fn(_pair([1.0, 2.0, 3.0], [1.0, 4.0]))
+        assert fn.many([]).size == 0
+        for bad in ([0.5, 0.0], [1.0001], [-0.2, 0.3]):
+            with pytest.raises(ValueError):
+                fn.many(bad)

@@ -3,12 +3,15 @@ optimizer benchmark harness."""
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hurstks.fgn import FgnSpec, increments, simulate_fbm
-from hurstks.ksdist import RescaledPair, gaussian_diameter, ks_critical
+from hurstks.fgn import FgnSpec, IncrementSample, increments, simulate_fbm
+from hurstks.ksdist import RescaledPair, gaussian_diameter, ks_critical, scaled_diameter_fn
 from hurstks.minimize import (
     METHODS,
     BenchRow,
@@ -24,6 +27,7 @@ from hurstks.minimize import (
     simulated_annealing,
     write_bench_csv,
 )
+from hurstks.minimize import _frozen_objective
 from hurstks.permute import PermutationPlan
 from hurstks.stats import VarianceInputs, estimator_sd, normal_quantile
 
@@ -188,6 +192,52 @@ class TestDispatch:
         assert r.wall_time_s >= 0.0
 
 
+class TestBlockEvaluation:
+    """Mesh runs evaluated in blocks, and repeated exponents served from
+    the run's own values, leave every report field but the wall time
+    exactly as one call per exponent would: the plain lambda below has
+    no ``many`` and so takes the per-exponent path."""
+
+    @staticmethod
+    def _same_report(frozen, config):
+        block = minimize_scalar(frozen, config)
+        single = minimize_scalar(lambda h: frozen(h), config)
+        assert replace(block, wall_time_s=0.0) == replace(single, wall_time_s=0.0)
+        return block
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=50),
+        st.lists(st.integers(-6, 6), min_size=2, max_size=50),
+        st.sampled_from([2, 10, 50]),
+        st.sampled_from(METHODS),
+        st.sampled_from([1e-4, 1e-3, 1e-2]),
+        st.sampled_from([1, 49, 50, 51, 200, 10_000]),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tied_objective(self, xs, ys, a_max, method, grid_step, max_evals, seed):
+        # Small integer samples make wide plateaus, so ties to the
+        # smallest exponent decide the answer; the short budgets run
+        # out inside the scan, a grid chunk or a sweep's block.
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        pair = RescaledPair(
+            fine=IncrementSample(values=np.array(xs) / 2.0, lag=1),
+            coarse=IncrementSample(values=np.array(ys, dtype=float), lag=a_max),
+            a_max=a_max,
+        )
+        config = OptimizerConfig(
+            method=method, grid_step=grid_step, max_evals=max_evals, seed=seed
+        )
+        self._same_report(scaled_diameter_fn(pair), config)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_simulated_objective(self, method):
+        pair, plan = _pair_plan(0.3, 77, 78)
+        frozen, _, _ = _frozen_objective(pair, plan)
+        report = self._same_report(frozen, OptimizerConfig(method=method))
+        assert report.converged
+
+
 class TestPopulationCurve:
     @pytest.mark.parametrize("a_max", [21, 50])
     def test_recovers_generating_exponent(self, a_max):
@@ -350,12 +400,22 @@ class TestBench:
         assert len(got) == 2
         assert set(got[0]) == {
             "method", "h_true", "rep", "h_hat", "delta_min",
-            "evaluations", "wall_time_s", "error",
+            "evaluations", "wall_time_s", "error", "converged",
         }
         assert float(got[0]["h_hat"]) == rows[0].h_hat
         assert float(got[0]["delta_min"]) == rows[0].delta_min
         assert int(got[1]["evaluations"]) == rows[1].evaluations
         assert got[0]["error"] == got[1]["error"] == ""
+        assert got[0]["converged"] == got[1]["converged"] == "True"
+
+    def test_exhausted_budget_is_flagged_not_failed(self, tmp_path):
+        cfgs = [OptimizerConfig(method=m, max_evals=30) for m in ("grid", "brent")]
+        rows = bench_optimizers([0.5], 1, cfgs, length=1025, subsample=200, base_seed=0)
+        assert [(r.evaluations, r.error, r.converged) for r in rows] == [(30, "", False)] * 2
+        out = tmp_path / "bench.csv"
+        write_bench_csv(rows, out)
+        with open(out, newline="") as fh:
+            assert [r["converged"] for r in csv.DictReader(fh)] == ["False", "False"]
 
     def test_csv_keeps_failure_reason(self, tmp_path):
         bad = OptimizerConfig(method="grid", grid_step=1e-1, bounds=(0.01, 0.05))
@@ -367,3 +427,4 @@ class TestBench:
         assert got["grid"]["error"] == "no grid points inside bounds"
         assert math.isnan(float(got["grid"]["h_hat"]))
         assert got["brent"]["error"] == ""
+        assert (got["grid"]["converged"], got["brent"]["converged"]) == ("False", "True")
