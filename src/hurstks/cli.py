@@ -1,9 +1,9 @@
 """Command line interface: simulate, estimate, analyze, bench.
 
 Exit codes: 0 on success, 1 for input problems (bad flags, missing or
-malformed files), 2 for numerical failures (degenerate samples,
-embedding errors, an analysis window whose minimizer ran out of its
-budget).
+malformed files, paths that cannot be read or written), 2 for
+numerical failures (degenerate samples, embedding errors, an analysis
+window whose minimizer ran out of its budget).
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateSampleError, EmbeddingError, FloatingPointError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (CsvFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

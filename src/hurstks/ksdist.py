@@ -21,13 +21,11 @@ from hurstks.permute import DegenerateSampleError
 __all__ = [
     "EmpiricalCdf",
     "RescaledPair",
-    "DiameterCurvePoint",
     "ecdf_eval",
     "ks_two_sample",
     "ks_critical",
     "diameter_objective",
     "scaled_diameter_fn",
-    "diameter_curve",
     "gaussian_diameter",
 ]
 
@@ -69,14 +67,6 @@ class RescaledPair:
             raise ValueError("fine sample must have lag 1")
         if self.coarse.lag != self.a_max:
             raise ValueError("coarse sample lag must equal a_max")
-
-
-@dataclass(frozen=True)
-class DiameterCurvePoint:
-    """Objective value at one candidate exponent."""
-
-    hurst: float
-    value: float
 
 
 def ecdf_eval(cdf: EmpiricalCdf, x: float | np.ndarray) -> float | np.ndarray:
@@ -283,12 +273,6 @@ def diameter_objective(pair: RescaledPair, hurst: float) -> float:
         If either sample is constant.
     """
     return scaled_diameter_fn(pair)(hurst)
-
-
-def diameter_curve(pair: RescaledPair, grid: Sequence[float]) -> list[DiameterCurvePoint]:
-    """Objective values over a grid of candidate exponents."""
-    fn = scaled_diameter_fn(pair)
-    return [DiameterCurvePoint(hurst=float(h), value=fn(float(h))) for h in grid]
 
 
 def _norm_cdf(x: float) -> float:

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,10 +51,6 @@ _GOLDEN = 0.3819660112501051
 # after this many consecutive non-improving cells.
 _SWEEP_GAP = 150
 
-# The grid search hands its mesh to the objective's block evaluation
-# this many points at a time.
-_PREFETCH_CHUNK = 256
-
 # Brent and Nelder-Mead first evaluate this many evenly spaced points
 # and restart inside the best one's bracket unless their own run
 # clearly beats it: on a stepwise objective a local method alone can
@@ -74,9 +70,6 @@ class OptimizerConfig:
         Mesh width of the grid search.
     tolerance : float, optional
         Bracket width at which Brent / Nelder-Mead stop.
-    bounds : (float, float), optional
-        Search interval; defaults to ``(grid_step, 1]`` for the grid
-        and ``(1e-3, 1]`` otherwise.
     max_evals : int, optional
         Hard budget of objective evaluations; doubles as the length of
         the annealing schedule.
@@ -88,7 +81,6 @@ class OptimizerConfig:
     method: str = "brent"
     grid_step: float = 1e-4
     tolerance: float = 1e-6
-    bounds: tuple[float, float] | None = None
     max_evals: int = 10_000
     seed: int = 0
 
@@ -101,17 +93,11 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if not (0.0 < lo < hi <= 1.0):
-                raise ValueError("bounds must satisfy 0 < lo < hi <= 1")
 
     def resolved_bounds(self) -> tuple[float, float]:
-        if self.bounds is not None:
-            return self.bounds
-        if self.method == "grid":
-            return (self.grid_step, 1.0)
-        return (1e-3, 1.0)
+        """Search interval: ``[grid_step, 1]`` for the grid and
+        ``[1e-3, 1]`` for the other methods."""
+        return (self.grid_step if self.method == "grid" else 1e-3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -179,9 +165,7 @@ class _Tracker:
     """Count evaluations and remember the best point seen.
 
     Ties in objective value resolve toward the smaller argument, so
-    every minimizer inherits one deterministic tie-break rule.  A
-    phase marker lets the scan safeguard compare the local method's
-    own best against the scan's.
+    every minimizer inherits one deterministic tie-break rule.
 
     The values of the run are kept by exponent: a repeated exponent
     still counts as an evaluation, against the budget and in the
@@ -197,10 +181,6 @@ class _Tracker:
         self.evaluations = 0
         self.best_h = math.nan
         self.best_f = math.inf
-        self.phase_f = math.inf
-
-    def start_phase(self) -> None:
-        self.phase_f = math.inf
 
     def prefetch(self, hs: Iterable[float]) -> None:
         """Evaluate in one block call the exponents that the next
@@ -223,8 +203,6 @@ class _Tracker:
         if f < self.best_f or (f == self.best_f and h < self.best_h):
             self.best_f = f
             self.best_h = h
-        if f < self.phase_f:
-            self.phase_f = f
         return f
 
 
@@ -255,33 +233,47 @@ def _run(
     )
 
 
+def _cell(k: int, step: float) -> float:
+    return min(k * step, 1.0)
+
+
+def _mesh(step: float, lo: float, hi: float) -> range:
+    # Indices k of the mesh cells _cell(k, step), k = 1 ..
+    # floor(1 / step), that lie in [lo, hi].
+    count = int(math.floor(1.0 / step + 1e-6))
+    k_lo = max(1, math.ceil(lo / step - 1e-9))
+    while k_lo <= count and _cell(k_lo, step) < lo:
+        k_lo += 1
+    k_hi = min(count, math.floor(hi / step + 1e-6))
+    while k_hi >= k_lo and _cell(k_hi, step) > hi:
+        k_hi -= 1
+    return range(k_lo, k_hi + 1)
+
+
 def grid_search(objective: Callable[[float], float], config: OptimizerConfig) -> OptimizerReport:
     """Exhaustive search on the mesh ``{step, 2*step, ..., 1}``.
 
-    With default bounds the number of evaluations is exactly
-    ``floor(1 / grid_step)``; custom bounds restrict the mesh to their
-    intersection.  Ties go to the smallest exponent.
+    The number of evaluations is exactly ``floor(1 / grid_step)``,
+    unless the budget runs out first.  Ties go to the smallest
+    exponent.
     """
 
     def search(tracker: _Tracker, lo: float, hi: float) -> None:
-        step = config.grid_step
-        count = int(math.floor(1.0 / step + 1e-6))
-        mesh = np.minimum(np.arange(1, count + 1) * step, 1.0)
-        mesh = mesh[(mesh >= lo) & (mesh <= hi)]
-        if mesh.size == 0:
-            raise ValueError("no grid points inside bounds")
-        for start in range(0, mesh.size, _PREFETCH_CHUNK):
-            chunk = mesh[start : start + _PREFETCH_CHUNK].tolist()
-            tracker.prefetch(chunk)
-            for h in chunk:
-                tracker(h)
+        # One cell past the budget, so that a mesh longer than the
+        # budget ends unconverged.
+        ks = _mesh(config.grid_step, lo, hi)[: config.max_evals + 1]
+        cells = [_cell(k, config.grid_step) for k in ks]
+        tracker.prefetch(cells)
+        for h in cells:
+            tracker(h)
 
     return _run("grid", objective, config, search)
 
 
-def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
+def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
     # Golden-section with parabolic acceleration; stops on bracket
-    # collapse.  Budget exhaustion propagates as _Budget.
+    # collapse and returns the least value evaluated, which x always
+    # holds.  Budget exhaustion propagates as _Budget.
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
@@ -326,6 +318,7 @@ def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    return fx
 
 
 def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None:
@@ -341,33 +334,19 @@ def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None
     # the converged interior point.
     if not math.isfinite(tracker.best_h):
         return
-    count = int(math.floor(1.0 / step + 1e-6))
-    k_lo = max(1, int(math.ceil(lo / step - 1e-9)))
-    while k_lo <= count and k_lo * step < lo:
-        k_lo += 1
-    k_hi = min(count, int(math.floor(hi / step + 1e-9)))
-    while k_hi >= 1 and min(k_hi * step, 1.0) > hi:
-        k_hi -= 1
-    if k_lo > k_hi:
-        return
+    ks = _mesh(step, lo, hi)
     kf = int(math.floor(tracker.best_h / step))
-    anchors = [k for k in (kf, kf + 1) if k_lo <= k <= k_hi]
-    if not anchors:
-        anchors = [min(max(kf, k_lo), k_hi)]
-
-    def cell(k: int) -> float:
-        return min(k * step, 1.0)
-
-    f0, k0 = min((tracker(cell(k)), k) for k in anchors)
+    anchors = [k for k in (kf, kf + 1) if k in ks] or [min(max(kf, ks[0]), ks[-1])]
+    f0, k0 = min((tracker(_cell(k, step)), k) for k in anchors)
     for way, keeps in ((-1, operator.le), (1, operator.lt)):
         cur, gap, k = f0, 0, k0 + way
-        while k_lo <= k <= k_hi and gap <= _SWEEP_GAP:
-            h = cell(k)
+        while k in ks and gap <= _SWEEP_GAP:
+            h = _cell(k, step)
             if h not in tracker.values:
                 # However the values turn out, the walk visits at least
                 # these next cells, so none of them is computed in vain.
-                last = min(max(k + way * (_SWEEP_GAP - gap), k_lo), k_hi)
-                tracker.prefetch(map(cell, range(k, last + way, way)))
+                last = min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])
+                tracker.prefetch(_cell(j, step) for j in range(k, last + way, way))
             fk = tracker(h)
             if keeps(fk, cur):
                 cur, gap = fk, 0
@@ -377,7 +356,7 @@ def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None
 
 
 def _scan_then_refine(
-    core: Callable[[_Tracker, float, float, float], None],
+    core: Callable[[_Tracker, float, float, float], float],
     method: str,
     objective: Callable[[float], float],
     config: OptimizerConfig,
@@ -387,9 +366,8 @@ def _scan_then_refine(
         mesh = np.linspace(lo, hi, _SCAN_POINTS)
         values = [tracker(float(h)) for h in mesh]
         scan_j = int(np.argmin(values))
-        tracker.start_phase()
-        core(tracker, lo, hi, config.tolerance)
-        if not (tracker.phase_f < values[scan_j] - config.tolerance):
+        local_f = core(tracker, lo, hi, config.tolerance)
+        if not (local_f < values[scan_j] - config.tolerance):
             # The local run did not clearly beat the coarse scan, so
             # the scan's basin is at least as good: refine inside its
             # bracket so the returned point is at full resolution.
@@ -415,10 +393,12 @@ def brent_min(objective: Callable[[float], float], config: OptimizerConfig) -> O
     return _scan_then_refine(_brent_core, "brent", objective, config)
 
 
-def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
+def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
     # One-dimensional simplex with the standard coefficients
     # (reflection 1, expansion 2, contraction 0.5, shrink 0.5);
-    # proposals are clamped to the bounds.
+    # proposals are clamped to the bounds.  Every step keeps the
+    # lesser of the values it drops and keeps, so the simplex ends
+    # holding the least value evaluated, which it returns.
     third = (hi - lo) / 3.0
     s = [lo + third, hi - third]
     fs = [f(s[0]), f(s[1])]
@@ -452,6 +432,7 @@ def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
                 # Shrink toward the best vertex.
                 s[1] = best + 0.5 * (worst - best)
                 fs[1] = f(s[1])
+    return min(fs)
 
 
 def nelder_mead(objective: Callable[[float], float], config: OptimizerConfig) -> OptimizerReport:
@@ -620,22 +601,13 @@ def bench_optimizers(
             frozen, _, _ = _frozen_objective(pair, plan)
             for config in configs:
                 try:
-                    out = minimize_scalar(frozen, config)
-                    result = dict(
-                        h_hat=out.h_hat,
-                        delta_min=out.delta_min,
-                        evaluations=out.evaluations,
-                        wall_time_s=out.wall_time_s,
-                        converged=out.converged,
-                    )
+                    result = asdict(minimize_scalar(frozen, config))
                 except Exception as exc:  # noqa: BLE001 - record and move on
                     result = dict(
-                        h_hat=math.nan, delta_min=math.nan, evaluations=0, wall_time_s=0.0,
-                        error=str(exc), converged=False,
+                        method=config.method, h_hat=math.nan, delta_min=math.nan,
+                        evaluations=0, wall_time_s=0.0, error=str(exc), converged=False,
                     )
-                rows.append(
-                    BenchRow(method=config.method, h_true=float(h_true), rep=rep, **result)
-                )
+                rows.append(BenchRow(h_true=float(h_true), rep=rep, **result))
     rows.sort(key=lambda r: (r.h_true, r.method, r.rep))
     return rows
 

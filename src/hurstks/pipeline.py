@@ -241,6 +241,20 @@ def _parse_series(file, value_scale: str) -> tuple[list[SeriesRecord], int, int]
     return records, parsed, dropped
 
 
+def _log_dropped(file, parsed: int, dropped: int) -> str | None:
+    # Log the count of dropped rows; more than 1% of the data rows is
+    # a warning, whose text is returned for the run report.
+    if not dropped:
+        return None
+    message = f"{file}: dropped {dropped} of {parsed} rows"
+    if dropped <= 0.01 * max(parsed, 1):
+        logger.info(message)
+        return None
+    message += " (>1%)"
+    logger.warning(message)
+    return message
+
+
 def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
     """Load a ``date,value`` CSV into date-ordered records.
 
@@ -268,9 +282,7 @@ def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
         line number), or duplicate dates.
     """
     records, parsed, dropped = _parse_series(file, value_scale)
-    if dropped:
-        level = logging.WARNING if dropped > 0.01 * max(parsed, 1) else logging.INFO
-        logger.log(level, "%s: dropped %d of %d rows", file, dropped, parsed)
+    _log_dropped(file, parsed, dropped)
     return records
 
 
@@ -503,9 +515,7 @@ def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesRepor
     file = manifest.inputs[series_idx]
     records, parsed, dropped = _parse_series(file, manifest.input_scale)
     path = series_path(file, records, manifest.input_scale)
-    warnings: list[str] = []
-    if dropped > 0.01 * max(parsed, 1):
-        warnings.append(f"{file}: dropped {dropped} of {parsed} rows (>1%)")
+    warning = _log_dropped(file, parsed, dropped)
     windows = window_partition(path, manifest.window)
     size = manifest.window.window_length
     rows = []
@@ -546,7 +556,7 @@ def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesRepor
         windows=tuple(rows),
         aggregate=aggregate,
     )
-    return report, warnings
+    return report, [warning] if warning else []
 
 
 # Per-window output fields: name and value, in windows.csv column order.
@@ -622,14 +632,16 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     inputs, the mean exponents are compared by a z-test whose scale
     is the per-window standard deviation.
 
-    Side effects: writes ``report.json`` and ``windows.csv`` into the
-    manifest's ``out_dir``.  Two runs from the same manifest produce
+    Side effects: makes the manifest's ``out_dir`` before the first
+    window is estimated, then writes ``report.json`` and
+    ``windows.csv`` into it.  Two runs from the same manifest produce
     byte-identical files.
 
     Returns
     -------
     RunReport
     """
+    os.makedirs(manifest.out_dir, exist_ok=True)
     series = []
     warnings: list[str] = []
     for idx in range(len(manifest.inputs)):
@@ -650,7 +662,6 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     report = RunReport(
         series=tuple(series), z_stat=z_stat, z_p=z_p, warnings=tuple(warnings)
     )
-    os.makedirs(manifest.out_dir, exist_ok=True)
     with open(os.path.join(manifest.out_dir, "report.json"), "w") as fh:
         json.dump(_report_json(manifest, report), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hurstks import pipeline
 from hurstks.cli import main
 from hurstks.fgn import FgnSpec, simulate_fbm
 from hurstks.pipeline import load_series
@@ -274,6 +275,51 @@ class TestBench:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is an input error (exit 1,
+    one ``error:`` line), not a traceback."""
+
+    @staticmethod
+    def _plain_file(tmp_path):
+        file = tmp_path / "taken"
+        file.write_text("not a directory\n")
+        return file
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_analyze_out_dir_fails_before_the_first_window(
+        self, tmp_path, capsys, monkeypatch, sub
+    ):
+        file = _level_csv(tmp_path, "v.csv", 3024)
+        taken = self._plain_file(tmp_path)
+        out_dir = taken / sub if sub else taken
+
+        def no_estimates(*args, **kwargs):
+            raise AssertionError("a window was estimated")
+
+        monkeypatch.setattr(pipeline, "estimate_hurst", no_estimates)
+        code, stdout, err = run(capsys, "analyze", "--input", file, "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert stdout == ""
+
+    def test_simulate_out_under_a_file(self, tmp_path, capsys):
+        out = self._plain_file(tmp_path) / "x.csv"
+        code, stdout, err = run(
+            capsys, "simulate", "--hurst", "0.5", "--length", "64", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and stdout == ""
+
+    def test_bench_out_under_a_file(self, tmp_path, capsys):
+        out = self._plain_file(tmp_path) / "b.csv"
+        code, stdout, err = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+            "--length", "1025", "--subseq", "200", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and stdout == ""
 
 
 class TestTopLevel:

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, IncrementSample, increments, simulate_fbm
 from hurstks.ksdist import (
-    DiameterCurvePoint,
     EmpiricalCdf,
     RescaledPair,
-    diameter_curve,
     diameter_objective,
     ecdf_eval,
     gaussian_diameter,
@@ -375,14 +373,12 @@ class TestCalibratedGaussianPairs:
         assert hits >= 99
 
 
-class TestDiameterCurve:
-    def test_returns_labelled_points(self):
-        pair = _pair([1.0, 2.0], [3.0, 4.0])
-        pts = diameter_curve(pair, np.array([0.3, 0.7]))
-        assert [p.hurst for p in pts] == [0.3, 0.7]
-        assert all(isinstance(p, DiameterCurvePoint) for p in pts)
-        assert all(p.value == diameter_objective(pair, p.hurst) for p in pts)
+def _curve_argmin(pair, grid):
+    # Smallest grid exponent with the least objective value.
+    return grid[int(np.argmin(scaled_diameter_fn(pair).many(grid)))]
 
+
+class TestDiameterCurve:
     def test_population_curve_dips_at_true_exponent(self):
         # Gaussian population quantiles; curve minimum must sit at the
         # generating exponent on a fine grid.
@@ -392,9 +388,7 @@ class TestDiameterCurve:
         z = ndtri(q)
         pair = _pair(z, 50.0**0.6 * z, a_max=50)
         grid = np.round(np.arange(0.05, 1.0, 0.01), 4)
-        pts = diameter_curve(pair, grid)
-        best = min(pts, key=lambda p: (p.value, p.hurst))
-        assert best.hurst == pytest.approx(0.6, abs=0.011)
+        assert _curve_argmin(pair, grid) == pytest.approx(0.6, abs=0.011)
 
     def test_sampled_curve_argmin_centres_on_true_exponent(self):
         # 100 independent paths at H = 0.5; mean argmin of the curve on
@@ -415,8 +409,7 @@ class TestDiameterCurve:
                 PermutationPlan(scheme="uniform_sample", subsample_size=500, seed=int(sub[1])),
             )
             pair = RescaledPair(fine=fine, coarse=coarse, a_max=50)
-            pts = diameter_curve(pair, grid)
-            argmins.append(min(pts, key=lambda p: (p.value, p.hurst)).hurst)
+            argmins.append(_curve_argmin(pair, grid))
         assert float(np.mean(argmins)) == pytest.approx(0.5, abs=0.05)
 
 

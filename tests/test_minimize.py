@@ -3,6 +3,7 @@ optimizer benchmark harness."""
 
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,8 @@ from hurstks.minimize import (
     simulated_annealing,
     write_bench_csv,
 )
-from hurstks.minimize import _frozen_objective
+from hurstks import minimize
+from hurstks.minimize import _brent_core, _frozen_objective, _mesh, _nelder_mead_core
 from hurstks.permute import PermutationPlan
 from hurstks.stats import VarianceInputs, estimator_sd, normal_quantile
 
@@ -47,9 +49,6 @@ class TestConfig:
         {"grid_step": 1.5},
         {"tolerance": 0.0},
         {"max_evals": 0},
-        {"bounds": (0.5, 0.4)},
-        {"bounds": (-0.1, 0.5)},
-        {"bounds": (0.5, 1.2)},
     ])
     def test_field_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -58,10 +57,6 @@ class TestConfig:
     def test_default_bounds_depend_on_method(self):
         assert OptimizerConfig(method="grid").resolved_bounds() == (1e-4, 1.0)
         assert OptimizerConfig(method="brent").resolved_bounds() == (1e-3, 1.0)
-
-    def test_explicit_bounds_pass_through(self):
-        cfg = OptimizerConfig(method="brent", bounds=(0.2, 0.8))
-        assert cfg.resolved_bounds() == (0.2, 0.8)
 
 
 class TestGridSearch:
@@ -84,14 +79,32 @@ class TestGridSearch:
         assert r.evaluations == 10_000
 
     def test_respects_bounds(self):
-        cfg = OptimizerConfig(method="grid", grid_step=1e-2, bounds=(0.6, 0.9))
-        r = grid_search(quad, cfg)
-        assert r.h_hat == pytest.approx(0.6, abs=1e-12)
+        # The mesh starts at grid_step and ends at 1.
+        cfg = OptimizerConfig(method="grid", grid_step=1e-2)
+        assert grid_search(lambda h: (h + 1.0) ** 2, cfg).h_hat == 1e-2
+        assert grid_search(lambda h: (h - 2.0) ** 2, cfg).h_hat == 1.0
 
-    def test_empty_lattice_is_an_error(self):
-        cfg = OptimizerConfig(method="grid", grid_step=1e-1, bounds=(0.01, 0.05))
-        with pytest.raises(ValueError):
-            grid_search(quad, cfg)
+    def test_mesh_is_an_index_range(self):
+        # Cells min(k * step, 1), k = 1 .. floor(1 / step), inside the
+        # interval; the last one is 1 also when 1 / step falls just
+        # short of an integer.
+        assert _mesh(1e-4, 1e-4, 1.0) == range(1, 10_001)
+        assert _mesh(1e-4, 1e-3, 1.0) == range(10, 10_001)
+        assert _mesh(0.07, 1e-3, 1.0) == range(1, 15)
+        assert _mesh(1 / (10 - 5e-7), 1e-3, 1.0) == range(1, 11)
+
+    def test_builds_no_cells_past_the_budget(self):
+        # A mesh of 10**6 cells under a budget of 10: the grid may hold
+        # no more cells than it can evaluate.
+        tracemalloc.start()
+        try:
+            r = grid_search(quad, OptimizerConfig(method="grid", grid_step=1e-6, max_evals=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (r.evaluations, r.converged) == (10, False)
+        assert r.h_hat == 10 * 1e-6
+        assert peak < 1 << 20
 
     def test_delta_min_is_objective_at_h_hat(self):
         r = grid_search(quad, OptimizerConfig(method="grid", grid_step=1e-3))
@@ -121,9 +134,10 @@ class TestBrent:
         assert r.delta_min == quad(r.h_hat)
 
     def test_respects_bounds(self):
-        r = brent_min(quad, OptimizerConfig(method="brent", bounds=(0.6, 0.9)))
-        assert 0.6 <= r.h_hat <= 0.9
-        assert abs(r.h_hat - 0.6) < 1e-4
+        # Minima beyond either end land on the end of [1e-3, 1].
+        cfg = OptimizerConfig(method="brent")
+        assert brent_min(lambda h: (h + 1.0) ** 2, cfg).h_hat == 1e-3
+        assert brent_min(lambda h: (h - 2.0) ** 2, cfg).h_hat == 1.0
 
 
 class TestNelderMead:
@@ -168,11 +182,10 @@ class TestSimulatedAnnealing:
         assert len(evals) >= 1  # all runs legal; counts may coincide
 
     def test_respects_bounds(self):
-        cfg = OptimizerConfig(
-            method="simulated_annealing", max_evals=800, seed=3, bounds=(0.6, 0.9)
-        )
-        r = simulated_annealing(quad, cfg)
-        assert 0.6 <= r.h_hat <= 0.9
+        cfg = OptimizerConfig(method="simulated_annealing", max_evals=800, seed=3)
+        for centre in (-1.0, 2.0):
+            r = simulated_annealing(lambda h: (h - centre) ** 2, cfg)
+            assert 1e-3 <= r.h_hat <= 1.0
 
 
 class TestDispatch:
@@ -236,6 +249,44 @@ class TestBlockEvaluation:
         frozen, _, _ = _frozen_objective(pair, plan)
         report = self._same_report(frozen, OptimizerConfig(method=method))
         assert report.converged
+
+
+class TestCoreInvariants:
+    """The two facts the scan safeguard and the plateau sweep rest on."""
+
+    @given(
+        st.sampled_from([_brent_core, _nelder_mead_core]),
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        st.floats(1e-3, 0.49),
+        st.floats(0.51, 1.0),
+        st.sampled_from([1e-6, 1e-3, 1e-1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_core_returns_least_value_seen(self, core, levels, lo, hi, tol):
+        # A step objective with few levels, so most values tie.
+        seen = []
+
+        def step(h):
+            seen.append(float(levels[min(int(h * len(levels)), len(levels) - 1)]))
+            return seen[-1]
+
+        assert core(step, lo, hi, tol) == min(seen)
+
+    @pytest.mark.parametrize("first,last", [(27, 37), (5, 5), (40, 63), (1, 12)])
+    @pytest.mark.parametrize("method", ["brent", "nelder_mead", "simulated_annealing"])
+    def test_flat_bottom_ties_go_to_the_smallest_mesh_cell(self, method, first, last):
+        # Zero on [first, last + 1) / 64 and one more per 1/64 outside:
+        # on the 1/64 mesh the cells first .. last tie, and the smallest
+        # is the grid's answer.
+        def step(h):
+            k = math.floor(h * 64)
+            return float(max(first - k, k - last, 0))
+
+        config = OptimizerConfig(method=method, grid_step=1 / 64)
+        grid = grid_search(step, replace(config, method="grid"))
+        r = minimize_scalar(step, config)
+        assert grid.h_hat == r.h_hat == first / 64
+        assert r.delta_min == 0.0
 
 
 class TestPopulationCurve:
@@ -383,11 +434,11 @@ class TestBench:
             (r.h_hat, r.delta_min, r.evaluations) for r in b
         ]
 
-    def test_failures_become_error_rows(self):
-        bad = OptimizerConfig(method="grid", grid_step=1e-1, bounds=(0.01, 0.05))
-        rows = bench_optimizers([0.5], 1, [bad], base_seed=0)
+    def test_failures_become_error_rows(self, monkeypatch):
+        monkeypatch.setattr(minimize, "minimize_scalar", _fails_on_grid)
+        rows = bench_optimizers([0.5], 1, [OptimizerConfig(method="grid")], base_seed=0)
         assert len(rows) == 1
-        assert rows[0].error != ""
+        assert rows[0].error == "grid failed"
         assert math.isnan(rows[0].h_hat)
 
     def test_csv_round_trip(self, tmp_path):
@@ -417,14 +468,21 @@ class TestBench:
         with open(out, newline="") as fh:
             assert [r["converged"] for r in csv.DictReader(fh)] == ["False", "False"]
 
-    def test_csv_keeps_failure_reason(self, tmp_path):
-        bad = OptimizerConfig(method="grid", grid_step=1e-1, bounds=(0.01, 0.05))
-        rows = bench_optimizers([0.5], 1, [OptimizerConfig(method="brent"), bad], base_seed=0)
+    def test_csv_keeps_failure_reason(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(minimize, "minimize_scalar", _fails_on_grid)
+        cfgs = [OptimizerConfig(method="brent"), OptimizerConfig(method="grid")]
+        rows = bench_optimizers([0.5], 1, cfgs, base_seed=0)
         out = tmp_path / "bench.csv"
         write_bench_csv(rows, out)
         with open(out, newline="") as fh:
             got = {r["method"]: r for r in csv.DictReader(fh)}
-        assert got["grid"]["error"] == "no grid points inside bounds"
+        assert got["grid"]["error"] == "grid failed"
         assert math.isnan(float(got["grid"]["h_hat"]))
         assert got["brent"]["error"] == ""
         assert (got["grid"]["converged"], got["brent"]["converged"]) == ("False", "True")
+
+
+def _fails_on_grid(objective, config):
+    if config.method == "grid":
+        raise ValueError("grid failed")
+    return minimize_scalar(objective, config)

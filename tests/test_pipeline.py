@@ -4,6 +4,7 @@ windowed analysis run."""
 import csv
 import datetime as dt
 import json
+import logging
 import math
 
 import numpy as np
@@ -331,6 +332,25 @@ class TestRunStaticAnalysis:
             assert 0.0 < row.result.h_hat <= 1.0
             assert row.ci_lo <= row.result.h_hat <= row.ci_hi
             assert row.result.n == row.result.m == 1491
+
+    @pytest.mark.parametrize("dropped,over", [(30, False), (31, True)])
+    def test_one_rule_for_dropped_rows(self, tmp_path, caplog, dropped, over):
+        # More than 1% of the 3024 data rows dropped is a warning, logged
+        # the same way by load_series and the analysis, which also puts
+        # it in the report.
+        values = np.exp(simulate_fbm(FgnSpec(hurst=0.5, length=3024, seed=0)).values)
+        values[1 : dropped + 1] = -1.0
+        file = _write_level_csv(tmp_path / "v.csv", values)
+        message = f"{file}: dropped {dropped} of 3024 rows" + (" (>1%)" if over else "")
+        manifest = RunManifest(
+            inputs=(file,), window=WindowConfig(window_length=1512), out_dir=str(tmp_path / "o")
+        )
+        with caplog.at_level(logging.INFO, logger="hurstks.pipeline"):
+            load_series(file)
+            report = run_static_analysis(manifest)
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records if "dropped" in r.getMessage()]
+        assert logged == [(logging.WARNING if over else logging.INFO, message)] * 2
+        assert list(report.warnings) == ([message] if over else [])
 
     def test_window_dates_cover_each_window(self, tmp_path):
         manifest = self._manifest(tmp_path)
