@@ -44,12 +44,13 @@ def main(argv=None):
         methods.insert(0, "grid")
     configs = [OptimizerConfig(method=m) for m in methods]
 
-    rows = bench_optimizers(
-        h_values, args.reps, configs,
-        length=args.length, a_max=args.amax, subsample=args.subseq,
-        base_seed=args.seed,
-    )
-    write_bench_csv(rows, args.out)
+    with open(args.out, "w", newline="") as fh:
+        rows = bench_optimizers(
+            h_values, args.reps, configs,
+            length=args.length, a_max=args.amax, subsample=args.subseq,
+            base_seed=args.seed,
+        )
+        write_bench_csv(rows, fh)
 
     cells = defaultdict(dict)
     for r in rows:

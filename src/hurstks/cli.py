@@ -9,10 +9,11 @@ window whose minimizer ran out of its budget).
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import logging
 import sys
+
+import numpy as np
 
 from hurstks.fgn import EmbeddingError, FgnSpec, increments, simulate_fbm
 from hurstks.ksdist import RescaledPair
@@ -113,24 +114,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Rows per write of ``simulate``; bounds the text held in memory.
+_CHUNK_ROWS = 1 << 16
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = FgnSpec(hurst=args.hurst, length=args.length, scale=args.scale, seed=args.seed)
-    path = simulate_fbm(spec)
+    if args.start_date.toordinal() + spec.length - 1 > dt.date.max.toordinal():
+        raise ValueError(
+            f"{spec.length} daily points from {args.start_date} run past {dt.date.max}"
+        )
+    # The bytes csv.writer would write: CRLF rows, nothing to quote.
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "value"])
-        day = args.start_date
-        one = dt.timedelta(days=1)
-        for value in path.values:
-            writer.writerow([day.isoformat(), repr(float(value))])
-            day += one
+        path = simulate_fbm(spec)
+        fh.write("date,value\r\n")
+        days = np.datetime64(args.start_date, "D") + np.arange(len(path))
+        for lo in range(0, len(path), _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            dates = days[lo:hi].astype(str).tolist()
+            values = map(repr, path.values[lo:hi].tolist())
+            fh.write("".join([f"{d},{v}\r\n" for d, v in zip(dates, values)]))
     print(f"wrote {len(path)} points to {args.out}")
     return 0
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    records = load_series(args.input, value_scale=args.input_scale)
-    path = series_path(args.input, records, args.input_scale)
+    series = load_series(args.input, value_scale=args.input_scale)
+    path = series_path(args.input, series, args.input_scale)
     if len(path) <= args.amax:
         raise CsvFormatError(f"{args.input}: series shorter than the coarse lag")
     pair = RescaledPair(
@@ -194,16 +204,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         raise CsvFormatError(f"unknown methods: {unknown}")
     configs = [optimizer_config({**vars(args), "optimizer": m}) for m in methods]
-    rows = bench_optimizers(
-        h_values,
-        args.reps,
-        configs,
-        length=args.length,
-        a_max=args.amax,
-        subsample=args.subseq,
-        base_seed=args.seed,
-    )
-    write_bench_csv(rows, args.out)
+    with open(args.out, "w", newline="") as fh:
+        rows = bench_optimizers(
+            h_values,
+            args.reps,
+            configs,
+            length=args.length,
+            a_max=args.amax,
+            subsample=args.subseq,
+            base_seed=args.seed,
+        )
+        write_bench_csv(rows, fh)
     failures = sum(1 for r in rows if r.error)
     unconverged = sum(1 for r in rows if not (r.error or r.converged))
     print(

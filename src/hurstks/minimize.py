@@ -612,17 +612,15 @@ def bench_optimizers(
     return rows
 
 
-def write_bench_csv(rows: Sequence[BenchRow], path) -> None:
-    """Write benchmark rows to CSV (method, h_true, rep, h_hat,
-    delta_min, evaluations, wall_time_s, error, converged); ``error``
-    is empty for a cell that ran and holds the failure message
-    otherwise, ``converged`` is ``True`` or ``False``."""
+def write_bench_csv(rows: Sequence[BenchRow], fh) -> None:
+    """Write benchmark rows as CSV (method, h_true, rep, h_hat,
+    delta_min, evaluations, wall_time_s, error, converged) to a text
+    file opened with ``newline=""``; ``error`` is empty for a cell that
+    ran and holds the failure message otherwise, ``converged`` is
+    ``True`` or ``False``."""
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(BenchRow)])
-        for r in rows:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v for v in astuple(r)]
-            )
+    writer = csv.writer(fh)
+    writer.writerow([f.name for f in fields(BenchRow)])
+    for r in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(r)])

@@ -19,7 +19,7 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from hurstks.stats import (
 )
 
 __all__ = [
-    "SeriesRecord",
+    "Series",
     "WindowConfig",
     "RunManifest",
     "WindowRow",
@@ -48,8 +48,6 @@ __all__ = [
     "load_series",
     "log_transform",
     "series_path",
-    "load_intraday",
-    "realized_vol",
     "window_partition",
     "parse_manifest",
     "build_manifest",
@@ -72,11 +70,18 @@ class NotConvergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SeriesRecord:
-    """One observation: an ISO date and a finite value."""
+class Series:
+    """A date-ordered series as two columns of equal length.
 
-    date: dt.date
-    value: float
+    ``dates`` holds strictly increasing ``datetime64[D]`` days and
+    ``values`` the finite float64 observations on them.
+    """
+
+    dates: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -182,14 +187,15 @@ class RunReport:
     warnings: tuple[str, ...]
 
 
-def _parse_series(file, value_scale: str) -> tuple[list[SeriesRecord], int, int]:
-    """Parse a date,value CSV; returns (records, rows_parsed, dropped).
+def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
+    """Parse a date,value CSV; returns (series, rows_parsed, dropped).
 
     Under ``value_scale="level"`` non-positive values count as dropped.
     """
     if value_scale not in VALUE_SCALES:
         raise ValueError(f"value_scale must be one of {VALUE_SCALES}")
-    records: list[SeriesRecord] = []
+    dates: list[dt.date] = []
+    values: list[float] = []
     dropped = 0
     parsed = 0
     with open(file, newline="") as fh:
@@ -201,12 +207,15 @@ def _parse_series(file, value_scale: str) -> tuple[list[SeriesRecord], int, int]
         if [h.strip().lower() for h in header] != ["date", "value"]:
             raise CsvFormatError(f"{file}: header must be 'date,value'")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
             if len(row) != 2:
-                raise CsvFormatError(f"{file}: line {lineno}: expected 2 fields")
-            parsed += 1
+                # Rows whose fields are all blank are skipped.
+                if "".join(row).strip():
+                    raise CsvFormatError(f"{file}: line {lineno}: expected 2 fields")
+                continue
             raw_date, raw_value = row[0].strip(), row[1].strip()
+            if not (raw_date or raw_value):
+                continue
+            parsed += 1
             try:
                 date = dt.date.fromisoformat(raw_date)
             except ValueError:
@@ -229,16 +238,25 @@ def _parse_series(file, value_scale: str) -> tuple[list[SeriesRecord], int, int]
                 raise CsvFormatError(
                     f"{file}: line {lineno}: non-finite value {raw_value!r}"
                 )
-            records.append(SeriesRecord(date=date, value=value))
-    records.sort(key=lambda r: r.date)
-    for prev, cur in zip(records, records[1:]):
-        if prev.date == cur.date:
-            raise CsvFormatError(f"{file}: duplicate date {cur.date.isoformat()}")
+            dates.append(date)
+            values.append(value)
+    # Sort, check and filter the columns; days go through the ordinal,
+    # far cheaper than numpy's conversion of date objects.
+    days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    order = np.argsort(days, kind="stable")
+    days = days[order]
+    repeated = np.flatnonzero(days[1:] == days[:-1])
+    if repeated.size:
+        day = dt.date.fromordinal(int(days[repeated[0]]))
+        raise CsvFormatError(f"{file}: duplicate date {day.isoformat()}")
+    column = np.array(values, dtype=float)[order]
     if value_scale == "level":
-        kept = [r for r in records if r.value > 0.0]
-        dropped += len(records) - len(kept)
-        records = kept
-    return records, parsed, dropped
+        keep = column > 0.0
+        # A plain int: the count goes into report.json.
+        dropped += column.size - int(np.count_nonzero(keep))
+        days, column = days[keep], column[keep]
+    epoch = dt.date(1970, 1, 1).toordinal()
+    return Series((days - epoch).astype("datetime64[D]"), column), parsed, dropped
 
 
 def _log_dropped(file, parsed: int, dropped: int) -> str | None:
@@ -255,8 +273,8 @@ def _log_dropped(file, parsed: int, dropped: int) -> str | None:
     return message
 
 
-def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
-    """Load a ``date,value`` CSV into date-ordered records.
+def load_series(file, value_scale: str = "level") -> Series:
+    """Load a ``date,value`` CSV into a date-ordered series.
 
     Parameters
     ----------
@@ -271,7 +289,7 @@ def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
 
     Returns
     -------
-    list of SeriesRecord
+    Series
         Sorted by date.  Dropped-row counts go to the module logger,
         with a warning when they exceed 1% of data rows.
 
@@ -281,89 +299,28 @@ def load_series(file, value_scale: str = "level") -> list[SeriesRecord]:
         On malformed headers, unparseable or infinite values (with
         line number), or duplicate dates.
     """
-    records, parsed, dropped = _parse_series(file, value_scale)
+    series, parsed, dropped = _parse_series(file, value_scale)
     _log_dropped(file, parsed, dropped)
-    return records
+    return series
 
 
-def log_transform(records: Sequence[SeriesRecord]) -> Path:
-    """Natural log of the record values, as a path."""
-    if len(records) < 2:
-        raise ValueError("need at least two records")
-    values = np.array([r.value for r in records])
-    if np.any(values <= 0.0):
+def log_transform(series: Series) -> Path:
+    """Natural log of the series values, as a path."""
+    if len(series) < 2:
+        raise ValueError("need at least two observations")
+    if np.any(series.values <= 0.0):
         raise ValueError("log transform needs positive values")
-    return Path(np.log(values))
+    return Path(np.log(series.values))
 
 
-def series_path(file, records: Sequence[SeriesRecord], value_scale: str) -> Path:
-    """Path of loaded records: log levels, or the values as given under
-    ``value_scale="log"``; CsvFormatError below two records."""
-    if len(records) < 2:
+def series_path(file, series: Series, value_scale: str) -> Path:
+    """Path of a loaded series: log levels, or the values as given under
+    ``value_scale="log"``; CsvFormatError below two observations."""
+    if len(series) < 2:
         raise CsvFormatError(f"{file}: fewer than two usable rows")
     if value_scale == "level":
-        return log_transform(records)
-    return Path(np.array([r.value for r in records]))
-
-
-def load_intraday(file) -> dict[dt.date, list[float]]:
-    """Load a ``date,time,log_return`` CSV grouped by day."""
-    out: dict[dt.date, list[float]] = {}
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{file}: empty file") from None
-        if [h.strip().lower() for h in header] != ["date", "time", "log_return"]:
-            raise CsvFormatError(f"{file}: header must be 'date,time,log_return'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(f"{file}: line {lineno}: expected 3 fields")
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-                ret = float(row[2])
-            except ValueError:
-                raise CsvFormatError(f"{file}: line {lineno}: bad row") from None
-            out.setdefault(date, []).append(ret)
-    return out
-
-
-def realized_vol(
-    returns_by_day: Mapping[dt.date, Sequence[float]], min_obs: int = 30
-) -> list[SeriesRecord]:
-    """Daily realized volatility from intraday log returns.
-
-    Each day's value is ``sqrt(sum(r_i^2))``.  Days with fewer than
-    ``min_obs`` returns, and days whose returns are all zero, are
-    dropped (logged).
-
-    Returns
-    -------
-    list of SeriesRecord
-        One positive value per retained day, sorted by date.
-    """
-    if min_obs < 2:
-        raise ValueError("min_obs must be at least 2")
-    records = []
-    short_days = zero_days = 0
-    for date in sorted(returns_by_day):
-        rets = np.asarray(returns_by_day[date], dtype=float)
-        if rets.size < min_obs:
-            short_days += 1
-            continue
-        rv = float(np.sqrt(np.sum(rets**2)))
-        if rv == 0.0:
-            zero_days += 1
-            continue
-        records.append(SeriesRecord(date=date, value=rv))
-    if short_days or zero_days:
-        logger.info(
-            "realized_vol: dropped %d short and %d all-zero days", short_days, zero_days
-        )
-    return records
+        return log_transform(series)
+    return Path(series.values)
 
 
 def window_partition(path: Path, config: WindowConfig) -> list[Path]:
@@ -513,8 +470,8 @@ def _estimate_one_window(
 
 def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesReport, list[str]]:
     file = manifest.inputs[series_idx]
-    records, parsed, dropped = _parse_series(file, manifest.input_scale)
-    path = series_path(file, records, manifest.input_scale)
+    series, parsed, dropped = _parse_series(file, manifest.input_scale)
+    path = series_path(file, series, manifest.input_scale)
     warning = _log_dropped(file, parsed, dropped)
     windows = window_partition(path, manifest.window)
     size = manifest.window.window_length
@@ -534,8 +491,8 @@ def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesRepor
         rows.append(
             WindowRow(
                 window_index=w,
-                start_date=records[w * size].date,
-                end_date=records[(w + 1) * size - 1].date,
+                start_date=series.dates[w * size].item(),
+                end_date=series.dates[(w + 1) * size - 1].item(),
                 result=result,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,

@@ -1,12 +1,14 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import datetime as dt
+import io
 import json
 
 import numpy as np
 import pytest
 
-from hurstks import pipeline
+from hurstks import cli, pipeline
 from hurstks.cli import main
 from hurstks.fgn import FgnSpec, simulate_fbm
 from hurstks.pipeline import load_series
@@ -41,7 +43,7 @@ class TestSimulate:
         )
         assert code == 0
         want = simulate_fbm(FgnSpec(hurst=0.7, length=128, seed=3)).values
-        got = np.array([r.value for r in load_series(str(out), value_scale="log")])
+        got = load_series(str(out), value_scale="log").values
         assert np.array_equal(got, want)
 
     def test_bad_hurst_is_input_error(self, tmp_path, capsys):
@@ -51,6 +53,43 @@ class TestSimulate:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("length", [1, 2, 65536, 65537, 70000])
+    @pytest.mark.parametrize("start", ["1999-12-31", "2000-02-28", "last"])
+    def test_bytes_match_csv_writer(self, tmp_path, capsys, length, start):
+        # Reference: the csv.writer loop, one row per point, whose bytes
+        # the chunked writer must reproduce.
+        last_fit = dt.date.max - dt.timedelta(days=length - 1)
+        first = last_fit if start == "last" else dt.date.fromisoformat(start)
+        out = tmp_path / "p.csv"
+        code, _, err = run(
+            capsys, "simulate", "--hurst", "0.3", "--length", str(length), "--seed", "5",
+            "--start-date", first.isoformat(), "--out", str(out),
+        )
+        if length < 2:
+            assert code == 1 and "length must be at least 2" in err
+            assert not out.exists()
+            return
+        assert code == 0
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["date", "value"])
+        values = simulate_fbm(FgnSpec(hurst=0.3, length=length, seed=5)).values
+        for k, value in enumerate(values):
+            day = dt.date.fromordinal(first.toordinal() + k)
+            writer.writerow([day.isoformat(), repr(float(value))])
+        assert out.read_bytes() == want.getvalue().encode()
+
+    def test_dates_past_year_9999_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code, stdout, err = run(
+            capsys, "simulate", "--hurst", "0.5", "--length", "100",
+            "--start-date", "9999-12-01", "--out", str(out),
+        )
+        assert code == 1
+        assert err == "error: 100 daily points from 9999-12-01 run past 9999-12-31\n"
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -320,6 +359,30 @@ class TestOutputPaths:
         )
         assert code == 1
         assert err.startswith("error: ") and stdout == ""
+
+    @staticmethod
+    def _never_called(*args, **kwargs):
+        raise AssertionError("work ran before the output was opened")
+
+    def test_simulate_out_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "simulate_fbm", self._never_called)
+        code, stdout, err = run(
+            capsys, "simulate", "--hurst", "0.5", "--length", "64",
+            "--out", str(tmp_path / "missing" / "p.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert stdout == ""
+
+    def test_bench_out_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bench_optimizers", self._never_called)
+        code, stdout, err = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+            "--out", str(tmp_path / "missing" / "b.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert stdout == ""
 
 
 class TestTopLevel:

@@ -445,7 +445,8 @@ class TestBench:
         cfgs = [OptimizerConfig(method="brent")]
         rows = bench_optimizers([0.4], 2, cfgs, base_seed=3)
         out = tmp_path / "bench.csv"
-        write_bench_csv(rows, out)
+        with open(out, "w", newline="") as fh:
+            write_bench_csv(rows, fh)
         with open(out, newline="") as fh:
             got = list(csv.DictReader(fh))
         assert len(got) == 2
@@ -464,7 +465,8 @@ class TestBench:
         rows = bench_optimizers([0.5], 1, cfgs, length=1025, subsample=200, base_seed=0)
         assert [(r.evaluations, r.error, r.converged) for r in rows] == [(30, "", False)] * 2
         out = tmp_path / "bench.csv"
-        write_bench_csv(rows, out)
+        with open(out, "w", newline="") as fh:
+            write_bench_csv(rows, fh)
         with open(out, newline="") as fh:
             assert [r["converged"] for r in csv.DictReader(fh)] == ["False", "False"]
 
@@ -473,7 +475,8 @@ class TestBench:
         cfgs = [OptimizerConfig(method="brent"), OptimizerConfig(method="grid")]
         rows = bench_optimizers([0.5], 1, cfgs, base_seed=0)
         out = tmp_path / "bench.csv"
-        write_bench_csv(rows, out)
+        with open(out, "w", newline="") as fh:
+            write_bench_csv(rows, fh)
         with open(out, newline="") as fh:
             got = {r["method"]: r for r in csv.DictReader(fh)}
         assert got["grid"]["error"] == "grid failed"

@@ -9,18 +9,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, Path, simulate_fbm
 from hurstks.pipeline import (
+    VALUE_SCALES,
     CsvFormatError,
     RunManifest,
-    SeriesRecord,
+    Series,
     WindowConfig,
-    load_intraday,
+    _parse_series,
     load_series,
     log_transform,
     parse_manifest,
-    realized_vol,
     run_static_analysis,
     window_partition,
 )
@@ -54,9 +56,9 @@ class TestLoadSeries:
             tmp_path / "s.csv",
             "date,value\n2001-01-03,1.5\n2001-01-01,1.0\n2001-01-02,1.2\n",
         )
-        records = load_series(file)
-        assert [r.date.day for r in records] == [1, 2, 3]
-        assert [r.value for r in records] == [1.0, 1.2, 1.5]
+        series = load_series(file)
+        assert [d.day for d in series.dates.tolist()] == [1, 2, 3]
+        assert series.values.tolist() == [1.0, 1.2, 1.5]
 
     def test_rejects_wrong_header(self, tmp_path):
         file = _write(tmp_path / "s.csv", "time,value\n2001-01-01,1.0\n")
@@ -100,15 +102,15 @@ class TestLoadSeries:
             "date,value\n2001-01-01,1.0\n2001-01-02,-3.0\n2001-01-03,0.0\n"
             "2001-01-04,\n2001-01-05,nan\n2001-01-06,2.0\n",
         )
-        records = load_series(file, value_scale="level")
-        assert [r.value for r in records] == [1.0, 2.0]
+        series = load_series(file, value_scale="level")
+        assert series.values.tolist() == [1.0, 2.0]
 
     def test_log_scale_keeps_negative_values(self, tmp_path):
         file = _write(
             tmp_path / "s.csv", "date,value\n2001-01-01,-1.5\n2001-01-02,0.0\n"
         )
-        records = load_series(file, value_scale="log")
-        assert [r.value for r in records] == [-1.5, 0.0]
+        series = load_series(file, value_scale="log")
+        assert series.values.tolist() == [-1.5, 0.0]
 
     def test_unknown_scale_rejected(self, tmp_path):
         file = _write(tmp_path / "s.csv", "date,value\n2001-01-01,1.0\n")
@@ -116,67 +118,137 @@ class TestLoadSeries:
             load_series(file, value_scale="sqrt")
 
 
+def _row_by_row_parse(file, value_scale):
+    # Reference for the columnar parser: one record per row, sorted and
+    # filtered as records.  Returns ([(date, value)], parsed, dropped).
+    records = []
+    dropped = 0
+    parsed = 0
+    with open(file, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{file}: empty file") from None
+        if [h.strip().lower() for h in header] != ["date", "value"]:
+            raise CsvFormatError(f"{file}: header must be 'date,value'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not f.strip() for f in row):
+                continue
+            if len(row) != 2:
+                raise CsvFormatError(f"{file}: line {lineno}: expected 2 fields")
+            parsed += 1
+            raw_date, raw_value = row[0].strip(), row[1].strip()
+            try:
+                date = dt.date.fromisoformat(raw_date)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{file}: line {lineno}: bad date {raw_date!r}"
+                ) from None
+            if raw_value == "":
+                dropped += 1
+                continue
+            try:
+                value = float(raw_value)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{file}: line {lineno}: bad value {raw_value!r}"
+                ) from None
+            if not math.isfinite(value):
+                if math.isnan(value):
+                    dropped += 1
+                    continue
+                raise CsvFormatError(
+                    f"{file}: line {lineno}: non-finite value {raw_value!r}"
+                )
+            records.append((date, value))
+    records.sort(key=lambda r: r[0])
+    for prev, cur in zip(records, records[1:]):
+        if prev[0] == cur[0]:
+            raise CsvFormatError(f"{file}: duplicate date {cur[0].isoformat()}")
+    if value_scale == "level":
+        kept = [r for r in records if r[1] > 0.0]
+        dropped += len(records) - len(kept)
+        records = kept
+    return records, parsed, dropped
+
+
+_VALUE_TEXT = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),  # volatility levels
+    st.floats(-8.0, 8.0).map(repr),  # log levels
+    st.sampled_from(["", "nan", "NaN", "-0.0", "0.0", "0", "1e-320", "+2.5", "1_000"]),
+)
+_JUNK_ROWS = st.sampled_from(["", "   ", ",", " , ", ",,", '""', '"",""', '" ",'])
+# One file in three gets one bad row.
+_BAD_ROWS = st.sampled_from(
+    [None] * 18
+    + ["2001-01-01", "2001-01-01,1.0,2", "2001-02-30,1.0", "01/02/2001,1.0", ",1.0",
+       "2001-01-01,x", "2001-01-01,1.0.0", "2001-01-01,inf", "2001-01-01, -Infinity"]
+)
+_HEADERS = st.sampled_from(
+    ["date,value"] * 6 + [" Date , VALUE ", '"date","value"', "date,value,", "time,value"]
+)
+
+
+@st.composite
+def _csv_text(draw):
+    offsets = draw(st.lists(st.integers(-400, 400), max_size=25, unique=True))
+    for _ in range(draw(st.sampled_from([0] * 8 + [1, 2])) if offsets else 0):
+        offsets.append(draw(st.sampled_from(offsets)))
+    rows = []
+    for off in draw(st.permutations(offsets)):
+        date = (dt.date(2001, 1, 1) + dt.timedelta(days=off)).isoformat()
+        value = draw(_VALUE_TEXT)
+        form = draw(st.sampled_from(["{},{}", " {} ,\t{} ", '"{}","{}"', '" {}",{} ']))
+        rows.append(form.format(date, value))
+    for _ in range(draw(st.integers(0, 4))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_JUNK_ROWS))
+    bad = draw(_BAD_ROWS)
+    if bad is not None:
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    header = draw(_HEADERS)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
+class TestColumnarParse:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_text(), value_scale=st.sampled_from(VALUE_SCALES))
+    def test_matches_row_by_row_reference(self, tmp_path_factory, text, value_scale):
+        file = tmp_path_factory.mktemp("parse") / "s.csv"
+        file.write_bytes(text.encode())
+        try:
+            want = _row_by_row_parse(file, value_scale)
+        except CsvFormatError as exc:
+            with pytest.raises(CsvFormatError) as got:
+                _parse_series(file, value_scale)
+            assert str(got.value) == str(exc)
+            return
+        records, parsed, dropped = want
+        series, got_parsed, got_dropped = _parse_series(file, value_scale)
+        assert series.dates.dtype == np.dtype("datetime64[D]")
+        assert series.dates.tolist() == [r[0] for r in records]
+        assert series.values.tobytes() == np.array([r[1] for r in records], dtype=float).tobytes()
+        assert (got_parsed, got_dropped) == (parsed, dropped)
+
+
+def _series(values):
+    days = np.datetime64("2001-01-01") + np.arange(len(values))
+    return Series(days, np.array(values, dtype=float))
+
+
 class TestLogTransform:
     def test_takes_natural_logs(self):
-        records = [
-            SeriesRecord(date=dt.date(2001, 1, 1 + i), value=v)
-            for i, v in enumerate([1.0, math.e, math.e**2])
-        ]
-        path = log_transform(records)
+        path = log_transform(_series([1.0, math.e, math.e**2]))
         assert np.allclose(path.values, [0.0, 1.0, 2.0], atol=1e-15)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
-            log_transform([SeriesRecord(date=dt.date(2001, 1, 1), value=1.0)])
+            log_transform(_series([1.0]))
 
     def test_needs_positive_values(self):
-        records = [
-            SeriesRecord(date=dt.date(2001, 1, 1), value=1.0),
-            SeriesRecord(date=dt.date(2001, 1, 2), value=-1.0),
-        ]
         with pytest.raises(ValueError):
-            log_transform(records)
-
-
-class TestIntraday:
-    def test_groups_by_day(self, tmp_path):
-        file = _write(
-            tmp_path / "i.csv",
-            "date,time,log_return\n"
-            "2001-01-01,09:30,0.01\n2001-01-01,09:35,-0.02\n2001-01-02,09:30,0.03\n",
-        )
-        got = load_intraday(file)
-        assert got[dt.date(2001, 1, 1)] == [0.01, -0.02]
-        assert got[dt.date(2001, 1, 2)] == [0.03]
-
-    def test_rejects_wrong_header(self, tmp_path):
-        file = _write(tmp_path / "i.csv", "date,value\n2001-01-01,1.0\n")
-        with pytest.raises(CsvFormatError, match="header"):
-            load_intraday(file)
-
-    def test_bad_row_carries_line_number(self, tmp_path):
-        file = _write(
-            tmp_path / "i.csv", "date,time,log_return\n2001-01-01,09:30,zzz\n"
-        )
-        with pytest.raises(CsvFormatError, match="line 2"):
-            load_intraday(file)
-
-    def test_realized_vol_square_root_of_sum(self):
-        day = dt.date(2001, 1, 1)
-        returns = {day: [0.03] * 16}
-        got = realized_vol(returns, min_obs=16)
-        assert len(got) == 1
-        assert got[0].value == pytest.approx(math.sqrt(16 * 0.03**2), rel=1e-15)
-
-    def test_realized_vol_drops_short_and_zero_days(self):
-        d1, d2, d3 = (dt.date(2001, 1, i) for i in (1, 2, 3))
-        returns = {d1: [0.01] * 30, d2: [0.01] * 5, d3: [0.0] * 30}
-        got = realized_vol(returns)
-        assert [r.date for r in got] == [d1]
-
-    def test_realized_vol_min_obs_domain(self):
-        with pytest.raises(ValueError):
-            realized_vol({}, min_obs=1)
+            log_transform(_series([1.0, -1.0]))
 
 
 class TestWindowConfig:
