@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import logging
+import math
 import sys
 
 import numpy as np
 
 from hurstks.fgn import EmbeddingError, FgnSpec, increments, simulate_fbm
-from hurstks.ksdist import RescaledPair
+from hurstks.ksdist import RescaledPair, ks_critical
 from hurstks.minimize import METHODS, bench_optimizers, estimate_hurst, write_bench_csv
 from hurstks.permute import SCHEMES, DegenerateSampleError
 from hurstks.pipeline import (
@@ -30,7 +31,7 @@ from hurstks.pipeline import (
     run_static_analysis,
     series_path,
 )
-from hurstks.stats import VarianceInputs, confidence_interval
+from hurstks.stats import VarianceInputs, confidence_interval, estimator_sd
 
 __all__ = ["main"]
 
@@ -194,16 +195,90 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+# A method's cell agrees with the grid when their estimates of the
+# same frozen objective differ by at most this (acceptance criterion 6).
+_AGREE_TOL = 2e-3
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else math.nan
+
+
+def _print_bench_table(rows, methods, h_values, reps, predicted_sd, critical) -> None:
+    """Print one line per (method, exponent), in the order of
+    ``methods`` then ``h_values``: cells kept, mean, bias and sd of
+    ``h_hat``, sd over the closed-form bound, cells whose ``delta_min``
+    clears the 5% critical value, cells within ``_AGREE_TOL`` of the
+    grid's estimate, and mean evaluations and seconds.
+
+    A cell that failed or did not converge is left out of its line, and
+    a grid cell that did is left out of every ``agree`` it would anchor.
+    """
+    kept = [r for r in rows if r.converged]
+    grid = {(r.h_true, r.rep): r.h_hat for r in kept if r.method == "grid"}
+    agree_out = 0
+    print(f"closed-form sd {predicted_sd:.4f}, 5% critical value {critical:.4f}")
+    print(
+        f"{'method':<19} {'h_true':>6} {'kept':>7} {'mean':>7} {'bias':>8} {'sd':>7} "
+        f"{'sd/pred':>8} {'fits 5%':>8} {'agree':>8} {'evals':>8} {'mean s':>8}"
+    )
+    for method in methods:
+        for h in h_values:
+            cells = [r for r in kept if (r.method, r.h_true) == (method, h)]
+            hats = [c.h_hat for c in cells]
+            mean = _mean(hats)
+            sd = float(np.std(hats, ddof=1)) if len(hats) > 1 else math.nan
+            fits = sum(c.delta_min < critical for c in cells)
+            if method == "grid" or "grid" not in methods:
+                agree = "-"
+            else:
+                gaps = [abs(c.h_hat - grid[h, c.rep]) for c in cells if (h, c.rep) in grid]
+                agree_out += len(cells) - len(gaps)
+                agree = f"{sum(gap <= _AGREE_TOL for gap in gaps)}/{len(gaps)}"
+            print(
+                f"{method:<19} {h:>6g} {f'{len(cells)}/{reps}':>7} {mean:>7.4f} "
+                f"{mean - h:>8.4f} {sd:>7.4f} {sd / predicted_sd:>8.3f} {fits:>8} "
+                f"{agree:>8} {_mean([c.evaluations for c in cells]):>8.0f} "
+                f"{_mean([c.wall_time_s for c in cells]):>8.4f}"
+            )
+    print(
+        f"left out {len(rows) - len(kept)} cells that failed or did not converge, and "
+        f"{agree_out} more from agree whose grid cell did"
+    )
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         h_values = [float(tok) for tok in args.h_list.split(",") if tok.strip()]
-        methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     except ValueError:
         raise CsvFormatError("bad --h-list") from None
+    methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise CsvFormatError(f"unknown methods: {unknown}")
+    # Settings a cell would reject are checked before --out is opened,
+    # so that a bad one costs no cell and leaves no file.
+    for flag, values in (("--h-list", h_values), ("--methods", methods)):
+        if not values:
+            raise CsvFormatError(f"{flag} is empty")
+        if len(set(values)) < len(values):
+            raise CsvFormatError(f"{flag} repeats a value")
+    outside = [h for h in h_values if not 0.0 < h < 1.0]
+    if outside:
+        raise CsvFormatError(f"--h-list values outside (0, 1): {outside}")
+    if args.reps < 1:
+        raise CsvFormatError("--reps must be positive")
+    if args.seed < 0:
+        raise CsvFormatError("--seed must be non-negative")
+    coarse = max(args.length - args.amax, 0)
+    if args.subseq > coarse:
+        raise CsvFormatError(
+            f"--subseq {args.subseq} exceeds the {coarse} lag-{args.amax} increments of the path"
+        )
     configs = [optimizer_config({**vars(args), "optimizer": m}) for m in methods]
+    # Under the uniform scheme both samples have --subseq points.
+    predicted_sd = estimator_sd(VarianceInputs(a_max=args.amax, n=args.subseq, m=args.subseq))
+    critical = ks_critical(args.subseq, args.subseq, 0.05)
     with open(args.out, "w", newline="") as fh:
         rows = bench_optimizers(
             h_values,
@@ -221,6 +296,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"wrote {len(rows)} rows to {args.out} "
         f"({failures} failures, {unconverged} not converged)"
     )
+    _print_bench_table(rows, methods, h_values, args.reps, predicted_sd, critical)
     return 0
 
 

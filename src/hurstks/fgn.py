@@ -1,4 +1,4 @@
-"""Fractional Gaussian noise: covariance, spectrum, and path simulation.
+"""Fractional Gaussian noise: covariance and path simulation.
 
 Paths of fractional Brownian motion are generated by circulant
 embedding of the increment covariance (exact in distribution, FFT
@@ -8,7 +8,6 @@ validating simulated output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "FgnSpec",
     "EmbeddingError",
     "fgn_autocov",
-    "fgn_spectrum",
     "embedding_eigenvalues",
     "simulate_fbm",
     "increments",
@@ -93,7 +91,8 @@ class FgnSpec:
     scale : float, optional
         Standard deviation of a unit-lag increment.
     seed : int, optional
-        Seed for the generator; equal seeds give equal paths.
+        Non-negative seed for the generator; equal seeds give equal
+        paths.
     """
 
     hurst: float
@@ -108,6 +107,8 @@ class FgnSpec:
             raise ValueError("length must be at least 2")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def fgn_autocov(hurst: float, scale: float, lag: int) -> float:
@@ -136,61 +137,6 @@ def fgn_autocov(hurst: float, scale: float, lag: int) -> float:
     return 0.5 * scale**2 * (
         (q + 1.0) ** two_h - 2.0 * q**two_h + abs(q - 1.0) ** two_h
     )
-
-
-def fgn_spectrum(
-    hurst: float,
-    scale: float,
-    omega: float,
-    truncation: int = 10_000,
-) -> float:
-    """Spectral density of fractional Gaussian noise on ``[-pi, pi]``.
-
-    Evaluates ``2 c (1 - cos w) * sum_j |2 pi j + w|^(-1-2H)`` where
-    ``c = scale^2 / (2 pi) * sin(pi H) * Gamma(2H + 1)``.  The lattice
-    sum is truncated at ``|j| <= truncation`` and completed with the
-    integral of the summand over the discarded range, which keeps the
-    absolute error around 1e-6 for ``hurst >= 0.1`` at the default
-    truncation.
-
-    The normalization integrates to the lag-zero autocovariance:
-    ``int_{-pi}^{pi} S(w) dw = scale**2``.
-
-    Parameters
-    ----------
-    hurst, scale : float
-        Noise parameters as in :func:`fgn_autocov`.
-    omega : float
-        Angular frequency in ``[-pi, pi]``.
-    truncation : int, optional
-        Number of lattice terms kept on each side of zero.
-
-    Returns
-    -------
-    float
-        Nonnegative spectral density value; zero at ``omega = 0``.
-    """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must lie in (0, 1)")
-    if abs(omega) > math.pi + 1e-12:
-        raise ValueError("omega must lie in [-pi, pi]")
-    if truncation < 1:
-        raise ValueError("truncation must be positive")
-    w = float(omega)
-    if w == 0.0:
-        return 0.0
-    c = scale**2 / (2.0 * math.pi) * math.sin(math.pi * hurst) * math.gamma(2.0 * hurst + 1.0)
-    expo = 1.0 + 2.0 * hurst
-    j = np.arange(-truncation, truncation + 1)
-    lattice = np.abs(2.0 * math.pi * j + w) ** (-expo)
-    total = float(lattice.sum())
-    # Midpoint-rule tail: sum_{j>J} f(j) ~ int_{J+1/2}^inf f(u) du on
-    # both sides; the antiderivative is available in closed form.
-    edge = 2.0 * math.pi * (truncation + 0.5)
-    tail = ((edge + w) ** (-2.0 * hurst) + (edge - w) ** (-2.0 * hurst)) / (
-        4.0 * math.pi * hurst
-    )
-    return 2.0 * c * (1.0 - math.cos(w)) * (total + tail)
 
 
 def embedding_eigenvalues(hurst: float, n_increments: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,6 @@ from hurstks.permute import DegenerateSampleError
 __all__ = [
     "EmpiricalCdf",
     "RescaledPair",
-    "ecdf_eval",
     "ks_two_sample",
     "ks_critical",
     "diameter_objective",
@@ -67,12 +66,6 @@ class RescaledPair:
             raise ValueError("fine sample must have lag 1")
         if self.coarse.lag != self.a_max:
             raise ValueError("coarse sample lag must equal a_max")
-
-
-def ecdf_eval(cdf: EmpiricalCdf, x: float | np.ndarray) -> float | np.ndarray:
-    """Evaluate the empirical CDF (fraction of sample ``<= x``)."""
-    out = np.searchsorted(cdf.sorted_values, x, side="right") / cdf.size
-    return float(out) if np.isscalar(x) else out
 
 
 def _ks_sorted(

@@ -74,8 +74,8 @@ class OptimizerConfig:
         Hard budget of objective evaluations; doubles as the length of
         the annealing schedule.
     seed : int, optional
-        Seed for the annealing proposal chain (ignored by the
-        deterministic methods).
+        Non-negative seed for the annealing proposal chain (ignored by
+        the deterministic methods).
     """
 
     method: str = "brent"
@@ -93,6 +93,8 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def resolved_bounds(self) -> tuple[float, float]:
         """Search interval: ``[grid_step, 1]`` for the grid and
@@ -587,6 +589,8 @@ def bench_optimizers(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    if base_seed < 0:
+        raise ValueError("base_seed must be non-negative")
     rows: list[BenchRow] = []
     for hi, h_true in enumerate(h_values):
         for rep in range(reps):

@@ -45,7 +45,8 @@ class PermutationPlan:
         Output size for the uniform scheme; defaults to the full
         sample.
     seed : int, optional
-        Master seed; every draw the plan makes derives from it.
+        Non-negative master seed; every draw the plan makes derives
+        from it.
     """
 
     scheme: str = "uniform_sample"
@@ -60,6 +61,8 @@ class PermutationPlan:
             raise ValueError("block_length must be positive")
         if self.subsample_size is not None and self.subsample_size < 1:
             raise ValueError("subsample_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def block_indices(n: int, block_length: int, perm: np.ndarray, phase: int) -> np.ndarray:

@@ -150,6 +150,8 @@ class RunManifest:
             raise ValueError(f"perm_scheme must be one of {SCHEMES}")
         if self.input_scale not in VALUE_SCALES:
             raise ValueError(f"input_scale must be one of {VALUE_SCALES}")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ import csv
 import datetime as dt
 import io
 import json
+import statistics
+import warnings
 
 import numpy as np
 import pytest
 
-from hurstks import cli, pipeline
+from hurstks import cli, minimize, pipeline
 from hurstks.cli import main
 from hurstks.fgn import FgnSpec, simulate_fbm
+from hurstks.ksdist import ks_critical
 from hurstks.pipeline import load_series
 
 
@@ -315,6 +318,128 @@ class TestBench:
         assert code == 1
         assert "error" in err
 
+    @staticmethod
+    def _never_called(*args, **kwargs):
+        raise AssertionError("a bench cell ran")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--h-list", ""],
+            ["--methods", ""],
+            ["--h-list", "0.5,1.5"],
+            ["--h-list", "0.5,0.5"],
+            ["--methods", "brent,brent"],
+            ["--reps", "0"],
+            ["--subseq", "976"],
+            ["--length", "40"],
+        ],
+    )
+    def test_bad_settings_fail_before_any_cell(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "bench_optimizers", self._never_called)
+        out = tmp_path / "b.csv"
+        code, stdout, err = run(
+            capsys, "bench", "--reps", "2", "--methods", "brent", "--length", "1025",
+            "--subseq", "200", *flags, "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and stdout == ""
+        assert not out.exists()
+
+    @staticmethod
+    def _table(stdout):
+        """Table lines of ``bench`` output by (method, h_true), and the
+        closing line."""
+        lines = stdout.splitlines()
+        assert lines[0].startswith("wrote ")
+        assert lines[2].split()[:3] == ["method", "h_true", "kept"]
+        rows = {(ln.split()[0], float(ln.split()[1])): ln.split() for ln in lines[3:-1]}
+        return rows, lines[-1]
+
+    def test_table_matches_csv(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, stdout, _ = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "2", "--methods", "grid,brent",
+            "--length", "1025", "--subseq", "200", "--out", str(out),
+        )
+        assert code == 0
+        rows, last = self._table(stdout)
+        assert list(rows) == [("grid", 0.5), ("brent", 0.5)]
+        with open(out, newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        grid = {c["rep"]: float(c["h_hat"]) for c in cells if c["method"] == "grid"}
+        critical = ks_critical(200, 200, 0.05)
+        for method in ("grid", "brent"):
+            mine = [c for c in cells if c["method"] == method]
+            hats = [float(c["h_hat"]) for c in mine]
+            mean = statistics.fmean(hats)
+            fits = sum(float(c["delta_min"]) < critical for c in mine)
+            agree = sum(abs(float(c["h_hat"]) - grid[c["rep"]]) <= 2e-3 for c in mine)
+            got = rows[method, 0.5]
+            assert got[2] == "2/2"
+            assert got[3:6] == [f"{mean:.4f}", f"{mean - 0.5:.4f}", f"{statistics.stdev(hats):.4f}"]
+            assert got[7] == str(fits)
+            assert got[8] == ("-" if method == "grid" else f"{agree}/2")
+        assert last.startswith("left out 0 cells")
+
+    def test_table_leaves_out_unconverged_cells(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "2", "--methods", "grid,brent",
+            "--length", "1025", "--subseq", "200", "--max-evals", "30",
+            "--out", str(tmp_path / "bench.csv"),
+        )
+        assert code == 0
+        rows, last = self._table(stdout)
+        assert [row[2:] for row in rows.values()] == [
+            ["0/2", "nan", "nan", "nan", "nan", "0", "-", "nan", "nan"],
+            ["0/2", "nan", "nan", "nan", "nan", "0", "0/0", "nan", "nan"],
+        ]
+        assert last.startswith("left out 4 cells")
+
+    def test_one_kept_cell_has_no_spread(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, _ = run(
+                capsys, "bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+                "--length", "1025", "--subseq", "200", "--out", str(tmp_path / "bench.csv"),
+            )
+        assert code == 0
+        rows, _ = self._table(stdout)
+        row = rows["brent", 0.5]
+        assert row[2] == "1/1"
+        assert row[5:7] == ["nan", "nan"]
+        assert float(row[3]) == float(row[4]) + 0.5
+
+    def test_failed_grid_cell_is_left_out_of_agree(self, tmp_path, capsys, monkeypatch):
+        real = minimize.minimize_scalar
+
+        def grid_fails(objective, config):
+            if config.method == "grid":
+                raise ValueError("grid failed")
+            return real(objective, config)
+
+        monkeypatch.setattr(minimize, "minimize_scalar", grid_fails)
+        code, stdout, _ = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent,grid",
+            "--length", "1025", "--subseq", "200", "--out", str(tmp_path / "bench.csv"),
+        )
+        assert code == 0
+        assert stdout.startswith("wrote 2 rows") and "(1 failures, 0 not converged)" in stdout
+        rows, last = self._table(stdout)
+        assert (rows["brent", 0.5][2], rows["brent", 0.5][8]) == ("1/1", "0/0")
+        assert rows["grid", 0.5][2] == "0/1"
+        assert last.startswith("left out 1 cells") and "and 1 more from agree" in last
+
+    def test_agree_needs_the_grid(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            capsys, "bench", "--h-list", "0.3,0.6", "--reps", "1", "--methods", "brent",
+            "--length", "1025", "--subseq", "200", "--out", str(tmp_path / "bench.csv"),
+        )
+        assert code == 0
+        rows, _ = self._table(stdout)
+        assert list(rows) == [("brent", 0.3), ("brent", 0.6)]
+        assert all(row[8] == "-" for row in rows.values())
+
 
 class TestOutputPaths:
     """An output path that cannot be written is an input error (exit 1,
@@ -383,6 +508,28 @@ class TestOutputPaths:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, flags, output",
+    [
+        ("simulate", ["--hurst", "0.5", "--length", "64"], "--out"),
+        ("estimate", ["--amax", "10"], None),
+        ("analyze", ["--window", "1000", "--amax", "10"], "--out-dir"),
+        ("bench", ["--h-list", "0.5", "--reps", "1", "--methods", "brent"], "--out"),
+    ],
+)
+def test_negative_seed_fails_before_any_output(tmp_path, capsys, command, flags, output):
+    argv = [command, *flags, "--seed", "-1"]
+    if command in ("estimate", "analyze"):
+        argv += ["--input", _level_csv(tmp_path, "v.csv", 1000), "--input-scale", "level"]
+    if output:
+        argv += [output, str(tmp_path / "out")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "seed must be non-negative" in err
+    assert stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 class TestTopLevel:

@@ -1,7 +1,7 @@
-"""Tests for fractional noise covariance, spectrum, and simulation.
+"""Tests for fractional noise covariance and simulation.
 
 Numerical targets were fixed from closed forms or from brute-force
-oracles (dense quadrature, raw Monte Carlo moments) before being
+oracles (dense circulants, raw Monte Carlo moments) before being
 frozen here; tolerances carry an order-of-magnitude margin over the
 observed errors.
 """
@@ -20,7 +20,6 @@ from hurstks.fgn import (
     Path,
     embedding_eigenvalues,
     fgn_autocov,
-    fgn_spectrum,
     increments,
     simulate_fbm,
 )
@@ -55,6 +54,7 @@ class TestTypes:
             {"hurst": 1.0, "length": 8},
             {"hurst": 0.5, "length": 1},
             {"hurst": 0.5, "length": 8, "scale": 0.0},
+            {"hurst": 0.5, "length": 8, "seed": -1},
         ],
     )
     def test_spec_validation(self, kwargs):
@@ -101,72 +101,6 @@ class TestAutocov:
     def test_rejects_hurst_outside_open_interval(self):
         with pytest.raises(ValueError):
             fgn_autocov(1.0, 1.0, 1)
-
-
-class TestSpectrum:
-    def test_zero_frequency(self):
-        for h in (0.3, 0.5, 0.8):
-            assert fgn_spectrum(h, 1.0, 0.0) == 0.0
-
-    def test_white_noise_closed_form(self):
-        # At H = 1/2 the lattice sum telescopes to a flat density.
-        got = fgn_spectrum(0.5, 1.0, math.pi / 2)
-        assert got == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
-
-    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
-    def test_matches_autocovariance_transform(self, h):
-        # Oracle: Fourier series of the closed-form autocovariance,
-        # truncated at |q| <= 1e4 (conditionally convergent for
-        # H > 1/2, hence the loose bound).
-        q = np.arange(1, 10_001)
-        cov = 0.5 * ((q + 1.0) ** (2 * h) - 2 * q ** (2 * h) + (q - 1.0) ** (2 * h))
-        w = math.pi / 2
-        oracle = (1.0 + 2.0 * float(cov @ np.cos(q * w))) / (2.0 * math.pi)
-        assert fgn_spectrum(h, 1.0, w) == pytest.approx(oracle, abs=1e-3)
-
-    def test_nonnegative_and_even_on_grid(self):
-        omegas = np.linspace(-math.pi, math.pi, 1000)
-        for h in (0.1, 0.3, 0.5, 0.7, 0.9):
-            vals = np.array([fgn_spectrum(h, 1.0, float(w), truncation=300) for w in omegas])
-            assert np.all(vals >= 0.0)
-            assert np.allclose(vals, vals[::-1], atol=1e-13)
-
-    def test_truncation_converged_by_one_hundred_terms(self):
-        for h in (0.3, 0.7):
-            short = fgn_spectrum(h, 1.0, 1.0, truncation=100)
-            long = fgn_spectrum(h, 1.0, 1.0, truncation=10_000)
-            assert abs(short - long) < 1e-6
-
-    def test_scale_enters_quadratically(self):
-        assert fgn_spectrum(0.4, 2.0, 1.1) == pytest.approx(
-            4.0 * fgn_spectrum(0.4, 1.0, 1.1), rel=1e-14
-        )
-
-    def test_integral_recovers_variance_rough_case(self):
-        # Integrable density for H < 1/2: trapezoid quadrature of the
-        # spectrum recovers the lag-zero autocovariance.
-        w = np.linspace(-math.pi, math.pi, 20_001)
-        vals = np.array([fgn_spectrum(0.3, 1.0, float(x), truncation=1000) for x in w])
-        assert np.trapezoid(vals, w) == pytest.approx(1.0, abs=1e-5)
-
-    def test_cosine_moments_recover_autocov_differences(self):
-        # For H > 1/2 the density has an integrable singularity at 0,
-        # so quadrature carries a constant offset that cancels in
-        # differences of cosine moments.
-        w = np.linspace(-math.pi, math.pi, 20_001)
-        vals = np.array([fgn_spectrum(0.7, 1.0, float(x), truncation=1000) for x in w])
-        for q1, q2 in ((1, 3), (2, 5)):
-            quad = np.trapezoid(vals * (np.cos(q1 * w) - np.cos(q2 * w)), w)
-            closed = fgn_autocov(0.7, 1.0, q1) - fgn_autocov(0.7, 1.0, q2)
-            assert quad == pytest.approx(closed, abs=1e-6)
-
-    def test_rejects_frequency_outside_band(self):
-        with pytest.raises(ValueError):
-            fgn_spectrum(0.5, 1.0, 3.5)
-
-    def test_rejects_bad_truncation(self):
-        with pytest.raises(ValueError):
-            fgn_spectrum(0.5, 1.0, 1.0, truncation=0)
 
 
 class TestEmbedding:

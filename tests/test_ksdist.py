@@ -14,7 +14,6 @@ from hurstks.ksdist import (
     EmpiricalCdf,
     RescaledPair,
     diameter_objective,
-    ecdf_eval,
     gaussian_diameter,
     ks_critical,
     ks_two_sample,
@@ -76,12 +75,6 @@ tied_samples = st.lists(st.integers(-4, 4), min_size=1, max_size=40)
 
 
 class TestEcdf:
-    def test_step_values(self):
-        cdf = EmpiricalCdf.from_sample(np.array([3.0, 1.0, 2.0]))
-        pts = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 9.0])
-        got = ecdf_eval(cdf, pts)
-        assert np.array_equal(got, [0.0, 1 / 3, 1 / 3, 2 / 3, 1.0, 1.0])
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EmpiricalCdf.from_sample(np.array([]))
@@ -89,14 +82,6 @@ class TestEcdf:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             EmpiricalCdf.from_sample(np.array([1.0, np.nan]))
-
-    @given(st.lists(finite_floats, min_size=1, max_size=50))
-    def test_right_continuous_step_heights(self, xs):
-        cdf = EmpiricalCdf.from_sample(np.array(xs))
-        grid = np.sort(np.array(xs))
-        vals = ecdf_eval(cdf, grid)
-        assert np.all(np.diff(vals) >= 0.0)
-        assert vals[-1] == 1.0
 
 
 class TestKsTwoSample:

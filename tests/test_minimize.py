@@ -49,6 +49,7 @@ class TestConfig:
         {"grid_step": 1.5},
         {"tolerance": 0.0},
         {"max_evals": 0},
+        {"seed": -1},
     ])
     def test_field_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -433,6 +434,10 @@ class TestBench:
         assert [(r.h_hat, r.delta_min, r.evaluations) for r in a] == [
             (r.h_hat, r.delta_min, r.evaluations) for r in b
         ]
+
+    def test_rejects_negative_base_seed(self):
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            bench_optimizers([0.5], 1, [OptimizerConfig()], base_seed=-1)
 
     def test_failures_become_error_rows(self, monkeypatch):
         monkeypatch.setattr(minimize, "minimize_scalar", _fails_on_grid)

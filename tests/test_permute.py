@@ -37,6 +37,10 @@ class TestPlan:
         with pytest.raises(ValueError):
             PermutationPlan(scheme="uniform_sample", subsample_size=0)
 
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            PermutationPlan(seed=-1)
+
 
 class TestBlockIndices:
     def test_identity_permutation_is_identity_map(self):

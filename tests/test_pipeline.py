@@ -373,6 +373,8 @@ class TestManifest:
             RunManifest(inputs=("a",), perm_scheme="shuffle")
         with pytest.raises(ValueError):
             RunManifest(inputs=("a",), input_scale="sqrt")
+        with pytest.raises(ValueError, match="master_seed must be non-negative"):
+            RunManifest(inputs=("a",), master_seed=-1)
 
 
 class TestRunStaticAnalysis:
