@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 for input problems (bad flags, missing or
 malformed files, paths that cannot be read or written), 2 for
 numerical failures (degenerate samples, embedding errors, an analysis
-window whose minimizer ran out of its budget).
+window whose minimizer ran out of its budget), 141 when the reader of
+stdout went away (128 + SIGPIPE, what a shell reports for a program
+killed by a closed pipe).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import datetime as dt
 import logging
 import math
+import os
 import sys
 
 import numpy as np
@@ -319,7 +322,18 @@ def main(argv: list[str] | None = None) -> int:
         # latter into the input-error code.
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush here, so that a closed stdout is caught below and not
+        # at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader.  Point fd 1 at devnull so
+        # that the final flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DegenerateSampleError, EmbeddingError, FloatingPointError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

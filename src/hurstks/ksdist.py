@@ -34,7 +34,6 @@ class EmpiricalCdf:
     """Right-continuous empirical distribution function of a sample."""
 
     sorted_values: np.ndarray
-    size: int
 
     @classmethod
     def from_sample(cls, values: np.ndarray | Sequence[float]) -> "EmpiricalCdf":
@@ -43,7 +42,7 @@ class EmpiricalCdf:
             raise ValueError("empty sample has no distribution function")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
-        return cls(sorted_values=vals, size=vals.size)
+        return cls(sorted_values=vals)
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,11 @@ __all__ = [
     "EstimationResult",
     "BenchRow",
     "METHODS",
-    "grid_search",
-    "brent_min",
-    "nelder_mead",
-    "simulated_annealing",
     "minimize_scalar",
     "estimate_hurst",
     "bench_optimizers",
     "write_bench_csv",
 ]
-
-METHODS = ("grid", "brent", "nelder_mead", "simulated_annealing")
 
 # Inverse golden ratio squared; fraction kept by a golden-section step.
 _GOLDEN = 0.3819660112501051
@@ -208,33 +202,6 @@ class _Tracker:
         return f
 
 
-def _run(
-    method: str,
-    objective: Callable[[float], float],
-    config: OptimizerConfig,
-    search: Callable[[_Tracker, float, float], None],
-) -> OptimizerReport:
-    # Run one search over the resolved bounds under the evaluation
-    # budget; an exhausted budget ends it early and unconverged.
-    t0 = time.perf_counter()
-    tracker = _Tracker(objective, config.max_evals)
-    converged = True
-    try:
-        search(tracker, *config.resolved_bounds())
-    except _Budget:
-        converged = False
-    if tracker.evaluations == 0:
-        raise ValueError("optimizer made no evaluations")
-    return OptimizerReport(
-        method=method,
-        h_hat=tracker.best_h,
-        delta_min=tracker.best_f,
-        evaluations=tracker.evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        converged=converged,
-    )
-
-
 def _cell(k: int, step: float) -> float:
     return min(k * step, 1.0)
 
@@ -252,24 +219,14 @@ def _mesh(step: float, lo: float, hi: float) -> range:
     return range(k_lo, k_hi + 1)
 
 
-def grid_search(objective: Callable[[float], float], config: OptimizerConfig) -> OptimizerReport:
-    """Exhaustive search on the mesh ``{step, 2*step, ..., 1}``.
-
-    The number of evaluations is exactly ``floor(1 / grid_step)``,
-    unless the budget runs out first.  Ties go to the smallest
-    exponent.
-    """
-
-    def search(tracker: _Tracker, lo: float, hi: float) -> None:
-        # One cell past the budget, so that a mesh longer than the
-        # budget ends unconverged.
-        ks = _mesh(config.grid_step, lo, hi)[: config.max_evals + 1]
-        cells = [_cell(k, config.grid_step) for k in ks]
-        tracker.prefetch(cells)
-        for h in cells:
-            tracker(h)
-
-    return _run("grid", objective, config, search)
+def _grid(tracker: _Tracker, lo: float, hi: float, config: OptimizerConfig) -> None:
+    # One cell past the budget, so that a mesh longer than the budget
+    # ends unconverged.
+    ks = _mesh(config.grid_step, lo, hi)[: config.max_evals + 1]
+    cells = [_cell(k, config.grid_step) for k in ks]
+    tracker.prefetch(cells)
+    for h in cells:
+        tracker(h)
 
 
 def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
@@ -359,12 +316,9 @@ def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None
 
 def _scan_then_refine(
     core: Callable[[_Tracker, float, float, float], float],
-    method: str,
-    objective: Callable[[float], float],
-    config: OptimizerConfig,
-) -> OptimizerReport:
+) -> Callable[[_Tracker, float, float, OptimizerConfig], None]:
 
-    def search(tracker: _Tracker, lo: float, hi: float) -> None:
+    def search(tracker: _Tracker, lo: float, hi: float, config: OptimizerConfig) -> None:
         mesh = np.linspace(lo, hi, _SCAN_POINTS)
         values = [tracker(float(h)) for h in mesh]
         scan_j = int(np.argmin(values))
@@ -379,20 +333,7 @@ def _scan_then_refine(
                 core(tracker, lo2, hi2, config.tolerance)
         _plateau_sweep(tracker, lo, hi, config.grid_step)
 
-    return _run(method, objective, config, search)
-
-
-def brent_min(objective: Callable[[float], float], config: OptimizerConfig) -> OptimizerReport:
-    """Brent minimization (golden section + parabolic interpolation).
-
-    A coarse scan of the bounds comes first; the local run restarts
-    inside the scan's best bracket unless it beat the scan by more
-    than ``tolerance``, and a plateau sweep of the ``grid_step`` mesh
-    around the incumbent finishes.  Terminates when the bracket is
-    narrower than ``tolerance`` or the budget runs out; the returned
-    point is the best one evaluated.
-    """
-    return _scan_then_refine(_brent_core, "brent", objective, config)
+    return search
 
 
 def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
@@ -437,58 +378,85 @@ def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
     return min(fs)
 
 
-def nelder_mead(objective: Callable[[float], float], config: OptimizerConfig) -> OptimizerReport:
-    """One-dimensional Nelder-Mead (two-point simplex) on the bounds.
-
-    Same termination, budget, safeguard and tie-break conventions as
-    :func:`brent_min`.
-    """
-    return _scan_then_refine(_nelder_mead_core, "nelder_mead", objective, config)
-
-
-def simulated_annealing(
-    objective: Callable[[float], float], config: OptimizerConfig
-) -> OptimizerReport:
-    """Metropolis annealing with a geometric cooling schedule.
-
-    Starts at the midpoint of the bounds with temperature 0.1 cooled
-    by a factor 0.95 per step; proposals are Gaussian with standard
-    deviation proportional to the temperature, clamped to the bounds.
-    The chain spends half of ``max_evals``; the remaining budget pays
-    for the plateau sweep that settles the final point on the
-    ``grid_step`` mesh.  Returns the best point seen; the whole run is
-    a pure function of ``seed``.
-    """
-
-    def search(tracker: _Tracker, lo: float, hi: float) -> None:
-        rng = np.random.default_rng(config.seed)
-        x = 0.5 * (lo + hi)
-        fx = tracker(x)
-        temp = 0.1
-        for _ in range(max(config.max_evals // 2 - 1, 0)):
-            u = min(max(x + temp * rng.standard_normal(), lo), hi)
-            fu = tracker(u)
-            if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
-                x, fx = u, fu
-            temp = max(temp * 0.95, 1e-300)
-        _plateau_sweep(tracker, lo, hi, config.grid_step)
-
-    return _run("simulated_annealing", objective, config, search)
+def _annealing(tracker: _Tracker, lo: float, hi: float, config: OptimizerConfig) -> None:
+    rng = np.random.default_rng(config.seed)
+    x = 0.5 * (lo + hi)
+    fx = tracker(x)
+    temp = 0.1
+    for _ in range(max(config.max_evals // 2 - 1, 0)):
+        u = min(max(x + temp * rng.standard_normal(), lo), hi)
+        fu = tracker(u)
+        if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
+            x, fx = u, fu
+        temp = max(temp * 0.95, 1e-300)
+    _plateau_sweep(tracker, lo, hi, config.grid_step)
 
 
-_DISPATCH = {
-    "grid": grid_search,
-    "brent": brent_min,
-    "nelder_mead": nelder_mead,
-    "simulated_annealing": simulated_annealing,
+# Each search walks [lo, hi] under the tracker's budget; a run out of
+# budget ends it with _Budget.
+_SEARCHES = {
+    "grid": _grid,
+    "brent": _scan_then_refine(_brent_core),
+    "nelder_mead": _scan_then_refine(_nelder_mead_core),
+    "simulated_annealing": _annealing,
 }
+
+METHODS = tuple(_SEARCHES)
 
 
 def minimize_scalar(
     objective: Callable[[float], float], config: OptimizerConfig
 ) -> OptimizerReport:
-    """Run the minimizer selected by ``config.method``."""
-    return _DISPATCH[config.method](objective, config)
+    """Minimize ``objective`` over ``config.resolved_bounds()`` with the
+    search that ``config.method`` names.
+
+    Every search reports the best point it evaluated, with ties going
+    to the smallest exponent.  A search cut off by ``max_evals``
+    returns that point with ``converged`` off.
+
+    ``"grid"``
+        Exhaustive search on the mesh ``{step, 2*step, ..., 1}``.  The
+        number of evaluations is exactly ``floor(1 / grid_step)``,
+        unless the budget runs out first.
+    ``"brent"``
+        Golden section with parabolic interpolation.
+    ``"nelder_mead"``
+        One-dimensional Nelder-Mead (two-point simplex), proposals
+        clamped to the bounds.
+
+        Both local methods first scan 50 evenly spaced points of the
+        bounds.  The local run restarts inside the scan's best bracket
+        unless it beat the scan by more than ``tolerance``, and a
+        plateau sweep of the ``grid_step`` mesh around the incumbent
+        finishes.  A local run stops when its bracket is narrower than
+        ``tolerance``.
+    ``"simulated_annealing"``
+        Metropolis annealing with a geometric cooling schedule.  It
+        starts at the midpoint of the bounds with temperature 0.1,
+        cooled by a factor 0.95 per step; proposals are Gaussian with
+        standard deviation proportional to the temperature, clamped to
+        the bounds.  The chain spends half of ``max_evals``; the rest
+        pays for the plateau sweep that settles the final point on the
+        ``grid_step`` mesh.  The whole run is a pure function of
+        ``seed``.
+    """
+    t0 = time.perf_counter()
+    tracker = _Tracker(objective, config.max_evals)
+    converged = True
+    try:
+        _SEARCHES[config.method](tracker, *config.resolved_bounds(), config)
+    except _Budget:
+        converged = False
+    if tracker.evaluations == 0:
+        raise ValueError("optimizer made no evaluations")
+    return OptimizerReport(
+        method=config.method,
+        h_hat=tracker.best_h,
+        delta_min=tracker.best_f,
+        evaluations=tracker.evaluations,
+        wall_time_s=time.perf_counter() - t0,
+        converged=converged,
+    )
 
 
 def _permute(sample, plan: PermutationPlan):

@@ -26,7 +26,7 @@ import numpy as np
 from hurstks.fgn import Path, increments
 from hurstks.ksdist import RescaledPair
 from hurstks.minimize import EstimationResult, OptimizerConfig, estimate_hurst
-from hurstks.permute import SCHEMES, PermutationPlan
+from hurstks.permute import PermutationPlan
 from hurstks.stats import (
     AggregateReport,
     VarianceInputs,
@@ -131,14 +131,15 @@ class RunManifest:
 
     Numeric results depend only on the inputs, the window and
     optimizer settings, the permutation scheme, and ``master_seed``;
-    ``out_dir`` merely says where the report files go.
+    ``out_dir`` merely says where the report files go.  Of ``plan``
+    only the scheme and block length are used: each window sets its
+    own subsample size and seed.
     """
 
     inputs: tuple[str, ...]
     window: WindowConfig = WindowConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    perm_scheme: str = PermutationPlan.scheme
-    block_length: int = PermutationPlan.block_length
+    plan: PermutationPlan = PermutationPlan()
     input_scale: str = "level"
     master_seed: int = 0
     out_dir: str = "."
@@ -146,8 +147,6 @@ class RunManifest:
     def __post_init__(self) -> None:
         if not 1 <= len(self.inputs) <= 2:
             raise ValueError("manifest needs one or two input files")
-        if self.perm_scheme not in SCHEMES:
-            raise ValueError(f"perm_scheme must be one of {SCHEMES}")
         if self.input_scale not in VALUE_SCALES:
             raise ValueError(f"input_scale must be one of {VALUE_SCALES}")
         if self.master_seed < 0:
@@ -404,13 +403,11 @@ def build_manifest(settings: Mapping[str, object]) -> RunManifest:
     that is absent keeps its dataclass default.  Names that are not
     manifest keys are ignored.
     """
-    plan = permutation_plan(settings)
     return RunManifest(
         inputs=tuple(settings[k] for k in ("input", "input2") if k in settings),
         window=WindowConfig(**_fields(settings, "window")),
         optimizer=optimizer_config(settings),
-        perm_scheme=plan.scheme,
-        block_length=plan.block_length,
+        plan=permutation_plan(settings),
         **_fields(settings, "run"),
     )
 
@@ -460,12 +457,7 @@ def _estimate_one_window(
     seeds = np.random.SeedSequence(
         manifest.master_seed, spawn_key=(series_idx, window_idx)
     ).generate_state(2)
-    plan = PermutationPlan(
-        scheme=manifest.perm_scheme,
-        block_length=manifest.block_length,
-        subsample_size=wc.resolved_subseq(),
-        seed=int(seeds[0]),
-    )
+    plan = replace(manifest.plan, subsample_size=wc.resolved_subseq(), seed=int(seeds[0]))
     optimizer = replace(manifest.optimizer, seed=int(seeds[1]))
     return estimate_hurst(pair, plan, optimizer, alpha=wc.alpha)
 
@@ -555,7 +547,7 @@ def _report_json(manifest: RunManifest, report: RunReport) -> dict:
             "subseq": manifest.window.resolved_subseq(),
             "alpha": manifest.window.alpha,
             "optimizer": manifest.optimizer.method,
-            "perm_scheme": manifest.perm_scheme,
+            "perm_scheme": manifest.plan.scheme,
             "input_scale": manifest.input_scale,
             "master_seed": manifest.master_seed,
         },

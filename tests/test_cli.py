@@ -4,8 +4,12 @@ import csv
 import datetime as dt
 import io
 import json
+import os
 import statistics
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,3 +548,39 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["transmogrify"]) == 1
+
+    @pytest.mark.parametrize("command", ["estimate", "bench"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, capsys, command):
+        # The reader goes away before the command prints: the work is
+        # done, the exit code is 141 (128 + SIGPIPE) and stderr is empty.
+        path, out = tmp_path / "p.csv", tmp_path / "e.csv"
+        run(capsys, "simulate", "--hurst", "0.5", "--length", "1025", "--out", str(path))
+        argv = {
+            "estimate": ["estimate", "--input", str(path), "--subseq", "500"],
+            "bench": ["bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+                      "--length", "1025", "--subseq", "500", "--out", str(out)],
+        }[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hurstks.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (code, err) == (141, "")
+        if command == "bench":
+            with open(out, newline="") as fh:
+                got = list(csv.DictReader(fh))
+            assert run(capsys, *argv[:-1], str(tmp_path / "ref.csv"))[0] == 0
+            with open(tmp_path / "ref.csv", newline="") as fh:
+                want = list(csv.DictReader(fh))
+            for row in got + want:
+                del row["wall_time_s"]
+            assert got == want and len(got) == 1

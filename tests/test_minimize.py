@@ -20,12 +20,8 @@ from hurstks.minimize import (
     OptimizerConfig,
     OptimizerReport,
     bench_optimizers,
-    brent_min,
     estimate_hurst,
-    grid_search,
     minimize_scalar,
-    nelder_mead,
-    simulated_annealing,
     write_bench_csv,
 )
 from hurstks import minimize
@@ -62,28 +58,32 @@ class TestConfig:
 
 class TestGridSearch:
     def test_finds_lattice_minimum(self):
-        r = grid_search(lambda h: (h - 0.37) ** 2, OptimizerConfig(method="grid", grid_step=1e-2))
+        cfg = OptimizerConfig(method="grid", grid_step=1e-2)
+        r = minimize_scalar(lambda h: (h - 0.37) ** 2, cfg)
         assert r.h_hat == pytest.approx(0.37, abs=1e-12)
         assert r.method == "grid"
         assert r.converged
 
     def test_rounds_to_nearest_lattice_point(self):
-        r = grid_search(lambda h: (h - 0.375) ** 2, OptimizerConfig(method="grid", grid_step=1e-1))
+        cfg = OptimizerConfig(method="grid", grid_step=1e-1)
+        r = minimize_scalar(lambda h: (h - 0.375) ** 2, cfg)
         assert r.h_hat == pytest.approx(0.4, abs=1e-12)
 
     def test_constant_objective_takes_smallest_point(self):
-        r = grid_search(lambda h: 1.0, OptimizerConfig(method="grid", grid_step=1e-2))
+        r = minimize_scalar(lambda h: 1.0, OptimizerConfig(method="grid", grid_step=1e-2))
         assert r.h_hat == pytest.approx(1e-2, abs=1e-15)
 
     def test_evaluation_count_matches_lattice(self):
-        r = grid_search(quad, OptimizerConfig(method="grid", grid_step=1e-4))
+        r = minimize_scalar(quad, OptimizerConfig(method="grid", grid_step=1e-4))
         assert r.evaluations == 10_000
 
     def test_respects_bounds(self):
         # The mesh starts at grid_step and ends at 1.
         cfg = OptimizerConfig(method="grid", grid_step=1e-2)
-        assert grid_search(lambda h: (h + 1.0) ** 2, cfg).h_hat == 1e-2
-        assert grid_search(lambda h: (h - 2.0) ** 2, cfg).h_hat == 1.0
+        low = minimize_scalar(lambda h: (h + 1.0) ** 2, cfg)
+        high = minimize_scalar(lambda h: (h - 2.0) ** 2, cfg)
+        assert (low.h_hat, high.h_hat) == (1e-2, 1.0)
+        assert low.method == high.method == cfg.method
 
     def test_mesh_is_an_index_range(self):
         # Cells min(k * step, 1), k = 1 .. floor(1 / step), inside the
@@ -99,7 +99,7 @@ class TestGridSearch:
         # no more cells than it can evaluate.
         tracemalloc.start()
         try:
-            r = grid_search(quad, OptimizerConfig(method="grid", grid_step=1e-6, max_evals=10))
+            r = minimize_scalar(quad, OptimizerConfig(method="grid", grid_step=1e-6, max_evals=10))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -108,28 +108,28 @@ class TestGridSearch:
         assert peak < 1 << 20
 
     def test_delta_min_is_objective_at_h_hat(self):
-        r = grid_search(quad, OptimizerConfig(method="grid", grid_step=1e-3))
+        r = minimize_scalar(quad, OptimizerConfig(method="grid", grid_step=1e-3))
         assert r.delta_min == quad(r.h_hat)
 
 
 class TestBrent:
     def test_quadratic_interior_minimum(self):
-        r = brent_min(quad, OptimizerConfig(method="brent"))
+        r = minimize_scalar(quad, OptimizerConfig(method="brent"))
         assert abs(r.h_hat - 0.5) < 1e-5
         assert r.converged
 
     def test_quadratic_with_prescan(self):
         # The 50-point scan always runs before the local search.
-        r = brent_min(quad, OptimizerConfig(method="brent"))
+        r = minimize_scalar(quad, OptimizerConfig(method="brent"))
         assert abs(r.h_hat - 0.5) < 1e-5
         assert r.evaluations > 50
 
     def test_nonsmooth_vee(self):
-        r = brent_min(lambda h: abs(h - 0.3), OptimizerConfig(method="brent"))
+        r = minimize_scalar(lambda h: abs(h - 0.3), OptimizerConfig(method="brent"))
         assert abs(r.h_hat - 0.3) < 1e-5
 
     def test_budget_exhaustion_reports_unconverged(self):
-        r = brent_min(quad, OptimizerConfig(method="brent", max_evals=3))
+        r = minimize_scalar(quad, OptimizerConfig(method="brent", max_evals=3))
         assert not r.converged
         assert r.evaluations == 3
         assert r.delta_min == quad(r.h_hat)
@@ -137,56 +137,59 @@ class TestBrent:
     def test_respects_bounds(self):
         # Minima beyond either end land on the end of [1e-3, 1].
         cfg = OptimizerConfig(method="brent")
-        assert brent_min(lambda h: (h + 1.0) ** 2, cfg).h_hat == 1e-3
-        assert brent_min(lambda h: (h - 2.0) ** 2, cfg).h_hat == 1.0
+        low = minimize_scalar(lambda h: (h + 1.0) ** 2, cfg)
+        high = minimize_scalar(lambda h: (h - 2.0) ** 2, cfg)
+        assert (low.h_hat, high.h_hat) == (1e-3, 1.0)
+        assert low.method == high.method == cfg.method
 
 
 class TestNelderMead:
     def test_quadratic_interior_minimum(self):
-        r = nelder_mead(quad, OptimizerConfig(method="nelder_mead"))
+        r = minimize_scalar(quad, OptimizerConfig(method="nelder_mead"))
         assert abs(r.h_hat - 0.5) < 1e-4
         assert r.converged
 
     def test_quadratic_with_prescan(self):
-        r = nelder_mead(quad, OptimizerConfig(method="nelder_mead"))
+        r = minimize_scalar(quad, OptimizerConfig(method="nelder_mead"))
         assert abs(r.h_hat - 0.5) < 1e-4
         assert r.evaluations > 50
 
     def test_nonsmooth_vee(self):
-        r = nelder_mead(lambda h: abs(h - 0.3), OptimizerConfig(method="nelder_mead"))
+        r = minimize_scalar(lambda h: abs(h - 0.3), OptimizerConfig(method="nelder_mead"))
         assert abs(r.h_hat - 0.3) < 1e-4
 
     def test_budget_exhaustion_reports_unconverged(self):
-        r = nelder_mead(quad, OptimizerConfig(method="nelder_mead", max_evals=4))
+        r = minimize_scalar(quad, OptimizerConfig(method="nelder_mead", max_evals=4))
         assert not r.converged
 
 
 class TestSimulatedAnnealing:
     def test_quadratic_settles_on_the_mesh(self):
         cfg = OptimizerConfig(method="simulated_annealing", max_evals=5000, seed=0)
-        r = simulated_annealing(quad, cfg)
+        r = minimize_scalar(quad, cfg)
         assert abs(r.h_hat - 0.5) < 1e-9
         assert r.evaluations <= 5000
         assert r.converged
 
     def test_same_seed_same_run(self):
         cfg = OptimizerConfig(method="simulated_annealing", max_evals=2000, seed=42)
-        a = simulated_annealing(quad, cfg)
-        b = simulated_annealing(quad, cfg)
+        a = minimize_scalar(quad, cfg)
+        b = minimize_scalar(quad, cfg)
         assert (a.h_hat, a.delta_min, a.evaluations) == (b.h_hat, b.delta_min, b.evaluations)
 
     def test_different_seeds_explore_differently(self):
         evals = set()
         for seed in range(4):
             cfg = OptimizerConfig(method="simulated_annealing", max_evals=600, seed=seed)
-            evals.add(simulated_annealing(lambda h: math.sin(20 * h), cfg).evaluations)
+            evals.add(minimize_scalar(lambda h: math.sin(20 * h), cfg).evaluations)
         assert len(evals) >= 1  # all runs legal; counts may coincide
 
     def test_respects_bounds(self):
         cfg = OptimizerConfig(method="simulated_annealing", max_evals=800, seed=3)
         for centre in (-1.0, 2.0):
-            r = simulated_annealing(lambda h: (h - centre) ** 2, cfg)
+            r = minimize_scalar(lambda h: (h - centre) ** 2, cfg)
             assert 1e-3 <= r.h_hat <= 1.0
+            assert r.method == cfg.method
 
 
 class TestDispatch:
@@ -204,6 +207,16 @@ class TestDispatch:
         r = minimize_scalar(quad, cfg)
         assert r.delta_min == quad(r.h_hat)
         assert r.wall_time_s >= 0.0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_alone_sets_the_interval(self, method):
+        # A minimum below 1e-3: the grid searches [grid_step, 1] with
+        # its floor(1 / grid_step) evaluations, the others [1e-3, 1].
+        r = minimize_scalar(lambda h: (h - 5e-4) ** 2, OptimizerConfig(method=method))
+        if method == "grid":
+            assert (r.h_hat, r.evaluations) == (5e-4, 10_000)
+        else:
+            assert r.h_hat == 1e-3
 
 
 class TestBlockEvaluation:
@@ -284,7 +297,7 @@ class TestCoreInvariants:
             return float(max(first - k, k - last, 0))
 
         config = OptimizerConfig(method=method, grid_step=1 / 64)
-        grid = grid_search(step, replace(config, method="grid"))
+        grid = minimize_scalar(step, replace(config, method="grid"))
         r = minimize_scalar(step, config)
         assert grid.h_hat == r.h_hat == first / 64
         assert r.delta_min == 0.0
@@ -298,7 +311,7 @@ class TestPopulationCurve:
         # land there on the smooth population curve.
         for h0 in np.arange(0.1, 0.95, 0.1):
             pop = lambda h, h0=h0: gaussian_diameter(float(a_max) ** (2.0 * (h0 - h)))
-            r = brent_min(pop, OptimizerConfig(method="brent"))
+            r = minimize_scalar(pop, OptimizerConfig(method="brent"))
             assert abs(r.h_hat - h0) < 1e-5, (h0, a_max)
 
 

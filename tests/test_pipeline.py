@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, Path, simulate_fbm
+from hurstks.permute import PermutationPlan
 from hurstks.pipeline import (
     VALUE_SCALES,
     CsvFormatError,
@@ -20,6 +21,7 @@ from hurstks.pipeline import (
     Series,
     WindowConfig,
     _parse_series,
+    build_manifest,
     load_series,
     log_transform,
     parse_manifest,
@@ -320,7 +322,7 @@ class TestManifest:
         assert m.optimizer.method == "grid"
         assert m.master_seed == 11
         assert m.out_dir == "out"
-        assert m.perm_scheme == "uniform_sample"
+        assert m.plan.scheme == "uniform_sample"
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         file = _write(
@@ -370,7 +372,7 @@ class TestManifest:
         with pytest.raises(ValueError):
             RunManifest(inputs=("a", "b", "c"))
         with pytest.raises(ValueError):
-            RunManifest(inputs=("a",), perm_scheme="shuffle")
+            build_manifest({"input": "a", "perm_scheme": "shuffle"})
         with pytest.raises(ValueError):
             RunManifest(inputs=("a",), input_scale="sqrt")
         with pytest.raises(ValueError, match="master_seed must be non-negative"):
@@ -517,7 +519,7 @@ class TestRunStaticAnalysis:
             run_static_analysis(manifest)
 
     def test_block_scheme_runs_end_to_end(self, tmp_path):
-        manifest = self._manifest(tmp_path, perm_scheme="block")
+        manifest = self._manifest(tmp_path, plan=PermutationPlan(scheme="block"))
         report = run_static_analysis(manifest)
         rep = report.series[0]
         assert rep.n_windows == 2
