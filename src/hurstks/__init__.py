@@ -21,7 +21,7 @@ from hurstks.ksdist import (
     gaussian_diameter,
 )
 from hurstks.minimize import OptimizerConfig, OptimizerReport, EstimationResult, estimate_hurst
-from hurstks.stats import VarianceInputs, estimator_sd, confidence_interval
+from hurstks.stats import estimator_sd, confidence_interval
 
 __all__ = [
     "FgnSpec",
@@ -42,7 +42,6 @@ __all__ = [
     "OptimizerReport",
     "EstimationResult",
     "estimate_hurst",
-    "VarianceInputs",
     "estimator_sd",
     "confidence_interval",
 ]

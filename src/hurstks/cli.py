@@ -34,7 +34,7 @@ from hurstks.pipeline import (
     run_static_analysis,
     series_path,
 )
-from hurstks.stats import VarianceInputs, confidence_interval, estimator_sd
+from hurstks.stats import confidence_interval, estimator_sd
 
 __all__ = ["main"]
 
@@ -154,11 +154,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     settings = vars(args)
     plan = permutation_plan(settings, subsample_size=subseq, seed=args.seed)
     result = estimate_hurst(pair, plan, optimizer_config(settings), alpha=args.alpha)
-    ci = confidence_interval(
-        result.h_hat,
-        VarianceInputs(a_max=result.a_max, n=result.n, m=result.m),
-        args.alpha,
-    )
+    ci = confidence_interval(result.h_hat, result.a_max, result.n, result.m, args.alpha)
     print(f"h_hat = {result.h_hat:.6f}")
     print(f"delta_min = {result.delta_min:.6f}")
     print(f"critical = {result.critical_value:.6f} (alpha = {result.alpha})")
@@ -280,7 +276,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     configs = [optimizer_config({**vars(args), "optimizer": m}) for m in methods]
     # Under the uniform scheme both samples have --subseq points.
-    predicted_sd = estimator_sd(VarianceInputs(a_max=args.amax, n=args.subseq, m=args.subseq))
+    predicted_sd = estimator_sd(args.amax, args.subseq, args.subseq)
     critical = ks_critical(args.subseq, args.subseq, 0.05)
     with open(args.out, "w", newline="") as fh:
         rows = bench_optimizers(

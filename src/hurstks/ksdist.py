@@ -67,6 +67,13 @@ class RescaledPair:
             raise ValueError("coarse sample lag must equal a_max")
 
 
+def _statistic(right, left, n: int, up_base: np.ndarray, dn_base: np.ndarray):
+    # The KS statistic from the ranks right = #{a <= b_j} and left =
+    # #{a < b_j} of the jumps of G: the largest, over the last axis, of
+    # G - F at right limits and F - G at left limits.
+    return np.maximum((up_base - right / n).max(axis=-1), (left / n - dn_base).max(axis=-1))
+
+
 def _ks_sorted(
     a: np.ndarray, b: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
 ) -> float:
@@ -82,10 +89,9 @@ def _ks_sorted(
     # evaluation over all n + m points, and both operations are
     # monotone, so the maximum is bit-identical to the pooled one.
     # The two bases come from ``_jump_bases(m)``.
-    n = a.size
-    up = up_base - np.searchsorted(a, b, side="right") / n
-    dn = np.searchsorted(a, b, side="left") / n - dn_base
-    return float(max(up.max(), dn.max()))
+    right = np.searchsorted(a, b, side="right")
+    left = np.searchsorted(a, b, side="left")
+    return float(_statistic(right, left, a.size, up_base, dn_base))
 
 
 # Most (row, window point) pairs one block may compare; it also bounds
@@ -110,7 +116,7 @@ def _ks_block(
     # comparing row by row.
     # An empty window fixes both ranks at base_j for the whole block.
     # The ranks are then the same integers searchsorted returns, and
-    # they go through _ks_sorted's own float expressions.
+    # they go through _ks_sorted's own _statistic.
     k = scales.size
     n = a.size
     ends = b * scales.min(), b * scales.max()
@@ -129,8 +135,8 @@ def _ks_block(
     out = np.full(k, -np.inf)
     fixed = width == 0
     if fixed.any():
-        rank = base[fixed] / n
-        out[:] = max((up_base[fixed] - rank).max(), (rank - dn_base[fixed]).max())
+        rank = base[fixed]
+        out[:] = _statistic(rank, rank, n, up_base[fixed], dn_base[fixed])
     # Widest windows first, so the columns whose window reaches offset
     # t are a prefix; count, offset by offset, the window points at or
     # below and strictly below each product.
@@ -146,9 +152,8 @@ def _ks_block(
             points = a[start[:c] + t]
             right[:, :c] += points <= prod[:, :c]
             left[:, :c] += points < prod[:, :c]
-        up = up_base[cols] - (start + right) / n
-        dn = (start + left) / n - dn_base[cols]
-        np.maximum(out, np.maximum(up.max(axis=1), dn.max(axis=1)), out=out)
+        rows = _statistic(start + right, start + left, n, up_base[cols], dn_base[cols])
+        np.maximum(out, rows, out=out)
     return out
 
 

@@ -10,6 +10,7 @@ annealing are the cheaper alternatives benchmarked against it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -22,7 +23,7 @@ import numpy as np
 from hurstks.fgn import FgnSpec, simulate_fbm, increments
 from hurstks.ksdist import RescaledPair, ks_critical, scaled_diameter_fn
 from hurstks.permute import PermutationPlan, block_permute, uniform_sample_permute
-from hurstks.stats import VarianceInputs, estimator_sd, normal_quantile
+from hurstks.stats import estimator_sd, normal_quantile
 
 __all__ = [
     "OptimizerConfig",
@@ -38,6 +39,10 @@ __all__ = [
 
 # Inverse golden ratio squared; fraction kept by a golden-section step.
 _GOLDEN = 0.3819660112501051
+
+# Lower end of the interval [_LOCAL_LO, 1] that Brent, Nelder-Mead and
+# annealing search; the grid walks its whole mesh instead.
+_LOCAL_LO = 1e-3
 
 # The empirical objective is a step function, so a local method can
 # stop anywhere inside a flat minimal plateau.  The plateau sweep walks
@@ -89,11 +94,6 @@ class OptimizerConfig:
             raise ValueError("max_evals must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def resolved_bounds(self) -> tuple[float, float]:
-        """Search interval: ``[grid_step, 1]`` for the grid and
-        ``[1e-3, 1]`` for the other methods."""
-        return (self.grid_step if self.method == "grid" else 1e-3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -206,33 +206,29 @@ def _cell(k: int, step: float) -> float:
     return min(k * step, 1.0)
 
 
-def _mesh(step: float, lo: float, hi: float) -> range:
+def _mesh(step: float, lo: float = 0.0) -> range:
     # Indices k of the mesh cells _cell(k, step), k = 1 ..
-    # floor(1 / step), that lie in [lo, hi].
+    # floor(1 / step), that are at least lo.
     count = int(math.floor(1.0 / step + 1e-6))
     k_lo = max(1, math.ceil(lo / step - 1e-9))
     while k_lo <= count and _cell(k_lo, step) < lo:
         k_lo += 1
-    k_hi = min(count, math.floor(hi / step + 1e-6))
-    while k_hi >= k_lo and _cell(k_hi, step) > hi:
-        k_hi -= 1
-    return range(k_lo, k_hi + 1)
+    return range(k_lo, count + 1)
 
 
-def _grid(tracker: _Tracker, lo: float, hi: float, config: OptimizerConfig) -> None:
+def _grid(tracker: _Tracker, config: OptimizerConfig) -> None:
     # One cell past the budget, so that a mesh longer than the budget
     # ends unconverged.
-    ks = _mesh(config.grid_step, lo, hi)[: config.max_evals + 1]
+    ks = _mesh(config.grid_step)[: config.max_evals + 1]
     cells = [_cell(k, config.grid_step) for k in ks]
     tracker.prefetch(cells)
     for h in cells:
         tracker(h)
 
 
-def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
+def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
     # Golden-section with parabolic acceleration; stops on bracket
-    # collapse and returns the least value evaluated, which x always
-    # holds.  Budget exhaustion propagates as _Budget.
+    # collapse.  Budget exhaustion propagates as _Budget.
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
@@ -277,10 +273,9 @@ def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return fx
 
 
-def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None:
+def _plateau_sweep(tracker: _Tracker, step: float) -> None:
     # A stepwise objective leaves a local method stranded anywhere
     # inside its minimal plateau, possibly a few mesh cells away from
     # the grid reference even when the attained value matches.  From
@@ -293,7 +288,7 @@ def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None
     # the converged interior point.
     if not math.isfinite(tracker.best_h):
         return
-    ks = _mesh(step, lo, hi)
+    ks = _mesh(step, _LOCAL_LO)
     kf = int(math.floor(tracker.best_h / step))
     anchors = [k for k in (kf, kf + 1) if k in ks] or [min(max(kf, ks[0]), ks[-1])]
     f0, k0 = min((tracker(_cell(k, step)), k) for k in anchors)
@@ -315,33 +310,30 @@ def _plateau_sweep(tracker: _Tracker, lo: float, hi: float, step: float) -> None
 
 
 def _scan_then_refine(
-    core: Callable[[_Tracker, float, float, float], float],
-) -> Callable[[_Tracker, float, float, OptimizerConfig], None]:
+    core: Callable[[_Tracker, float, float, float], None],
+    tracker: _Tracker,
+    config: OptimizerConfig,
+) -> None:
+    mesh = np.linspace(_LOCAL_LO, 1.0, _SCAN_POINTS)
+    values = [tracker(float(h)) for h in mesh]
+    scan_j = int(np.argmin(values))
+    core(tracker, _LOCAL_LO, 1.0, config.tolerance)
+    if not (tracker.best_f < values[scan_j] - config.tolerance):
+        # The tracker's best, the least value of the scan and the local
+        # run, is not clearly below the scan's: the scan's basin is at
+        # least as good, so refine inside its bracket so the returned
+        # point is at full resolution.
+        lo = float(mesh[max(scan_j - 1, 0)])
+        hi = float(mesh[min(scan_j + 1, mesh.size - 1)])
+        if hi > lo:
+            core(tracker, lo, hi, config.tolerance)
+    _plateau_sweep(tracker, config.grid_step)
 
-    def search(tracker: _Tracker, lo: float, hi: float, config: OptimizerConfig) -> None:
-        mesh = np.linspace(lo, hi, _SCAN_POINTS)
-        values = [tracker(float(h)) for h in mesh]
-        scan_j = int(np.argmin(values))
-        local_f = core(tracker, lo, hi, config.tolerance)
-        if not (local_f < values[scan_j] - config.tolerance):
-            # The local run did not clearly beat the coarse scan, so
-            # the scan's basin is at least as good: refine inside its
-            # bracket so the returned point is at full resolution.
-            lo2 = float(mesh[max(scan_j - 1, 0)])
-            hi2 = float(mesh[min(scan_j + 1, mesh.size - 1)])
-            if hi2 > lo2:
-                core(tracker, lo2, hi2, config.tolerance)
-        _plateau_sweep(tracker, lo, hi, config.grid_step)
 
-    return search
-
-
-def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
+def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
     # One-dimensional simplex with the standard coefficients
     # (reflection 1, expansion 2, contraction 0.5, shrink 0.5);
-    # proposals are clamped to the bounds.  Every step keeps the
-    # lesser of the values it drops and keeps, so the simplex ends
-    # holding the least value evaluated, which it returns.
+    # proposals are clamped to the bounds.
     third = (hi - lo) / 3.0
     s = [lo + third, hi - third]
     fs = [f(s[0]), f(s[1])]
@@ -375,29 +367,28 @@ def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> float:
                 # Shrink toward the best vertex.
                 s[1] = best + 0.5 * (worst - best)
                 fs[1] = f(s[1])
-    return min(fs)
 
 
-def _annealing(tracker: _Tracker, lo: float, hi: float, config: OptimizerConfig) -> None:
+def _annealing(tracker: _Tracker, config: OptimizerConfig) -> None:
     rng = np.random.default_rng(config.seed)
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (_LOCAL_LO + 1.0)
     fx = tracker(x)
     temp = 0.1
     for _ in range(max(config.max_evals // 2 - 1, 0)):
-        u = min(max(x + temp * rng.standard_normal(), lo), hi)
+        u = min(max(x + temp * rng.standard_normal(), _LOCAL_LO), 1.0)
         fu = tracker(u)
         if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
             x, fx = u, fu
         temp = max(temp * 0.95, 1e-300)
-    _plateau_sweep(tracker, lo, hi, config.grid_step)
+    _plateau_sweep(tracker, config.grid_step)
 
 
-# Each search walks [lo, hi] under the tracker's budget; a run out of
-# budget ends it with _Budget.
+# Each search runs under the tracker's budget; a run out of budget
+# ends it with _Budget.
 _SEARCHES = {
     "grid": _grid,
-    "brent": _scan_then_refine(_brent_core),
-    "nelder_mead": _scan_then_refine(_nelder_mead_core),
+    "brent": functools.partial(_scan_then_refine, _brent_core),
+    "nelder_mead": functools.partial(_scan_then_refine, _nelder_mead_core),
     "simulated_annealing": _annealing,
 }
 
@@ -407,8 +398,9 @@ METHODS = tuple(_SEARCHES)
 def minimize_scalar(
     objective: Callable[[float], float], config: OptimizerConfig
 ) -> OptimizerReport:
-    """Minimize ``objective`` over ``config.resolved_bounds()`` with the
-    search that ``config.method`` names.
+    """Minimize ``objective`` with the search that ``config.method``
+    names, over the mesh for the grid and over ``[1e-3, 1]`` for the
+    other methods.
 
     Every search reports the best point it evaluated, with ties going
     to the smallest exponent.  A search cut off by ``max_evals``
@@ -422,20 +414,20 @@ def minimize_scalar(
         Golden section with parabolic interpolation.
     ``"nelder_mead"``
         One-dimensional Nelder-Mead (two-point simplex), proposals
-        clamped to the bounds.
+        clamped to the interval.
 
         Both local methods first scan 50 evenly spaced points of the
-        bounds.  The local run restarts inside the scan's best bracket
+        interval.  The local run restarts inside the scan's best bracket
         unless it beat the scan by more than ``tolerance``, and a
         plateau sweep of the ``grid_step`` mesh around the incumbent
         finishes.  A local run stops when its bracket is narrower than
         ``tolerance``.
     ``"simulated_annealing"``
         Metropolis annealing with a geometric cooling schedule.  It
-        starts at the midpoint of the bounds with temperature 0.1,
+        starts at the midpoint of the interval with temperature 0.1,
         cooled by a factor 0.95 per step; proposals are Gaussian with
         standard deviation proportional to the temperature, clamped to
-        the bounds.  The chain spends half of ``max_evals``; the rest
+        the interval.  The chain spends half of ``max_evals``; the rest
         pays for the plateau sweep that settles the final point on the
         ``grid_step`` mesh.  The whole run is a pure function of
         ``seed``.
@@ -444,7 +436,7 @@ def minimize_scalar(
     tracker = _Tracker(objective, config.max_evals)
     converged = True
     try:
-        _SEARCHES[config.method](tracker, *config.resolved_bounds(), config)
+        _SEARCHES[config.method](tracker, config)
     except _Budget:
         converged = False
     if tracker.evaluations == 0:
@@ -516,7 +508,7 @@ def estimate_hurst(
     frozen, n, m = _frozen_objective(pair, plan)
     report = minimize_scalar(frozen, config)
     critical = ks_critical(n, m, alpha)
-    sd = estimator_sd(VarianceInputs(a_max=pair.a_max, n=n, m=m))
+    sd = estimator_sd(pair.a_max, n, m)
     return EstimationResult(
         h_hat=report.h_hat,
         delta_min=report.delta_min,

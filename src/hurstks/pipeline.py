@@ -29,7 +29,6 @@ from hurstks.minimize import EstimationResult, OptimizerConfig, estimate_hurst
 from hurstks.permute import PermutationPlan
 from hurstks.stats import (
     AggregateReport,
-    VarianceInputs,
     aggregate_windows,
     confidence_interval,
     estimator_sd,
@@ -421,7 +420,7 @@ def parse_manifest(file) -> RunManifest:
     series, ``optimizer`` for the method name, ``seed`` for the master
     seed); see :func:`build_manifest`.
     """
-    raw: dict[str, str] = {}
+    settings: dict[str, object] = {}
     with open(file) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = _COMMENT.split(line, 1)[0].strip()
@@ -433,16 +432,18 @@ def parse_manifest(file) -> RunManifest:
             key, value = key.strip(), value.strip()
             if key not in _MANIFEST_KEYS:
                 raise CsvFormatError(f"{file}: line {lineno}: unknown key {key!r}")
-            if key in raw:
+            if key in settings:
                 raise CsvFormatError(f"{file}: line {lineno}: duplicate key {key!r}")
-            raw[key] = value
-    if "input" not in raw:
+            kind = _MANIFEST_KEYS[key][0]
+            try:
+                settings[key] = kind(value)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{file}: line {lineno}: {key}: expected {kind.__name__}, got {value!r}"
+                ) from None
+    if "input" not in settings:
         raise CsvFormatError(f"{file}: missing required key 'input'")
-    try:
-        typed = {k: _MANIFEST_KEYS[k][0](v) for k, v in raw.items()}
-    except ValueError as exc:
-        raise CsvFormatError(f"{file}: {exc}") from None
-    return build_manifest(typed)
+    return build_manifest(settings)
 
 
 def _estimate_one_window(
@@ -462,31 +463,49 @@ def _estimate_one_window(
     return estimate_hurst(pair, plan, optimizer, alpha=wc.alpha)
 
 
-def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesReport, list[str]]:
-    file = manifest.inputs[series_idx]
+def _load_input(
+    manifest: RunManifest, file
+) -> tuple[SeriesReport, np.ndarray, list[Path], str | None]:
+    # Parse, transform and window one input.  Returns its report, still
+    # without window rows, the dates, the windows and the warning on
+    # dropped rows, if any.
     series, parsed, dropped = _parse_series(file, manifest.input_scale)
     path = series_path(file, series, manifest.input_scale)
     warning = _log_dropped(file, parsed, dropped)
     windows = window_partition(path, manifest.window)
+    report = SeriesReport(
+        input=str(file),
+        rows_parsed=parsed,
+        rows_dropped=dropped,
+        n_windows=len(windows),
+        remainder=len(path) % manifest.window.window_length,
+        windows=(),
+        aggregate=None,
+    )
+    return report, series.dates, windows, warning
+
+
+def _estimate_windows(
+    manifest: RunManifest, series_idx: int, report: SeriesReport, dates: np.ndarray,
+    windows: list[Path],
+) -> SeriesReport:
     size = manifest.window.window_length
     rows = []
     for w, wpath in enumerate(windows):
         result = _estimate_one_window(wpath, manifest, series_idx, w)
         if not result.converged:
             raise NotConvergedError(
-                f"{file}: window {w}: minimizer ran out of its budget of "
+                f"{report.input}: window {w}: minimizer ran out of its budget of "
                 f"{manifest.optimizer.max_evals} evaluations"
             )
         ci_lo, ci_hi = confidence_interval(
-            result.h_hat,
-            VarianceInputs(a_max=result.a_max, n=result.n, m=result.m),
-            manifest.window.alpha,
+            result.h_hat, result.a_max, result.n, result.m, manifest.window.alpha
         )
         rows.append(
             WindowRow(
                 window_index=w,
-                start_date=series.dates[w * size].item(),
-                end_date=series.dates[(w + 1) * size - 1].item(),
+                start_date=dates[w * size].item(),
+                end_date=dates[(w + 1) * size - 1].item(),
                 result=result,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,
@@ -494,20 +513,9 @@ def _analyze_series(manifest: RunManifest, series_idx: int) -> tuple[SeriesRepor
         )
     aggregate = None
     if len(rows) >= 2:
-        sigma = estimator_sd(
-            VarianceInputs(a_max=manifest.window.a_max, n=rows[0].result.n, m=rows[0].result.m)
-        )
+        sigma = estimator_sd(manifest.window.a_max, rows[0].result.n, rows[0].result.m)
         aggregate = aggregate_windows([r.result.h_hat for r in rows], sigma)
-    report = SeriesReport(
-        input=str(file),
-        rows_parsed=parsed,
-        rows_dropped=dropped,
-        n_windows=len(rows),
-        remainder=len(path) % size,
-        windows=tuple(rows),
-        aggregate=aggregate,
-    )
-    return report, [warning] if warning else []
+    return replace(report, windows=tuple(rows), aggregate=aggregate)
 
 
 # Per-window output fields: name and value, in windows.csv column order.
@@ -577,9 +585,10 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     """Run the full windowed analysis described by a manifest.
 
     Loads each input series, log-transforms it (unless the manifest
-    says values are already logs), partitions it into windows,
-    estimates the exponent per window with seeds derived from the
-    master seed and the window position, and aggregates.  With two
+    says values are already logs) and partitions it into windows; only
+    when every input has passed these steps does it estimate the
+    exponent per window, with seeds derived from the master seed and
+    the window position, and aggregate.  With two
     inputs, the mean exponents are compared by a z-test whose scale
     is the per-window standard deviation.
 
@@ -593,12 +602,12 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     RunReport
     """
     os.makedirs(manifest.out_dir, exist_ok=True)
-    series = []
-    warnings: list[str] = []
-    for idx in range(len(manifest.inputs)):
-        rep, warns = _analyze_series(manifest, idx)
-        series.append(rep)
-        warnings.extend(warns)
+    loaded = [_load_input(manifest, file) for file in manifest.inputs]
+    warnings = tuple(warning for *_, warning in loaded if warning)
+    series = [
+        _estimate_windows(manifest, idx, report, dates, windows)
+        for idx, (report, dates, windows, _) in enumerate(loaded)
+    ]
     z_stat = z_p = None
     if len(series) == 2:
         means = []
@@ -606,13 +615,9 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
             hs = [row.result.h_hat for row in rep.windows]
             means.append(float(np.mean(hs)))
         first = series[0].windows[0].result
-        sigma = estimator_sd(
-            VarianceInputs(a_max=first.a_max, n=first.n, m=first.m)
-        )
+        sigma = estimator_sd(first.a_max, first.n, first.m)
         z_stat, z_p = z_test_means(means[0], means[1], sigma)
-    report = RunReport(
-        series=tuple(series), z_stat=z_stat, z_p=z_p, warnings=tuple(warnings)
-    )
+    report = RunReport(series=tuple(series), z_stat=z_stat, z_p=z_p, warnings=warnings)
     with open(os.path.join(manifest.out_dir, "report.json"), "w") as fh:
         json.dump(_report_json(manifest, report), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,6 @@ from scipy.special import gamma as _gamma
 from scipy.special import gammaincc, ndtri
 
 __all__ = [
-    "VarianceInputs",
     "AggregateReport",
     "VarianceOrderingSpec",
     "VarianceOrderingReport",
@@ -31,21 +30,6 @@ __all__ = [
     "a_function",
     "normal_quantile",
 ]
-
-
-@dataclass(frozen=True)
-class VarianceInputs:
-    """Sizes entering the estimator's large-sample standard deviation."""
-
-    a_max: int
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.a_max <= 1:
-            raise ValueError("a_max must exceed 1")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("sample sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,25 +55,29 @@ def _norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def estimator_sd(inputs: VarianceInputs) -> float:
+def estimator_sd(a_max: int, n: int, m: int) -> float:
     """Large-sample standard deviation of the exponent estimate.
 
     The estimate behaves like the crossing point of two empirical
     distribution functions whose fluctuation scale is set by the
-    sample sizes and whose separation rate is set by the log of the
-    coarse lag; this gives
+    sample sizes ``n`` and ``m`` and whose separation rate is set by
+    the log of the coarse lag ``a_max``; this gives
 
     ``sqrt(2 pi e) / ln(a_max) * (1/sqrt(n) + 1/sqrt(m))``.
 
     Doubling the coarse lag's log halves the standard deviation;
     growing both samples drives it to zero.
     """
-    base = math.sqrt(2.0 * math.pi * math.e) / math.log(inputs.a_max)
-    return base * (1.0 / math.sqrt(inputs.n) + 1.0 / math.sqrt(inputs.m))
+    if a_max <= 1:
+        raise ValueError("a_max must exceed 1")
+    if n < 1 or m < 1:
+        raise ValueError("sample sizes must be positive")
+    base = math.sqrt(2.0 * math.pi * math.e) / math.log(a_max)
+    return base * (1.0 / math.sqrt(n) + 1.0 / math.sqrt(m))
 
 
 def confidence_interval(
-    h_hat: float, inputs: VarianceInputs, alpha: float = 0.05
+    h_hat: float, a_max: int, n: int, m: int, alpha: float = 0.05
 ) -> tuple[float, float]:
     """Two-sided normal confidence interval for the exponent.
 
@@ -100,8 +88,8 @@ def confidence_interval(
     ----------
     h_hat : float
         Point estimate.
-    inputs : VarianceInputs
-        Sizes for :func:`estimator_sd`.
+    a_max, n, m : int
+        Coarse lag and sample sizes for :func:`estimator_sd`.
     alpha : float
         Level in (0, 1).
 
@@ -112,7 +100,7 @@ def confidence_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    half = normal_quantile(1.0 - alpha / 2.0) * estimator_sd(inputs)
+    half = normal_quantile(1.0 - alpha / 2.0) * estimator_sd(a_max, n, m)
     return (max(h_hat - half, 0.0), min(h_hat + half, 1.0))
 
 

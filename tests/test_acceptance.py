@@ -26,7 +26,6 @@ from hurstks.ksdist import (
 from hurstks.minimize import OptimizerConfig, bench_optimizers, estimate_hurst
 from hurstks.permute import PermutationPlan, block_permute, sample_acf
 from hurstks.stats import (
-    VarianceInputs,
     VarianceOrderingSpec,
     a_function,
     check_variance_ordering,
@@ -56,7 +55,7 @@ def test_criterion_01_critical_value(verdict):
 
 
 def test_criterion_02_ci_half_width(verdict):
-    got = 1.96 * estimator_sd(VarianceInputs(a_max=21, n=1491, m=1491))
+    got = 1.96 * estimator_sd(21, 1491, 1491)
     ok = abs(got - 0.1378) <= 0.0005
     verdict(2, ok, f"1.96*sd(21,1491,1491)={got:.6f} vs 0.1378+-0.0005")
     assert ok
@@ -85,7 +84,7 @@ def test_criterion_04_variance_ratio_minimum(verdict):
 
 def test_criterion_05_estimator_recovery(verdict):
     # 100 seeds per exponent at N=2^12, a_max=50, T=500.
-    predicted = estimator_sd(VarianceInputs(a_max=50, n=500, m=500))
+    predicted = estimator_sd(50, 500, 500)
     config = OptimizerConfig(method="grid")
     rows = []
     for hi, h0 in enumerate((0.2, 0.4, 0.6, 0.8)):

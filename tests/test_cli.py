@@ -275,6 +275,40 @@ class TestAnalyze:
         assert code == 1
         assert "duplicate date" in err
 
+    @pytest.mark.parametrize("rows,message", [
+        ("2001-01-01,1.0\n2001-01-02,abc\n", "line 3: bad value 'abc'"),
+        ("2001-01-01,1.0\n", "fewer than two usable rows"),
+        ("2001-01-01,1.0\n2001-01-02,1.1\n", "shorter than one window"),
+    ], ids=["bad-value", "one-row", "short"])
+    def test_bad_second_input_fails_before_the_first_window(
+        self, tmp_path, capsys, monkeypatch, rows, message
+    ):
+        def estimate_hurst(*args, **kwargs):
+            raise AssertionError("a window was estimated before every input was read")
+
+        monkeypatch.setattr(pipeline, "estimate_hurst", estimate_hurst)
+        good = _level_csv(tmp_path, "a.csv", 3024)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,value\n" + rows)
+        code, _, err = run(
+            capsys, "analyze", "--input", good, "--input2", str(bad),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert message in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("a_max = 2.5", "line 2: a_max: expected int, got '2.5'"),
+        ("alpha = x", "line 2: alpha: expected float, got 'x'"),
+        ("max_evals = 1e3", "line 2: max_evals: expected int, got '1e3'"),
+    ], ids=["a_max", "alpha", "max_evals"])
+    def test_bad_manifest_value_names_line_and_key(self, tmp_path, capsys, line, message):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"input = a.csv\n{line}\n")
+        code, _, err = run(capsys, "analyze", "--manifest", str(manifest))
+        assert code == 1
+        assert err == f"error: {manifest}: {message}\n"
+
 
 class TestBench:
     def test_writes_csv_with_requested_cells(self, tmp_path, capsys):

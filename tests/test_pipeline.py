@@ -428,6 +428,19 @@ class TestRunStaticAnalysis:
         assert logged == [(logging.WARNING if over else logging.INFO, message)] * 2
         assert list(report.warnings) == ([message] if over else [])
 
+    def test_warnings_keep_input_order(self, tmp_path):
+        files = []
+        for seed in (1, 0):
+            values = np.exp(simulate_fbm(FgnSpec(hurst=0.5, length=3024, seed=seed)).values)
+            values[1:41] = -1.0
+            files.append(_write_level_csv(tmp_path / f"v{seed}.csv", values))
+        manifest = RunManifest(
+            inputs=tuple(files), window=WindowConfig(window_length=1512),
+            out_dir=str(tmp_path / "o"),
+        )
+        report = run_static_analysis(manifest)
+        assert list(report.warnings) == [f"{f}: dropped 40 of 3024 rows (>1%)" for f in files]
+
     def test_window_dates_cover_each_window(self, tmp_path):
         manifest = self._manifest(tmp_path)
         report = run_static_analysis(manifest)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hurstks.stats import (
     AggregateReport,
-    VarianceInputs,
     VarianceOrderingReport,
     VarianceOrderingSpec,
     a_function,
@@ -23,37 +22,42 @@ from hurstks.stats import (
     z_test_means,
 )
 
-REF = VarianceInputs(a_max=21, n=1491, m=1491)
+REF = (21, 1491, 1491)
 
 
 class TestVarianceInputs:
+    """The sizes a_max, n, m that estimator_sd and confidence_interval take."""
+
     @pytest.mark.parametrize("kwargs", [
         {"a_max": 1, "n": 5, "m": 5},
         {"a_max": 21, "n": 0, "m": 5},
         {"a_max": 21, "n": 5, "m": 0},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            VarianceInputs(**kwargs)
+        message = "a_max must exceed 1" if kwargs["a_max"] <= 1 else "sample sizes must be positive"
+        with pytest.raises(ValueError, match=message):
+            estimator_sd(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            confidence_interval(0.5, **kwargs)
 
 
 class TestEstimatorSd:
     def test_frozen_reference_case(self):
-        assert estimator_sd(REF) == pytest.approx(0.07030871651625799, abs=1e-15)
+        assert estimator_sd(*REF) == pytest.approx(0.07030871651625799, abs=1e-15)
 
     def test_half_width_reference_case(self):
-        half = 1.96 * estimator_sd(REF)
+        half = 1.96 * estimator_sd(*REF)
         assert half == pytest.approx(0.13780508437186564, abs=1e-15)
         assert half == pytest.approx(0.1378, abs=5e-4)
-        exact = normal_quantile(0.975) * estimator_sd(REF)
+        exact = normal_quantile(0.975) * estimator_sd(*REF)
         assert exact == pytest.approx(half, abs=5e-6)
 
     def test_frozen_subsample_case(self):
-        got = estimator_sd(VarianceInputs(a_max=50, n=500, m=500))
+        got = estimator_sd(50, 500, 500)
         assert got == pytest.approx(0.09448889464852495, abs=1e-15)
 
     def test_closed_form(self):
-        got = estimator_sd(VarianceInputs(a_max=10, n=100, m=400))
+        got = estimator_sd(10, 100, 400)
         want = math.sqrt(2.0 * math.pi * math.e) / math.log(10.0) * (0.1 + 0.05)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -65,31 +69,31 @@ class TestEstimatorSd:
     )
     @settings(max_examples=100)
     def test_monotone_in_each_argument(self, a_max, n, m, bump):
-        base = estimator_sd(VarianceInputs(a_max=a_max, n=n, m=m))
-        assert estimator_sd(VarianceInputs(a_max=a_max + bump, n=n, m=m)) < base
-        assert estimator_sd(VarianceInputs(a_max=a_max, n=n + bump, m=m)) < base
-        assert estimator_sd(VarianceInputs(a_max=a_max, n=n, m=m + bump)) < base
+        base = estimator_sd(a_max, n, m)
+        assert estimator_sd(a_max + bump, n, m) < base
+        assert estimator_sd(a_max, n + bump, m) < base
+        assert estimator_sd(a_max, n, m + bump) < base
 
 
 class TestConfidenceInterval:
     def test_reference_interval(self):
-        lo, hi = confidence_interval(0.4039, REF)
+        lo, hi = confidence_interval(0.4039, *REF)
         assert lo == pytest.approx(0.2661, abs=5e-4)
         assert hi == pytest.approx(0.5417, abs=5e-4)
 
     def test_clamped_to_admissible_range(self):
-        lo, hi = confidence_interval(0.97, VarianceInputs(a_max=2, n=4, m=4))
+        lo, hi = confidence_interval(0.97, 2, 4, 4)
         assert lo == 0.0
         assert hi == 1.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
-            confidence_interval(0.5, REF, alpha=alpha)
+            confidence_interval(0.5, *REF, alpha=alpha)
 
     def test_tighter_alpha_widens(self):
-        narrow = confidence_interval(0.5, REF, alpha=0.32)
-        wide = confidence_interval(0.5, REF, alpha=0.01)
+        narrow = confidence_interval(0.5, *REF, alpha=0.32)
+        wide = confidence_interval(0.5, *REF, alpha=0.01)
         assert wide[0] < narrow[0] < narrow[1] < wide[1]
 
 
@@ -301,5 +305,5 @@ def test_predicted_sd_matches_monte_carlo_within_factor_two():
         )
         hats.append(estimate_hurst(pair, plan, cfg).h_hat)
     got = float(np.std(hats, ddof=1))
-    want = estimator_sd(VarianceInputs(a_max=50, n=500, m=500))
+    want = estimator_sd(50, 500, 500)
     assert 0.5 * want <= got <= 2.0 * want
