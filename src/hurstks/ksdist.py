@@ -215,6 +215,9 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     sequence of exponents as an array, equal bit for bit to calling
     the closure on each.  It evaluates them in blocks, which pays off
     for a run of nearby exponents such as consecutive mesh points.
+    Its ``bound(h_first, h_last)`` method returns, from one rank pass,
+    a lower bound on the closure's value at every exponent between
+    the two, equal to the value itself when they coincide.
     """
     fine = np.sort(pair.fine.values)
     coarse = np.sort(pair.coarse.values)
@@ -238,7 +241,27 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
         scales = np.array([a_max ** (-h) for h in hs])
         return _ks_block(fine, coarse, scales, up_base, dn_base)
 
+    def bound(h_first: float, h_last: float) -> float:
+        # For h between h_first and h_last, the scalar path's scale
+        # a_max ** -h lies between the two end scales, and rounding a
+        # product is monotone in the scale, so b_j * s lies between
+        # the end products p1_j and p2_j (either may be the smaller,
+        # as b_j may be negative).  Ranking the larger product with
+        # "right" and the smaller with "left" gives right >= #{a <=
+        # b_j s} and left <= #{a < b_j s}; _statistic falls as right
+        # grows and rises with left, by monotone float steps, so its
+        # value is at most objective(h).  With h_first == h_last the
+        # ranks are the objective's own and so is the value.
+        if not (0.0 < h_first <= 1.0 and 0.0 < h_last <= 1.0):
+            raise ValueError("hurst must lie in (0, 1]")
+        p1 = coarse * a_max ** (-h_first)
+        p2 = coarse * a_max ** (-h_last)
+        right = np.searchsorted(fine, np.maximum(p1, p2), side="right")
+        left = np.searchsorted(fine, np.minimum(p1, p2), side="left")
+        return float(_statistic(right, left, fine.size, up_base, dn_base))
+
     objective.many = many
+    objective.bound = bound
     return objective
 
 

@@ -50,6 +50,11 @@ _LOCAL_LO = 1e-3
 # after this many consecutive non-improving cells.
 _SWEEP_GAP = 150
 
+# Longest run of sweep cells that is evaluated, through one block
+# prefetch, rather than split further in search of a run that the
+# objective's bound rules out.
+_SWEEP_LEAF = 16
+
 # Brent and Nelder-Mead first evaluate this many evenly spaced points
 # and restart inside the best one's bracket unless their own run
 # clearly beats it: on a stepwise objective a local method alone can
@@ -166,12 +171,14 @@ class _Tracker:
     The values of the run are kept by exponent: a repeated exponent
     still counts as an evaluation, against the budget and in the
     tie-break, but the objective is not called again.  ``prefetch``
-    fills these values ahead of a walk over a run of exponents.
+    fills these values ahead of a walk over a run of exponents, and
+    ``bound`` is the objective's own, or None.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
         self._fn = fn
         self._many = getattr(fn, "many", None)
+        self.bound = getattr(fn, "bound", None)
         self._max = max_evals
         self.values: dict[float, float] = {}
         self.evaluations = 0
@@ -188,6 +195,15 @@ class _Tracker:
         todo = [h for h in ahead if h not in self.values]
         if todo:
             self.values.update(zip(todo, self._many(todo).tolist()))
+
+    def skip(self, count: int) -> None:
+        """Count ``count`` evaluations whose values a bound shows can
+        change neither the best point nor the caller's walk.  The budget
+        runs out where ``count`` calls one by one would run it out."""
+        if self.evaluations + count > self._max:
+            self.evaluations = self._max
+            raise _Budget
+        self.evaluations += count
 
     def __call__(self, h: float) -> float:
         if self.evaluations >= self._max:
@@ -286,27 +302,48 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
     # then reports the same point the exhaustive grid would.  On a
     # smooth objective the sweep changes nothing: no mesh cell beats
     # the converged interior point.
+    #
+    # However the values turn out, the walk visits every cell up to
+    # _SWEEP_GAP - gap cells ahead, so that run is split depth-first
+    # in walk order.  A run whose bound fails the direction's keep rule
+    # is passed over as that many non-improving cells: none of them
+    # can be kept, and none can become the tracker's best, since the
+    # running minimum is never below the best value, and a right-walk
+    # cell that ties it lies right of the best point (the anchors
+    # bracket the incumbent).  Short runs are evaluated cell by cell.
     if not math.isfinite(tracker.best_h):
         return
     ks = _mesh(step, _LOCAL_LO)
     kf = int(math.floor(tracker.best_h / step))
     anchors = [k for k in (kf, kf + 1) if k in ks] or [min(max(kf, ks[0]), ks[-1])]
     f0, k0 = min((tracker(_cell(k, step)), k) for k in anchors)
+    bound = tracker.bound
     for way, keeps in ((-1, operator.le), (1, operator.lt)):
         cur, gap, k = f0, 0, k0 + way
+        runs: list[tuple[int, int]] = []  # pending (first, last), next on top
         while k in ks and gap <= _SWEEP_GAP:
-            h = _cell(k, step)
-            if h not in tracker.values:
-                # However the values turn out, the walk visits at least
-                # these next cells, so none of them is computed in vain.
-                last = min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])
-                tracker.prefetch(_cell(j, step) for j in range(k, last + way, way))
-            fk = tracker(h)
-            if keeps(fk, cur):
-                cur, gap = fk, 0
-            else:
-                gap += 1
-            k += way
+            if not runs:
+                runs.append((k, min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])))
+            first, last = runs.pop()
+            size = abs(last - first) + 1
+            if bound is not None:
+                if not keeps(bound(_cell(first, step), _cell(last, step)), cur):
+                    tracker.skip(size)
+                    gap, k = gap + size, last + way
+                    continue
+                if size > _SWEEP_LEAF:
+                    mid = first + way * (size // 2)
+                    runs += [(mid, last), (first, mid - way)]
+                    continue
+            cells = [_cell(j, step) for j in range(first, last + way, way)]
+            tracker.prefetch(cells)
+            for h in cells:
+                fk = tracker(h)
+                if keeps(fk, cur):
+                    cur, gap = fk, 0
+                else:
+                    gap += 1
+            k = last + way
 
 
 def _scan_then_refine(
@@ -421,7 +458,10 @@ def minimize_scalar(
         unless it beat the scan by more than ``tolerance``, and a
         plateau sweep of the ``grid_step`` mesh around the incumbent
         finishes.  A local run stops when its bracket is narrower than
-        ``tolerance``.
+        ``tolerance``.  Every cell the sweep decides counts as an
+        evaluation, also one that the objective's ``bound`` (see
+        :func:`~hurstks.ksdist.scaled_diameter_fn`) rules out without
+        computing it.
     ``"simulated_annealing"``
         Metropolis annealing with a geometric cooling schedule.  It
         starts at the midpoint of the interval with temperature 0.1,

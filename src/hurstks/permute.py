@@ -69,9 +69,11 @@ def block_indices(n: int, block_length: int, perm: np.ndarray, phase: int) -> np
     """Source index for each output position of a block permutation.
 
     Output position ``l`` with block decomposition ``l = k*L + s``
-    reads input position ``(k*L + perm[s] + phase) mod n``.  Exposed
-    separately so the mapping can be exercised with a fixed
-    permutation and phase.
+    reads input position ``(k*L + perm[s] + phase) mod n``.  In a final
+    partial block of ``r = n mod L`` positions, ``perm[s]`` is replaced
+    by the ``s``-th entry of ``perm`` below ``r``, so the indices are a
+    permutation of ``range(n)`` for every ``n``.  Exposed separately so
+    the mapping can be exercised with a fixed permutation and phase.
     """
     if block_length > n:
         raise ValueError("block_length exceeds sample size")
@@ -79,7 +81,11 @@ def block_indices(n: int, block_length: int, perm: np.ndarray, phase: int) -> np
     if perm.size != block_length or np.any(np.sort(perm) != np.arange(block_length)):
         raise ValueError("perm must be a permutation of range(block_length)")
     l = np.arange(n, dtype=np.intp)
-    return (l - l % block_length + perm[l % block_length] + phase) % n
+    offset = perm[l % block_length]
+    tail = n % block_length
+    if tail:
+        offset[n - tail :] = perm[perm < tail]
+    return (l - l % block_length + offset + phase) % n
 
 
 def block_permute(sample: IncrementSample, plan: PermutationPlan) -> IncrementSample:
@@ -87,9 +93,9 @@ def block_permute(sample: IncrementSample, plan: PermutationPlan) -> IncrementSa
 
     One uniform permutation of ``{0, ..., L-1}`` is drawn per call and
     applied inside every length-``L`` block, after a circular shift by
-    a phase drawn uniformly from the same range.  The output is a
-    rearrangement of the input values (the final partial block wraps
-    around modulo the sample size).
+    a phase drawn uniformly from the same range; a final partial block
+    is shuffled by the same permutation restricted to its length.  The
+    output is a rearrangement of the input values.
 
     Parameters
     ----------

@@ -19,7 +19,7 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -395,19 +395,41 @@ def permutation_plan(settings: Mapping[str, object], **fixed) -> PermutationPlan
     return PermutationPlan(**_fields(settings, "plan"), **fixed)
 
 
-def build_manifest(settings: Mapping[str, object]) -> RunManifest:
+def build_manifest(
+    settings: Mapping[str, object], lines: Mapping[str, int] | None = None, file=None
+) -> RunManifest:
     """RunManifest from manifest keys mapped to typed values.
 
     ``input`` is required and ``input2`` optional; every other key
     that is absent keeps its dataclass default.  Names that are not
-    manifest keys are ignored.
+    manifest keys are ignored.  Given ``lines``, the line of each key
+    in ``file``, a part of the manifest (window, optimizer, plan or
+    run) that rejects its values raises CsvFormatError naming the file
+    and each of that part's keys with its line.
     """
-    return RunManifest(
-        inputs=tuple(settings[k] for k in ("input", "input2") if k in settings),
-        window=WindowConfig(**_fields(settings, "window")),
-        optimizer=optimizer_config(settings),
-        plan=permutation_plan(settings),
-        **_fields(settings, "run"),
+
+    def part(name: str, make: Callable[[], object]):
+        try:
+            return make()
+        except ValueError as exc:
+            if lines is None:
+                raise
+            given = sorted((n, key) for key, n in lines.items() if _MANIFEST_KEYS[key][1] == name)
+            keys = ", ".join(f"line {n}: {key}" for n, key in given)
+            raise CsvFormatError(f"{file}: {keys}: {exc}") from None
+
+    window = part("window", lambda: WindowConfig(**_fields(settings, "window")))
+    optimizer = part("optimizer", lambda: optimizer_config(settings))
+    plan = part("plan", lambda: permutation_plan(settings))
+    return part(
+        "run",
+        lambda: RunManifest(
+            inputs=tuple(settings[k] for k in ("input", "input2") if k in settings),
+            window=window,
+            optimizer=optimizer,
+            plan=plan,
+            **_fields(settings, "run"),
+        ),
     )
 
 
@@ -421,6 +443,7 @@ def parse_manifest(file) -> RunManifest:
     seed); see :func:`build_manifest`.
     """
     settings: dict[str, object] = {}
+    lines: dict[str, int] = {}
     with open(file) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = _COMMENT.split(line, 1)[0].strip()
@@ -435,6 +458,7 @@ def parse_manifest(file) -> RunManifest:
             if key in settings:
                 raise CsvFormatError(f"{file}: line {lineno}: duplicate key {key!r}")
             kind = _MANIFEST_KEYS[key][0]
+            lines[key] = lineno
             try:
                 settings[key] = kind(value)
             except ValueError:
@@ -443,7 +467,7 @@ def parse_manifest(file) -> RunManifest:
                 ) from None
     if "input" not in settings:
         raise CsvFormatError(f"{file}: missing required key 'input'")
-    return build_manifest(settings)
+    return build_manifest(settings, lines, file)
 
 
 def _estimate_one_window(

@@ -309,6 +309,25 @@ class TestAnalyze:
         assert code == 1
         assert err == f"error: {manifest}: {message}\n"
 
+    @pytest.mark.parametrize("lines,message", [
+        ("a_max = 1", "line 2: a_max: a_max must exceed 1"),
+        ("optimizer = newton", "line 2: optimizer: method must be one of ("),
+        ("perm_scheme = shuffle", "line 2: perm_scheme: scheme must be one of ("),
+        ("seed = -1", "line 2: seed: master_seed must be non-negative"),
+        (
+            "window_length = 10\n# comment\nsubseq = 5",
+            "line 2: window_length, line 4: subseq: window_length must exceed a_max",
+        ),
+    ], ids=["a_max", "optimizer", "perm_scheme", "seed", "window"])
+    def test_manifest_value_out_of_range_names_line_and_key(
+        self, tmp_path, capsys, lines, message
+    ):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"input = a.csv\n{lines}\n")
+        code, _, err = run(capsys, "analyze", "--manifest", str(manifest))
+        assert code == 1
+        assert err.startswith(f"error: {manifest}: {message}")
+
 
 class TestBench:
     def test_writes_csv_with_requested_cells(self, tmp_path, capsys):

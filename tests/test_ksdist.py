@@ -492,3 +492,51 @@ class TestBlockEvaluation:
         for bad in ([0.5, 0.0], [1.0001], [-0.2, 0.3]):
             with pytest.raises(ValueError):
                 fn.many(bad)
+
+
+class TestBound:
+    """``bound`` is a lower bound on every cell of a mesh run and the
+    value itself on one cell."""
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=70),
+        coarse_with_zeros,
+        st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
+        st.sampled_from([1e-4, 1e-3, 1e-2, 0.25]),
+        st.integers(1, 10_000),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_every_cell_of_a_run(self, xs, coarse, a_max, step, k0, length):
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        k0 = min(k0, int(round(1.0 / step)))
+        fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
+        hs = _mesh_run(step, k0, length)
+        values = [fn(h) for h in hs]
+        assert fn.bound(hs[0], hs[-1]) == fn.bound(hs[-1], hs[0]) <= min(values)
+        assert [fn.bound(h, h) for h in hs] == values
+
+    @pytest.mark.parametrize("a_max", [2, 4, 16])
+    def test_exact_scales_on_tied_lattice(self, a_max):
+        # Runs that start, end or pass at h = 0.25, 0.5, 0.75, 1, where
+        # products of integers hit fine points exactly.
+        rng = np.random.default_rng(a_max)
+        fine = rng.integers(-40, 41, 300) / 4.0
+        coarse = rng.integers(-30, 31, 200).astype(float)
+        coarse[:3] = [0.0, -0.0, 0.0]
+        fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
+        for step in (1e-2, 1e-3):
+            for centre in (0.25, 0.5, 0.75, 1.0):
+                k = int(round(centre / step))
+                hs = _mesh_run(step, max(k - 40, 1), 81)
+                values = [fn(h) for h in hs]
+                for i, j in itertools.combinations(range(len(hs)), 2):
+                    if hs[i] == centre or hs[j] == centre or i + j == len(hs) - 1:
+                        assert fn.bound(hs[i], hs[j]) <= min(values[i : j + 1])
+                assert fn.bound(centre, centre) == fn(centre)
+
+    def test_domain(self):
+        fn = scaled_diameter_fn(_pair([1.0, 2.0, 3.0], [1.0, 4.0]))
+        for first, last in ((0.0, 0.5), (0.5, 1.0001), (-0.2, 0.3)):
+            with pytest.raises(ValueError):
+                fn.bound(first, last)

@@ -216,10 +216,11 @@ class TestDispatch:
 
 
 class TestBlockEvaluation:
-    """Mesh runs evaluated in blocks, and repeated exponents served from
-    the run's own values, leave every report field but the wall time
-    exactly as one call per exponent would: the plain lambda below has
-    no ``many`` and so takes the per-exponent path."""
+    """Mesh runs evaluated in blocks, sweep runs passed over on the
+    objective's ``bound``, and repeated exponents served from the run's
+    own values, leave every report field but the wall time exactly as
+    one call per exponent would: the plain lambda below has neither
+    ``many`` nor ``bound`` and so takes the per-exponent path."""
 
     @staticmethod
     def _same_report(frozen, config):
@@ -259,6 +260,88 @@ class TestBlockEvaluation:
         frozen, _, _ = _frozen_objective(pair, plan)
         report = self._same_report(frozen, OptimizerConfig(method=method))
         assert report.converged
+
+
+class _CountingObjective:
+    """Forwards a frozen objective, its ``many`` and its ``bound``, and
+    counts the kernel rows computed and the bound passes made."""
+
+    def __init__(self, frozen):
+        self._frozen = frozen
+        self.rows = self.bounds = 0
+
+    def __call__(self, h):
+        self.rows += 1
+        return self._frozen(h)
+
+    def many(self, hs):
+        self.rows += len(hs)
+        return self._frozen.many(hs)
+
+    def bound(self, h_first, h_last):
+        self.bounds += 1
+        return self._frozen.bound(h_first, h_last)
+
+
+class TestBoundedSweep:
+    """The plateau sweep passes over runs that the objective's bound
+    rules out, yet counts every cell the walk decides."""
+
+    @pytest.mark.parametrize("method", ["brent", "nelder_mead"])
+    def test_every_budget_cut_matches_the_per_cell_walk(self, method, monkeypatch):
+        # Brent and Nelder-Mead ask for the same exponents whatever
+        # their budget, until it stops them, so one recorded run of the
+        # per-cell route gives its report at every budget: the best of
+        # the first `budget` calls, smallest exponent on ties.  Budgets
+        # from ~400 below the full count to one past it cut the scan,
+        # the local runs and the sweep at every cell, inside runs the
+        # bound passes over as well as evaluated ones.
+        pair, plan = _pair_plan(0.3, 77, 78)
+        frozen, _, _ = _frozen_objective(pair, plan)
+        calls = []
+
+        class Recording(minimize._Tracker):
+            def __call__(self, h):
+                f = super().__call__(h)
+                calls.append((h, f))
+                return f
+
+        with monkeypatch.context() as patch:
+            patch.setattr(minimize, "_Tracker", Recording)
+            full = minimize_scalar(lambda h: frozen(h), OptimizerConfig(method=method))
+        assert len(calls) == full.evaluations
+        for budget in range(max(full.evaluations - 400, 1), full.evaluations + 2):
+            seen = calls[:budget]
+            h_hat, delta_min = min(seen, key=lambda c: (c[1], c[0]))
+            want = OptimizerReport(
+                method, h_hat, delta_min, len(seen), 0.0, converged=budget >= len(calls)
+            )
+            got = minimize_scalar(frozen, OptimizerConfig(method=method, max_evals=budget))
+            assert replace(got, wall_time_s=0.0) == want, budget
+        assert want == replace(full, wall_time_s=0.0)
+
+    def test_every_budget_cut_matches_for_annealing(self):
+        # The chain spends half the budget, so the even budgets up to
+        # 402 end the sweep at every offset up to 201 from its start.
+        pair, plan = _pair_plan(0.3, 77, 78)
+        frozen, _, _ = _frozen_objective(pair, plan)
+        for budget in range(2, 403, 2):
+            config = OptimizerConfig(method="simulated_annealing", max_evals=budget)
+            TestBlockEvaluation._same_report(frozen, config)
+
+    @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
+    def test_brent_computes_few_kernel_rows(self, hurst):
+        # The golden record's objectives: Brent decides ~400 cells, but
+        # the bound rules out most of the sweep's, so fewer than 200
+        # rows reach the kernel.
+        path = simulate_fbm(FgnSpec(hurst=hurst, length=4097, seed=int(hurst * 100)))
+        pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 50), a_max=50)
+        plan = PermutationPlan(scheme="uniform_sample", subsample_size=500, seed=7)
+        counted = _CountingObjective(_frozen_objective(pair, plan)[0])
+        report = minimize_scalar(counted, OptimizerConfig(method="brent"))
+        assert report.converged and report.evaluations > 350
+        assert counted.bounds > 0
+        assert counted.rows < 200
 
 
 class TestCoreInvariants:

@@ -59,6 +59,12 @@ class TestBlockIndices:
         idx = block_indices(6, 3, np.array([2, 0, 1]), 1)
         assert np.array_equal(idx, [3, 1, 2, 0, 4, 5])
 
+    def test_partial_block_keeps_perm_order_below_its_length(self):
+        # The tail block of 2 reads perm's entries below 2, in perm's
+        # order: (0, 1) out of (2, 0, 1).
+        idx = block_indices(5, 3, np.array([2, 0, 1]), 1)
+        assert np.array_equal(idx, [3, 1, 2, 4, 0])
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             block_indices(6, 3, np.array([0, 0, 1]), 0)
@@ -94,6 +100,25 @@ class TestBlockIndices:
         assert idx.size == n
         assert idx.min() >= 0 and idx.max() < n
 
+    @given(
+        n=st.integers(1, 400),
+        block_length=st.integers(1, 400),
+        phase=st.integers(0, 399),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=200)
+    def test_bijection_for_every_length(self, n, block_length, phase, seed):
+        block_length = min(block_length, n)
+        perm = np.random.default_rng(seed).permutation(block_length)
+        idx = block_indices(n, block_length, perm, phase % block_length)
+        assert sorted(idx.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("n,block_length", [(1491, 128), (1511, 333), (4047, 64)])
+    def test_bijection_on_estimator_sample_sizes(self, n, block_length):
+        perm = np.random.default_rng(0).permutation(block_length)
+        idx = block_indices(n, block_length, perm, 17)
+        assert np.array_equal(np.sort(idx), np.arange(n))
+
 
 class TestBlockPermute:
     def test_deterministic_given_seed(self):
@@ -106,6 +131,11 @@ class TestBlockPermute:
         plan = PermutationPlan(scheme="block", block_length=64, seed=5)
         out = block_permute(sample, plan)
         assert out.lag == 3
+        assert np.array_equal(np.sort(out.values), np.sort(sample.values))
+
+    def test_multiset_preserved_when_blocks_do_not_tile(self):
+        sample = _sample(np.random.default_rng(1).standard_normal(1491))
+        out = block_permute(sample, PermutationPlan(scheme="block", block_length=128, seed=5))
         assert np.array_equal(np.sort(out.values), np.sort(sample.values))
 
     def test_seed_changes_output(self):
