@@ -22,7 +22,7 @@ import numpy as np
 from hurstks.fgn import EmbeddingError, FgnSpec, increments, simulate_fbm
 from hurstks.ksdist import RescaledPair, ks_critical
 from hurstks.minimize import METHODS, bench_optimizers, estimate_hurst, write_bench_csv
-from hurstks.permute import SCHEMES, DegenerateSampleError
+from hurstks.permute import DegenerateSampleError, PermutationPlan
 from hurstks.pipeline import (
     CsvFormatError,
     NotConvergedError,
@@ -30,7 +30,6 @@ from hurstks.pipeline import (
     load_series,
     optimizer_config,
     parse_manifest,
-    permutation_plan,
     run_static_analysis,
     series_path,
 )
@@ -53,8 +52,6 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
 def _add_estimation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=METHODS)
     _add_optimizer_flags(p)
-    p.add_argument("--perm-scheme", choices=SCHEMES)
-    p.add_argument("--block-length", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Destinations are manifest keys (see pipeline.build_manifest).
     ana = sub.add_parser("analyze", help="windowed analysis of one or two series", **given_only)
-    ana.add_argument("--manifest", help="flat key=value manifest file (overrides other flags)")
+    ana.add_argument("--manifest", help="flat key=value manifest file; takes no other flags")
     ana.add_argument("--input")
     ana.add_argument("--input2")
     ana.add_argument("--input-scale", choices=("level", "log"))
@@ -151,9 +148,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         fine=increments(path, 1), coarse=increments(path, args.amax), a_max=args.amax
     )
     subseq = args.subseq if args.subseq is not None else len(pair.coarse)
-    settings = vars(args)
-    plan = permutation_plan(settings, subsample_size=subseq, seed=args.seed)
-    result = estimate_hurst(pair, plan, optimizer_config(settings), alpha=args.alpha)
+    plan = PermutationPlan(subsample_size=subseq, seed=args.seed)
+    result = estimate_hurst(pair, plan, optimizer_config(vars(args)), alpha=args.alpha)
     ci = confidence_interval(result.h_hat, result.a_max, result.n, result.m, args.alpha)
     print(f"h_hat = {result.h_hat:.6f}")
     print(f"delta_min = {result.delta_min:.6f}")
@@ -167,6 +163,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     settings = vars(args)
     if "manifest" in settings:
+        # Every analyze flag is absent unless given (see _build_parser).
+        others = sorted(set(settings) - {"command", "manifest"})
+        if others:
+            raise CsvFormatError(f"--manifest takes no other flags: {others}")
         manifest = parse_manifest(settings["manifest"])
     elif "input" in settings:
         manifest = build_manifest(settings)

@@ -172,13 +172,13 @@ class _Tracker:
     still counts as an evaluation, against the budget and in the
     tie-break, but the objective is not called again.  ``prefetch``
     fills these values ahead of a walk over a run of exponents, and
-    ``bound`` is the objective's own, or None.
+    ``bound`` is the objective's own, or one that rules out nothing.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
         self._fn = fn
         self._many = getattr(fn, "many", None)
-        self.bound = getattr(fn, "bound", None)
+        self.bound = getattr(fn, "bound", lambda lo, hi: -math.inf)
         self._max = max_evals
         self.values: dict[float, float] = {}
         self.evaluations = 0
@@ -326,15 +326,14 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
                 runs.append((k, min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])))
             first, last = runs.pop()
             size = abs(last - first) + 1
-            if bound is not None:
-                if not keeps(bound(_cell(first, step), _cell(last, step)), cur):
-                    tracker.skip(size)
-                    gap, k = gap + size, last + way
-                    continue
-                if size > _SWEEP_LEAF:
-                    mid = first + way * (size // 2)
-                    runs += [(mid, last), (first, mid - way)]
-                    continue
+            if not keeps(bound(_cell(first, step), _cell(last, step)), cur):
+                tracker.skip(size)
+                gap, k = gap + size, last + way
+                continue
+            if size > _SWEEP_LEAF:
+                mid = first + way * (size // 2)
+                runs += [(mid, last), (first, mid - way)]
+                continue
             cells = [_cell(j, step) for j in range(first, last + way, way)]
             tracker.prefetch(cells)
             for h in cells:
@@ -532,7 +531,10 @@ def estimate_hurst(
         Fine and coarse increments of the path under study.
     plan : PermutationPlan
         Decorrelation scheme; under ``uniform_sample`` with
-        ``subsample_size`` T both samples end up with T values.
+        ``subsample_size`` T both samples end up with T values.  Under
+        ``block`` every value is kept, and since the objective sorts
+        both samples the result equals that of ``uniform_sample``
+        without a subsample, whatever the block length and seed.
     config : OptimizerConfig
         Minimizer choice and settings.
     alpha : float, optional
@@ -599,9 +601,7 @@ def bench_optimizers(
             pair = RescaledPair(
                 fine=increments(path, 1), coarse=increments(path, a_max), a_max=a_max
             )
-            plan = PermutationPlan(
-                scheme="uniform_sample", subsample_size=subsample, seed=int(seeds[1])
-            )
+            plan = PermutationPlan(subsample_size=subsample, seed=int(seeds[1]))
             frozen, _, _ = _frozen_objective(pair, plan)
             for config in configs:
                 try:

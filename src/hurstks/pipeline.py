@@ -51,7 +51,6 @@ __all__ = [
     "parse_manifest",
     "build_manifest",
     "optimizer_config",
-    "permutation_plan",
     "run_static_analysis",
 ]
 
@@ -129,16 +128,15 @@ class RunManifest:
     """Full description of one analysis run.
 
     Numeric results depend only on the inputs, the window and
-    optimizer settings, the permutation scheme, and ``master_seed``;
-    ``out_dir`` merely says where the report files go.  Of ``plan``
-    only the scheme and block length are used: each window sets its
-    own subsample size and seed.
+    optimizer settings, and ``master_seed``; ``out_dir`` merely says
+    where the report files go.  Every window is decorrelated by a
+    uniform subsample of ``window.resolved_subseq()`` values, with a
+    seed derived from ``master_seed`` and the window's position.
     """
 
     inputs: tuple[str, ...]
     window: WindowConfig = WindowConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    plan: PermutationPlan = PermutationPlan()
     input_scale: str = "level"
     master_seed: int = 0
     out_dir: str = "."
@@ -364,8 +362,6 @@ _MANIFEST_KEYS = {
     "grid_step": (float, "optimizer", "grid_step"),
     "tolerance": (float, "optimizer", "tolerance"),
     "max_evals": (int, "optimizer", "max_evals"),
-    "perm_scheme": (str, "plan", "scheme"),
-    "block_length": (int, "plan", "block_length"),
     "seed": (int, "run", "master_seed"),
     "out_dir": (str, "run", "out_dir"),
 }
@@ -389,12 +385,6 @@ def optimizer_config(settings: Mapping[str, object]) -> OptimizerConfig:
     return OptimizerConfig(**_fields(settings, "optimizer"))
 
 
-def permutation_plan(settings: Mapping[str, object], **fixed) -> PermutationPlan:
-    """PermutationPlan from ``perm_scheme`` and ``block_length`` among
-    manifest keys, plus the fields given in ``fixed``."""
-    return PermutationPlan(**_fields(settings, "plan"), **fixed)
-
-
 def build_manifest(
     settings: Mapping[str, object], lines: Mapping[str, int] | None = None, file=None
 ) -> RunManifest:
@@ -403,9 +393,9 @@ def build_manifest(
     ``input`` is required and ``input2`` optional; every other key
     that is absent keeps its dataclass default.  Names that are not
     manifest keys are ignored.  Given ``lines``, the line of each key
-    in ``file``, a part of the manifest (window, optimizer, plan or
-    run) that rejects its values raises CsvFormatError naming the file
-    and each of that part's keys with its line.
+    in ``file``, a part of the manifest (window, optimizer or run)
+    that rejects its values raises CsvFormatError naming the file and
+    each of that part's keys with its line.
     """
 
     def part(name: str, make: Callable[[], object]):
@@ -420,14 +410,12 @@ def build_manifest(
 
     window = part("window", lambda: WindowConfig(**_fields(settings, "window")))
     optimizer = part("optimizer", lambda: optimizer_config(settings))
-    plan = part("plan", lambda: permutation_plan(settings))
     return part(
         "run",
         lambda: RunManifest(
             inputs=tuple(settings[k] for k in ("input", "input2") if k in settings),
             window=window,
             optimizer=optimizer,
-            plan=plan,
             **_fields(settings, "run"),
         ),
     )
@@ -482,7 +470,7 @@ def _estimate_one_window(
     seeds = np.random.SeedSequence(
         manifest.master_seed, spawn_key=(series_idx, window_idx)
     ).generate_state(2)
-    plan = replace(manifest.plan, subsample_size=wc.resolved_subseq(), seed=int(seeds[0]))
+    plan = PermutationPlan(subsample_size=wc.resolved_subseq(), seed=int(seeds[0]))
     optimizer = replace(manifest.optimizer, seed=int(seeds[1]))
     return estimate_hurst(pair, plan, optimizer, alpha=wc.alpha)
 
@@ -579,7 +567,8 @@ def _report_json(manifest: RunManifest, report: RunReport) -> dict:
             "subseq": manifest.window.resolved_subseq(),
             "alpha": manifest.window.alpha,
             "optimizer": manifest.optimizer.method,
-            "perm_scheme": manifest.plan.scheme,
+            # The one decorrelation _estimate_one_window uses.
+            "perm_scheme": "uniform_sample",
             "input_scale": manifest.input_scale,
             "master_seed": manifest.master_seed,
         },

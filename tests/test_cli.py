@@ -261,6 +261,19 @@ class TestAnalyze:
         assert "z = " in stdout
         assert "one-sided p = " in stdout
 
+    def test_manifest_takes_no_other_flags(self, tmp_path, capsys):
+        file = _level_csv(tmp_path, "v.csv", 3024)
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"input = {file}\nout_dir = {tmp_path / 'm'}\n")
+        code, _, err = run(
+            capsys, "analyze", "--manifest", str(manifest), "--seed", "5",
+            "--amax", "50", "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err == "error: --manifest takes no other flags: ['a_max', 'out_dir', 'seed']\n"
+        assert not (tmp_path / "m").exists()
+        assert not (tmp_path / "o").exists()
+
     def test_needs_manifest_or_input(self, capsys):
         code, _, err = run(capsys, "analyze")
         assert code == 1
@@ -312,7 +325,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("lines,message", [
         ("a_max = 1", "line 2: a_max: a_max must exceed 1"),
         ("optimizer = newton", "line 2: optimizer: method must be one of ("),
-        ("perm_scheme = shuffle", "line 2: perm_scheme: scheme must be one of ("),
+        # The block scheme is a library tool, not a manifest key.
+        ("perm_scheme = block", "line 2: unknown key 'perm_scheme'"),
         ("seed = -1", "line 2: seed: master_seed must be non-negative"),
         (
             "window_length = 10\n# comment\nsubseq = 5",
@@ -601,6 +615,15 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["transmogrify"]) == 1
+
+    # Both front ends always subsample uniformly; the block scheme is
+    # left to the library.
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    @pytest.mark.parametrize("flag", [["--perm-scheme", "block"], ["--block-length", "7"]])
+    def test_block_scheme_flags_exit_one(self, tmp_path, capsys, command, flag):
+        code, _, err = run(capsys, command, "--input", str(tmp_path / "p.csv"), *flag)
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     @pytest.mark.parametrize("command", ["estimate", "bench"])
     def test_closed_stdout_ends_quietly(self, tmp_path, capsys, command):

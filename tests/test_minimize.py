@@ -409,6 +409,29 @@ class TestEstimateHurst:
         assert res.alpha == 0.01
         assert res.critical_value == ks_critical(500, 500, 0.01)
 
+    @pytest.mark.parametrize("length,a_max", [(4097, 50), (1512, 21)])
+    def test_block_scheme_equals_the_full_sample(self, length, a_max):
+        # The objective sorts both samples and a block permutation is a
+        # rearrangement, so the block length and the seed change no
+        # number: the block scheme is the uniform one without a
+        # subsample.  333 tiles neither sample.
+        config = OptimizerConfig(method="brent")
+        for hurst, path_seed in ((0.3, 11), (0.7, 12)):
+            path = simulate_fbm(FgnSpec(hurst=hurst, length=length, seed=path_seed))
+            pair = RescaledPair(
+                fine=increments(path, 1), coarse=increments(path, a_max), a_max=a_max
+            )
+            full = estimate_hurst(pair, PermutationPlan(subsample_size=None), config)
+            # Every increment is kept: n and m are the full counts.
+            assert (full.n, full.m) == (length - 1, length - a_max)
+            want = (full.h_hat.hex(), full.delta_min.hex(), full.n, full.m, full.converged)
+            for block_length in (1, 7, 64, 333):
+                for seed in (0, 5, 123):
+                    plan = PermutationPlan(scheme="block", block_length=block_length, seed=seed)
+                    res = estimate_hurst(pair, plan, config)
+                    got = (res.h_hat.hex(), res.delta_min.hex(), res.n, res.m, res.converged)
+                    assert got == want, (hurst, block_length, seed)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_exhausted_budget_is_flagged(self, method):
         # A minimizer cut off by max_evals must not pass as a normal

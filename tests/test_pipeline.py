@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, Path, simulate_fbm
-from hurstks.permute import PermutationPlan
 from hurstks.pipeline import (
     VALUE_SCALES,
     CsvFormatError,
@@ -21,7 +20,6 @@ from hurstks.pipeline import (
     Series,
     WindowConfig,
     _parse_series,
-    build_manifest,
     load_series,
     log_transform,
     parse_manifest,
@@ -322,7 +320,6 @@ class TestManifest:
         assert m.optimizer.method == "grid"
         assert m.master_seed == 11
         assert m.out_dir == "out"
-        assert m.plan.scheme == "uniform_sample"
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         file = _write(
@@ -371,8 +368,6 @@ class TestManifest:
             RunManifest(inputs=())
         with pytest.raises(ValueError):
             RunManifest(inputs=("a", "b", "c"))
-        with pytest.raises(ValueError):
-            build_manifest({"input": "a", "perm_scheme": "shuffle"})
         with pytest.raises(ValueError):
             RunManifest(inputs=("a",), input_scale="sqrt")
         with pytest.raises(ValueError, match="master_seed must be non-negative"):
@@ -530,15 +525,6 @@ class TestRunStaticAnalysis:
         manifest = self._manifest(tmp_path, n=1000)
         with pytest.raises(ValueError, match="shorter than one window"):
             run_static_analysis(manifest)
-
-    def test_block_scheme_runs_end_to_end(self, tmp_path):
-        manifest = self._manifest(tmp_path, plan=PermutationPlan(scheme="block"))
-        report = run_static_analysis(manifest)
-        rep = report.series[0]
-        assert rep.n_windows == 2
-        # Block scheme keeps every increment: n is the full fine count.
-        assert rep.windows[0].result.n == 1511
-        assert rep.windows[0].result.m == 1491
 
     def test_size_control_between_identical_exponents(self, tmp_path):
         # Two independent series with the same H0: the two-sided mean
