@@ -45,7 +45,6 @@ __all__ = ["main"]
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-step", type=float)
-    p.add_argument("--tolerance", type=float)
     p.add_argument("--max-evals", type=int)
 
 

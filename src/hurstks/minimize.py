@@ -61,6 +61,12 @@ _SWEEP_LEAF = 16
 # settle in a poor basin.
 _SCAN_POINTS = 50
 
+# Bracket width in H at which Brent and Nelder-Mead stop.
+_BRACKET = 1e-6
+
+# KS margin to skip the restart; absorbs float noise between equal values.
+_SCAN_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -71,9 +77,8 @@ class OptimizerConfig:
     method : str
         One of :data:`METHODS`.
     grid_step : float, optional
-        Mesh width of the grid search.
-    tolerance : float, optional
-        Bracket width at which Brent / Nelder-Mead stop.
+        Mesh of the grid search and of the plateau sweep that ends the
+        others; it sets their resolution (local runs stop at a 1e-6 bracket).
     max_evals : int, optional
         Hard budget of objective evaluations; doubles as the length of
         the annealing schedule.
@@ -84,7 +89,6 @@ class OptimizerConfig:
 
     method: str = "brent"
     grid_step: float = 1e-4
-    tolerance: float = 1e-6
     max_evals: int = 10_000
     seed: int = 0
 
@@ -93,8 +97,6 @@ class OptimizerConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 < self.grid_step <= 1.0:
             raise ValueError("grid_step must lie in (0, 1]")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
         if self.seed < 0:
@@ -242,16 +244,16 @@ def _grid(tracker: _Tracker, config: OptimizerConfig) -> None:
         tracker(h)
 
 
-def _brent_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
+def _brent_core(f: _Tracker, lo: float, hi: float) -> None:
     # Golden-section with parabolic acceleration; stops on bracket
     # collapse.  Budget exhaustion propagates as _Budget.
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
     d = e = b - a
-    while b - a > tol:
+    tol1 = 0.5 * _BRACKET
+    while b - a > _BRACKET:
         m = 0.5 * (a + b)
-        tol1 = 0.5 * tol
         p = q = 0.0
         take_golden = True
         if abs(e) > tol1:
@@ -346,15 +348,15 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
 
 
 def _scan_then_refine(
-    core: Callable[[_Tracker, float, float, float], None],
+    core: Callable[[_Tracker, float, float], None],
     tracker: _Tracker,
     config: OptimizerConfig,
 ) -> None:
     mesh = np.linspace(_LOCAL_LO, 1.0, _SCAN_POINTS)
     values = [tracker(float(h)) for h in mesh]
     scan_j = int(np.argmin(values))
-    core(tracker, _LOCAL_LO, 1.0, config.tolerance)
-    if not (tracker.best_f < values[scan_j] - config.tolerance):
+    core(tracker, _LOCAL_LO, 1.0)
+    if not (tracker.best_f < values[scan_j] - _SCAN_MARGIN):
         # The tracker's best, the least value of the scan and the local
         # run, is not clearly below the scan's: the scan's basin is at
         # least as good, so refine inside its bracket so the returned
@@ -362,18 +364,18 @@ def _scan_then_refine(
         lo = float(mesh[max(scan_j - 1, 0)])
         hi = float(mesh[min(scan_j + 1, mesh.size - 1)])
         if hi > lo:
-            core(tracker, lo, hi, config.tolerance)
+            core(tracker, lo, hi)
     _plateau_sweep(tracker, config.grid_step)
 
 
-def _nelder_mead_core(f: _Tracker, lo: float, hi: float, tol: float) -> None:
+def _nelder_mead_core(f: _Tracker, lo: float, hi: float) -> None:
     # One-dimensional simplex with the standard coefficients
     # (reflection 1, expansion 2, contraction 0.5, shrink 0.5);
     # proposals are clamped to the bounds.
     third = (hi - lo) / 3.0
     s = [lo + third, hi - third]
     fs = [f(s[0]), f(s[1])]
-    while abs(s[0] - s[1]) > tol:
+    while abs(s[0] - s[1]) > _BRACKET:
         if fs[1] < fs[0] or (fs[1] == fs[0] and s[1] < s[0]):
             s.reverse()
             fs.reverse()
@@ -454,11 +456,11 @@ def minimize_scalar(
 
         Both local methods first scan 50 evenly spaced points of the
         interval.  The local run restarts inside the scan's best bracket
-        unless it beat the scan by more than ``tolerance``, and a
-        plateau sweep of the ``grid_step`` mesh around the incumbent
-        finishes.  A local run stops when its bracket is narrower than
-        ``tolerance``.  Every cell the sweep decides counts as an
-        evaluation, also one that the objective's ``bound`` (see
+        unless it beat the scan by more than 1e-6, and a plateau sweep
+        of the ``grid_step`` mesh around the incumbent finishes.  A
+        local run stops when its bracket is narrower than 1e-6.  Every
+        cell the sweep decides counts as an evaluation, also one that
+        the objective's ``bound`` (see
         :func:`~hurstks.ksdist.scaled_diameter_fn`) rules out without
         computing it.
     ``"simulated_annealing"``

@@ -360,7 +360,6 @@ _MANIFEST_KEYS = {
     "alpha": (float, "window", "alpha"),
     "optimizer": (str, "optimizer", "method"),
     "grid_step": (float, "optimizer", "grid_step"),
-    "tolerance": (float, "optimizer", "tolerance"),
     "max_evals": (int, "optimizer", "max_evals"),
     "seed": (int, "run", "master_seed"),
     "out_dir": (str, "run", "out_dir"),
@@ -381,7 +380,7 @@ def _fields(settings: Mapping[str, object], part: str) -> dict:
 
 def optimizer_config(settings: Mapping[str, object]) -> OptimizerConfig:
     """OptimizerConfig from the optimizer keys among manifest keys
-    (``optimizer``, ``grid_step``, ``tolerance``, ``max_evals``)."""
+    (``optimizer``, ``grid_step``, ``max_evals``)."""
     return OptimizerConfig(**_fields(settings, "optimizer"))
 
 
@@ -499,7 +498,7 @@ def _load_input(
 
 def _estimate_windows(
     manifest: RunManifest, series_idx: int, report: SeriesReport, dates: np.ndarray,
-    windows: list[Path],
+    windows: list[Path], sigma: float,
 ) -> SeriesReport:
     size = manifest.window.window_length
     rows = []
@@ -525,7 +524,6 @@ def _estimate_windows(
         )
     aggregate = None
     if len(rows) >= 2:
-        sigma = estimator_sd(manifest.window.a_max, rows[0].result.n, rows[0].result.m)
         aggregate = aggregate_windows([r.result.h_hat for r in rows], sigma)
     return replace(report, windows=tuple(rows), aggregate=aggregate)
 
@@ -617,8 +615,11 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     os.makedirs(manifest.out_dir, exist_ok=True)
     loaded = [_load_input(manifest, file) for file in manifest.inputs]
     warnings = tuple(warning for *_, warning in loaded if warning)
+    # Every window keeps T values of each sample: one sd serves them all.
+    t = manifest.window.resolved_subseq()
+    sigma = estimator_sd(manifest.window.a_max, t, t)
     series = [
-        _estimate_windows(manifest, idx, report, dates, windows)
+        _estimate_windows(manifest, idx, report, dates, windows, sigma)
         for idx, (report, dates, windows, _) in enumerate(loaded)
     ]
     z_stat = z_p = None
@@ -627,8 +628,6 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
         for rep in series:
             hs = [row.result.h_hat for row in rep.windows]
             means.append(float(np.mean(hs)))
-        first = series[0].windows[0].result
-        sigma = estimator_sd(first.a_max, first.n, first.m)
         z_stat, z_p = z_test_means(means[0], means[1], sigma)
     report = RunReport(series=tuple(series), z_stat=z_stat, z_p=z_p, warnings=warnings)
     with open(os.path.join(manifest.out_dir, "report.json"), "w") as fh:

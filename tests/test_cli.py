@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import csv
 import datetime as dt
 import io
@@ -229,14 +230,20 @@ class TestAnalyze:
         manifest = tmp_path / "run.manifest"
         manifest.write_text(
             f"input = {file}\nout_dir = {tmp_path / 'a'}\nseed = 9\n"
-            "a_max = 15\nalpha = 0.1\noptimizer = nelder_mead\ntolerance = 1e-5\n"
+            "a_max = 15\nalpha = 0.1\noptimizer = nelder_mead\ngrid_step = 1e-3\n"
         )
         run(capsys, "analyze", "--manifest", str(manifest))
         run(capsys, "analyze", "--input", file, "--out-dir", str(tmp_path / "b"),
             "--seed", "9", "--amax", "15", "--alpha", "0.1", "--optimizer", "nelder_mead",
-            "--tolerance", "1e-5")
+            "--grid-step", "1e-3")
         for name in ("report.json", "windows.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_flag_destinations_are_manifest_keys(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["analyze"]._actions} - {"help", "manifest"}
+        assert dests == set(pipeline._MANIFEST_KEYS)
 
     def test_exhausted_budget_is_numerical_failure(self, tmp_path, capsys):
         file = _level_csv(tmp_path, "v.csv", 3024)
@@ -327,12 +334,14 @@ class TestAnalyze:
         ("optimizer = newton", "line 2: optimizer: method must be one of ("),
         # The block scheme is a library tool, not a manifest key.
         ("perm_scheme = block", "line 2: unknown key 'perm_scheme'"),
+        # The stopping bracket is fixed; grid_step sets the resolution.
+        ("tolerance = 1e-6", "line 2: unknown key 'tolerance'"),
         ("seed = -1", "line 2: seed: master_seed must be non-negative"),
         (
             "window_length = 10\n# comment\nsubseq = 5",
             "line 2: window_length, line 4: subseq: window_length must exceed a_max",
         ),
-    ], ids=["a_max", "optimizer", "perm_scheme", "seed", "window"])
+    ], ids=["a_max", "optimizer", "perm_scheme", "tolerance", "seed", "window"])
     def test_manifest_value_out_of_range_names_line_and_key(
         self, tmp_path, capsys, lines, message
     ):
@@ -624,6 +633,17 @@ class TestTopLevel:
         code, _, err = run(capsys, command, "--input", str(tmp_path / "p.csv"), *flag)
         assert code == 1
         assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    # The local methods' stopping bracket is fixed, not a setting.
+    @pytest.mark.parametrize("command", ["estimate", "analyze", "bench"])
+    def test_tolerance_flag_exits_one(self, tmp_path, capsys, command):
+        required = "--out" if command == "bench" else "--input"
+        code, _, err = run(
+            capsys, command, required, str(tmp_path / "p.csv"), "--tolerance", "1e-5"
+        )
+        assert code == 1
+        assert "unrecognized arguments: --tolerance 1e-5" in err
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "bench"])
     def test_closed_stdout_ends_quietly(self, tmp_path, capsys, command):

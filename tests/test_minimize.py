@@ -43,7 +43,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"grid_step": 0.0},
         {"grid_step": 1.5},
-        {"tolerance": 0.0},
         {"max_evals": 0},
         {"seed": -1},
     ])
