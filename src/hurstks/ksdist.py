@@ -89,71 +89,106 @@ def _ks_sorted(
     # evaluation over all n + m points, and both operations are
     # monotone, so the maximum is bit-identical to the pooled one.
     # The two bases come from ``_jump_bases(m)``.
+    # The two ranks differ only where some b_j equals a fine point, so
+    # the "left" search runs only then (a[right - 1] with right = 0
+    # reads a[-1] > b_j, never equal).
     right = np.searchsorted(a, b, side="right")
-    left = np.searchsorted(a, b, side="left")
+    left = np.searchsorted(a, b, side="left") if (a[right - 1] == b).any() else right
     return float(_statistic(right, left, a.size, up_base, dn_base))
 
 
-# Most (row, window point) pairs one block may compare; it also bounds
-# every temporary of the block.  Above ~256 KB per array, page faults
-# eat what the vectorisation saves.
-_BLOCK_ELEMENTS = 1 << 14
-
-# Fewest rows a block may have: below this, a block's own rank searches
-# and set-up cost more than they save, and the rows are evaluated one
-# by one (at 500 x 500 the break-even lay near 8-10 rows).
-_BLOCK_MIN_ROWS = 8
+# Most crossing events one sweep piece may hold; it also bounds every
+# temporary of the piece, about a hundred bytes per event.  Of 2**11 ..
+# 2**15, 2**13 was fastest on the full mesh at 500 x 500 and 1491 x 1491.
+_SWEEP_EVENTS = 1 << 13
 
 
-def _ks_block(
+def _outer_ranks(
+    a: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # For every product b_j * s between the end products first_j and
+    # last_j (either may be the smaller, as b_j may be negative), right
+    # = #{a <= the larger} >= #{a <= b_j s} and left = #{a < the
+    # smaller} <= #{a < b_j s}; both are exact when first_j = last_j.
+    return (
+        np.searchsorted(a, np.maximum(first, last), side="right"),
+        np.searchsorted(a, np.minimum(first, last), side="left"),
+    )
+
+
+def _ks_sweep(
     a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
 ) -> np.ndarray:
-    # _ks_sorted(a, b * s, ...) for every s in scales, bit for bit.
-    # Over the block, the product b_j * s lies between b_j * min(s)
-    # and b_j * max(s) (rounding is monotone), so fine points below
-    # base_j rank under every product and points from top_j = base_j +
-    # width_j on above it: only the window [base_j, top_j) needs
-    # comparing row by row.
-    # An empty window fixes both ranks at base_j for the whole block.
-    # The ranks are then the same integers searchsorted returns, and
-    # they go through _ks_sorted's own _statistic.
-    k = scales.size
-    n = a.size
-    ends = b * scales.min(), b * scales.max()
-    base = np.searchsorted(a, np.minimum(*ends), side="left")
-    width = np.searchsorted(a, np.maximum(*ends), side="right") - base
-    # Window widths grow with the block's span, so the pair count grows
-    # about as k**2: split into this many pieces to fit the budget.
-    pieces = max(1, math.ceil(math.sqrt(k * int(width.sum()) / _BLOCK_ELEMENTS)))
-    if k < pieces * _BLOCK_MIN_ROWS:
-        # Too few rows per piece to repay a block's fixed costs.
+    # _ks_sorted(a, b * s, ...) for every s in scales, which must be
+    # sorted and distinct, bit for bit.
+    # Rounding is monotone, so over the run b_j * s moves one way
+    # between the end products: fine points below the smaller one rank
+    # under every product, points above the larger one over it, and
+    # only the window [left_j, right_j) of _outer_ranks can change rank.
+    # Ranked at those outer ranks, every column gives a term that holds
+    # at every cell.  Then each window point a_i is one event: before
+    # b_j * s passes it, #{a <= b_j s} <= i, so up_base_j - i/n is at
+    # most the "right" term; once b_j * s is past it, #{a < b_j s} >= i
+    # + 1, so (i + 1)/n - dn_base_j is at most the "left" term.  The
+    # first point above the product attains the first, the last one
+    # below it the second (the outer-rank terms do where the window has
+    # no such point), so the statistic at a cell is the largest term in
+    # force there, formed by _statistic's own expressions.
+    k, n = scales.size, a.size
+    first, last = b * scales[0], b * scales[-1]
+    right, left = _outer_ranks(a, first, last)
+    # A product that never moves crosses no fine point.
+    width = (right - left) * (first != last)
+    events = int(width.sum())
+    if events > k * b.size:
+        # Windows so wide that ranking each row costs less.
         return np.array([_ks_sorted(a, b * s, up_base, dn_base) for s in scales])
-    if pieces > 1:
+    if events > _SWEEP_EVENTS:
+        pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
         return np.concatenate(
-            [_ks_block(a, b, part, up_base, dn_base) for part in np.array_split(scales, pieces)]
+            [_ks_sweep(a, b, part, up_base, dn_base) for part in np.array_split(scales, pieces)]
         )
-    out = np.full(k, -np.inf)
-    fixed = width == 0
-    if fixed.any():
-        rank = base[fixed]
-        out[:] = _statistic(rank, rank, n, up_base[fixed], dn_base[fixed])
-    # Widest windows first, so the columns whose window reaches offset
-    # t are a prefix; count, offset by offset, the window points at or
-    # below and strictly below each product.
-    cols = np.flatnonzero(~fixed)
-    cols = cols[np.argsort(-width[cols])]
-    if cols.size:
-        start = base[cols]
-        prod = b[cols] * scales[:, None]
-        right = np.zeros(prod.shape, dtype=np.intp)
-        left = np.zeros(prod.shape, dtype=np.intp)
-        reach = np.searchsorted(-width[cols], -np.arange(width[cols[0]]), side="left")
-        for t, c in enumerate(reach.tolist()):
-            points = a[start[:c] + t]
-            right[:, :c] += points <= prod[:, :c]
-            left[:, :c] += points < prod[:, :c]
-        rows = _statistic(start + right, start + left, n, up_base[cols], dn_base[cols])
-        np.maximum(out, rows, out=out)
+    out = np.full(k, float(_statistic(right, left, n, up_base, dn_base)))
+    if not events:
+        return out
+    cols = np.flatnonzero(width)
+    w = width[cols]
+    col = np.repeat(cols, w)
+    i = np.arange(events) + np.repeat(left[cols] - (np.cumsum(w) - w), w)
+    ai, bj = a[i], b[col]
+    # With b_j < 0 the product falls as s grows: -(b_j s) = |b_j| s
+    # exactly, so both signs ask for the first cell where |b_j| s
+    # reaches target = +-a_i, "cell" with >= and "past" with >.  The
+    # search uses the quotient a_i / b_j, which may round the other way
+    # from the product: then step each cell to the exact one.
+    mult = np.abs(bj)
+    target = np.where(bj < 0, -ai, ai)
+    cell = np.searchsorted(scales, ai / bj, side="left")
+    while (behind := (cell > 0) & (mult * scales[cell - 1] >= target)).any():
+        cell -= behind
+    while True:
+        prod = mult * scales[np.minimum(cell, k - 1)]
+        if not (ahead := (cell < k) & (prod < target)).any():
+            break
+        cell += ahead
+    past = cell
+    tie = (cell < k) & (prod == target)
+    while tie.any():
+        past = past + tie
+        tie = (past < k) & (mult * scales[np.minimum(past, k - 1)] == target)
+    # With b_j > 0 the "right" term holds before the product reaches a_i
+    # and the "left" term once it is past; with b_j < 0 it is the other
+    # way round.  A term that holds before cell c stands in every cell
+    # below c, one that holds from c in every cell from c on.
+    up = up_base[col] - i / n
+    dn = (i + 1) / n - dn_base[col]
+    rising = bj > 0
+    before = np.full(k + 1, -np.inf)
+    np.maximum.at(before, cell, np.where(rising, up, dn))
+    after = np.full(k + 1, -np.inf)
+    np.maximum.at(after, past, np.where(rising, dn, up))
+    np.maximum(out, np.maximum.accumulate(before[::-1])[::-1][1:], out=out)
+    np.maximum(out, np.maximum.accumulate(after)[:k], out=out)
     return out
 
 
@@ -213,8 +248,10 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
 
     The closure's ``many(hursts)`` method returns the values at a
     sequence of exponents as an array, equal bit for bit to calling
-    the closure on each.  It evaluates them in blocks, which pays off
-    for a run of nearby exponents such as consecutive mesh points.
+    the closure on each.  It sweeps the exponents in order, paying
+    for each time a rescaled coarse point crosses a fine one rather
+    than for each (exponent, point) pair, so a run of nearby exponents
+    such as consecutive mesh points costs little more than one call.
     Its ``bound(h_first, h_last)`` method returns, from one rank pass,
     a lower bound on the closure's value at every exponent between
     the two, equal to the value itself when they coincide.
@@ -238,26 +275,19 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
         if not hs:
             return np.empty(0)
         # The scalar path's own power: np.power may round differently.
-        scales = np.array([a_max ** (-h) for h in hs])
-        return _ks_block(fine, coarse, scales, up_base, dn_base)
+        scales, where = np.unique([a_max ** (-h) for h in hs], return_inverse=True)
+        return _ks_sweep(fine, coarse, scales, up_base, dn_base)[where]
 
     def bound(h_first: float, h_last: float) -> float:
         # For h between h_first and h_last, the scalar path's scale
         # a_max ** -h lies between the two end scales, and rounding a
         # product is monotone in the scale, so b_j * s lies between
-        # the end products p1_j and p2_j (either may be the smaller,
-        # as b_j may be negative).  Ranking the larger product with
-        # "right" and the smaller with "left" gives right >= #{a <=
-        # b_j s} and left <= #{a < b_j s}; _statistic falls as right
-        # grows and rises with left, by monotone float steps, so its
-        # value is at most objective(h).  With h_first == h_last the
-        # ranks are the objective's own and so is the value.
+        # the end products and _outer_ranks bounds its ranks.
+        # _statistic falls as right grows and rises with left, by
+        # monotone float steps, so its value is at most objective(h).
         if not (0.0 < h_first <= 1.0 and 0.0 < h_last <= 1.0):
             raise ValueError("hurst must lie in (0, 1]")
-        p1 = coarse * a_max ** (-h_first)
-        p2 = coarse * a_max ** (-h_last)
-        right = np.searchsorted(fine, np.maximum(p1, p2), side="right")
-        left = np.searchsorted(fine, np.minimum(p1, p2), side="left")
+        right, left = _outer_ranks(fine, coarse * a_max ** (-h_first), coarse * a_max ** (-h_last))
         return float(_statistic(right, left, fine.size, up_base, dn_base))
 
     objective.many = many

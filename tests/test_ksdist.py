@@ -3,6 +3,7 @@ rescaled-increment objective built on it."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,27 @@ coarse_with_zeros = st.lists(
 )
 
 
+def _simulated_pair(hurst, seed):
+    # A 500 x 500 pair as estimate_hurst draws it from a 4097-point path.
+    path = simulate_fbm(FgnSpec(hurst=hurst, length=4097, seed=seed))
+    plan = PermutationPlan(scheme="uniform_sample", subsample_size=500, seed=seed)
+    return RescaledPair(
+        fine=uniform_sample_permute(increments(path, 1), plan),
+        coarse=uniform_sample_permute(increments(path, 50), plan),
+        a_max=50,
+    )
+
+
+def _count_calls(monkeypatch, module, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestBlockEvaluation:
     """``many`` returns exactly the floats of per-exponent calls."""
 
@@ -445,6 +467,33 @@ class TestBlockEvaluation:
                 assert centre in hs
                 assert fn.many(hs).tolist() == [fn(h) for h in hs]
 
+    @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
+    def test_full_mesh_on_simulated_pair(self, hurst):
+        fn = scaled_diameter_fn(_simulated_pair(hurst, seed=int(hurst * 10)))
+        hs = _mesh_run(1e-4, 1, 10_000)
+        assert len(hs) == 10_000
+        assert fn.many(hs).tolist() == [fn(h) for h in hs]
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=70),
+        coarse_with_zeros,
+        st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
+        st.sampled_from([1e-4, 1e-3, 1e-2]),
+        st.integers(1, 10_000),
+        st.integers(1, 10_000),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_long_shuffled_runs_with_repeats(self, xs, coarse, a_max, step, k0, length, seed):
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        k0 = min(k0, int(round(1.0 / step)))
+        fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
+        run = _mesh_run(step, k0, length)
+        rng = np.random.default_rng(seed)
+        repeats = rng.integers(0, len(run), len(run) // 4)
+        hs = [run[j] for j in rng.permutation(np.concatenate([np.arange(len(run)), repeats]))]
+        assert fn.many(hs).tolist() == [fn(h) for h in hs]
+
     def test_long_runs_split_and_wide_runs_go_row_by_row(self, monkeypatch):
         import hurstks.ksdist as ksdist
 
@@ -462,22 +511,67 @@ class TestBlockEvaluation:
             "mesh 1e-4": _mesh_run(1e-4, 4000, 600),
         }
         want = {name: [fn(h) for h in hs] for name, hs in runs.items()}
-        calls = {"_ks_block": 0, "_ks_sorted": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(ksdist, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(ksdist, name, counted)
+        calls = _count_calls(monkeypatch, ksdist, "_ks_sweep", "_ks_sorted")
         got = {}
         for name, hs in runs.items():
-            calls.update(_ks_block=0, _ks_sorted=0)
+            calls.update(_ks_sweep=0, _ks_sorted=0)
             assert fn.many(hs).tolist() == want[name]
             got[name] = dict(calls)
-        # A 50-point scan of the whole interval is too wide for any
-        # block; a 600-cell run of the fine mesh splits into blocks.
-        assert got["scan"] == {"_ks_block": 1, "_ks_sorted": 50}
-        assert got["mesh 1e-4"]["_ks_block"] > 1
-        assert got["mesh 1e-4"]["_ks_sorted"] == 0
+        # A 50-point scan of the whole interval crosses more fine points
+        # than ranking its 50 rows takes; runs of the mesh go through
+        # the sweep, a long one in pieces.
+        assert got["scan"] == {"_ks_sweep": 1, "_ks_sorted": 50}
+        assert got["mesh 1e-3"]["_ks_sweep"] > 2
+        assert got["mesh 1e-4"]["_ks_sorted"] == got["mesh 1e-3"]["_ks_sorted"] == 0
+
+    def test_run_just_over_the_event_budget_crosses_one_boundary(self, monkeypatch):
+        import hurstks.ksdist as ksdist
+
+        pair = _simulated_pair(0.5, seed=3)
+        fine, coarse = np.sort(pair.fine.values), np.sort(pair.coarse.values)
+
+        def events(hs):
+            # The crossing events of a run, counted as the kernel does.
+            first, last = coarse * 50.0 ** -hs[0], coarse * 50.0 ** -hs[-1]
+            right, left = ksdist._outer_ranks(fine, first, last)
+            return int(((right - left) * (first != last)).sum())
+
+        length = 2
+        while events(_mesh_run(1e-4, 3000, length)) <= ksdist._SWEEP_EVENTS:
+            length += 1
+        hs = _mesh_run(1e-4, 3000, length)
+        fn = scaled_diameter_fn(pair)
+        want = [fn(h) for h in hs]
+        calls = _count_calls(monkeypatch, ksdist, "_ks_sweep", "_ks_sorted")
+        assert fn.many(hs).tolist() == want
+        assert calls == {"_ks_sweep": 3, "_ks_sorted": 0}
+
+    def test_sweep_on_scales_next_to_quotients(self):
+        # Scales one ulp either side of a_i / b_j, where the quotient the
+        # search uses and the product it stands for round apart.
+        import hurstks.ksdist as ksdist
+
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            a, b = np.sort(rng.standard_normal(40)), np.sort(rng.standard_normal(30))
+            q = (a[:, None] / b).ravel()
+            q = rng.choice(q[(q > 0.02) & (q < 1.0)], 20)
+            scales = np.unique([q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)])
+            up_base, dn_base = ksdist._jump_bases(b.size)
+            got = ksdist._ks_sweep(a, b, scales, up_base, dn_base)
+            assert got.tolist() == [ksdist._ks_sorted(a, b * s, up_base, dn_base) for s in scales]
+
+    def test_full_mesh_memory_stays_small(self):
+        fn = scaled_diameter_fn(_simulated_pair(0.5, seed=1))
+        hs = _mesh_run(1e-4, 1, 10_000)
+        fn.many(hs)
+        tracemalloc.start()
+        try:
+            fn.many(hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_any_order_and_repeats(self):
         rng = np.random.default_rng(4)
