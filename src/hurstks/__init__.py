@@ -17,7 +17,6 @@ from hurstks.ksdist import (
     RescaledPair,
     ks_two_sample,
     ks_critical,
-    diameter_objective,
     gaussian_diameter,
 )
 from hurstks.minimize import OptimizerConfig, OptimizerReport, EstimationResult, estimate_hurst
@@ -36,7 +35,6 @@ __all__ = [
     "RescaledPair",
     "ks_two_sample",
     "ks_critical",
-    "diameter_objective",
     "gaussian_diameter",
     "OptimizerConfig",
     "OptimizerReport",

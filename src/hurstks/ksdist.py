@@ -23,7 +23,6 @@ __all__ = [
     "RescaledPair",
     "ks_two_sample",
     "ks_critical",
-    "diameter_objective",
     "scaled_diameter_fn",
     "gaussian_diameter",
 ]
@@ -240,11 +239,18 @@ def ks_critical(n: int, m: int, alpha: float) -> float:
 def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     """Build the frozen objective ``H -> KS(fine, a^{-H} * coarse)``.
 
+    The fine sample is left at its natural scale (the unit lag raised
+    to any exponent is 1) while the coarse sample is multiplied by
+    ``a_max ** (-H)``; the value, in ``[0, 1]``, is the exact
+    two-sample KS statistic between the two rescaled samples.  At the
+    true exponent of a self-similar path with decorrelated increments
+    both samples share one distribution and the value is small.  The
+    closure accepts exponents in ``(0, 1]``.
+
     Sorting and the coarse sample's jump heights are computed once
     here; each evaluation then only rescales the coarse sample (a
     positive factor, so order is preserved) and ranks it into the fine
-    sample.  Use this closure, not repeated calls to
-    :func:`diameter_objective`, inside optimization loops.
+    sample.
 
     The closure's ``many(hursts)`` method returns the values at a
     sequence of exponents as an array, equal bit for bit to calling
@@ -255,6 +261,11 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     Its ``bound(h_first, h_last)`` method returns, from one rank pass,
     a lower bound on the closure's value at every exponent between
     the two, equal to the value itself when they coincide.
+
+    Raises
+    ------
+    DegenerateSampleError
+        If either sample is constant.
     """
     fine = np.sort(pair.fine.values)
     coarse = np.sort(pair.coarse.values)
@@ -293,36 +304,6 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     objective.many = many
     objective.bound = bound
     return objective
-
-
-def diameter_objective(pair: RescaledPair, hurst: float) -> float:
-    """Empirical distance between rescaled increment distributions.
-
-    The fine sample is left at its natural scale (the unit lag raised
-    to any exponent is 1) while the coarse sample is multiplied by
-    ``a_max ** (-hurst)``; the value is the exact two-sample KS
-    statistic between the two rescaled samples.  At the true exponent
-    of a self-similar path with decorrelated increments both samples
-    share one distribution and the value is small.
-
-    Parameters
-    ----------
-    pair : RescaledPair
-        Fine and coarse increment samples.
-    hurst : float
-        Candidate exponent in ``(0, 1]``.
-
-    Returns
-    -------
-    float
-        Value in ``[0, 1]``.
-
-    Raises
-    ------
-    DegenerateSampleError
-        If either sample is constant.
-    """
-    return scaled_diameter_fn(pair)(hurst)
 
 
 def _norm_cdf(x: float) -> float:

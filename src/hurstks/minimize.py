@@ -11,12 +11,11 @@ annealing are the cheaper alternatives benchmarked against it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,9 +49,9 @@ _LOCAL_LO = 1e-3
 # after this many consecutive non-improving cells.
 _SWEEP_GAP = 150
 
-# Longest run of sweep cells that is evaluated, through one block
-# prefetch, rather than split further in search of a run that the
-# objective's bound rules out.
+# Longest run of sweep cells that is evaluated, in one call to the
+# tracker's ``many``, rather than split further in search of a run
+# that the objective's bound rules out.
 _SWEEP_LEAF = 16
 
 # Brent and Nelder-Mead first evaluate this many evenly spaced points
@@ -172,9 +171,9 @@ class _Tracker:
 
     The values of the run are kept by exponent: a repeated exponent
     still counts as an evaluation, against the budget and in the
-    tie-break, but the objective is not called again.  ``prefetch``
-    fills these values ahead of a walk over a run of exponents, and
-    ``bound`` is the objective's own, or one that rules out nothing.
+    tie-break, but the objective is not called again.  ``many`` records
+    a run of exponents at once, exactly as one call per exponent would,
+    and ``bound`` is the objective's own, or one that rules out nothing.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
@@ -187,16 +186,11 @@ class _Tracker:
         self.best_h = math.nan
         self.best_f = math.inf
 
-    def prefetch(self, hs: Iterable[float]) -> None:
-        """Evaluate in one block call the exponents that the next
-        calls will ask for, in that order, as far as the budget
-        reaches.  Does nothing for an objective without ``many``."""
-        if self._many is None:
-            return
-        ahead = itertools.islice(hs, self._max - self.evaluations)
-        todo = [h for h in ahead if h not in self.values]
-        if todo:
-            self.values.update(zip(todo, self._many(todo).tolist()))
+    def _offer(self, f: float, h: float) -> None:
+        # The best point is the least (value, exponent) pair, so ties
+        # go to the smaller exponent; a NaN value never compares less.
+        if (f, h) < (self.best_f, self.best_h):
+            self.best_f, self.best_h = f, h
 
     def skip(self, count: int) -> None:
         """Count ``count`` evaluations whose values a bound shows can
@@ -214,14 +208,37 @@ class _Tracker:
         f = self.values.get(h)
         if f is None:
             f = self.values[h] = self._fn(h)
-        if f < self.best_f or (f == self.best_f and h < self.best_h):
-            self.best_f = f
-            self.best_h = h
+        self._offer(f, h)
         return f
+
+    def many(self, hs: Sequence[float]) -> list[float]:
+        """Record one call per exponent of ``hs`` and return the values.
+        Each exponent not yet evaluated is evaluated once, all of them
+        in one call to the objective's own ``many`` if it has one.  A
+        run longer than the budget left is recorded as far as the
+        budget reaches, and then the budget runs out."""
+        fit = hs[: self._max - self.evaluations]
+        todo = list(dict.fromkeys(h for h in fit if h not in self.values))
+        if todo:
+            new = self._many(todo).tolist() if self._many else [self._fn(h) for h in todo]
+            self.values.update(zip(todo, new))
+        fs = [self.values[h] for h in fit]
+        self.evaluations += len(fit)
+        # The current best goes first, so that a leading NaN value
+        # cannot stand in for the least pair of the run.
+        self._offer(*min([(self.best_f, self.best_h), *zip(fs, fit)]))
+        if len(fit) < len(hs):
+            raise _Budget
+        return fs
 
 
 def _cell(k: int, step: float) -> float:
     return min(k * step, 1.0)
+
+
+def _cells(ks: range, step: float) -> list[float]:
+    # _cell(k, step) for every k in ks, the same floats.
+    return np.minimum(np.arange(ks.start, ks.stop, ks.step) * step, 1.0).tolist()
 
 
 def _mesh(step: float, lo: float = 0.0) -> range:
@@ -238,10 +255,7 @@ def _grid(tracker: _Tracker, config: OptimizerConfig) -> None:
     # One cell past the budget, so that a mesh longer than the budget
     # ends unconverged.
     ks = _mesh(config.grid_step)[: config.max_evals + 1]
-    cells = [_cell(k, config.grid_step) for k in ks]
-    tracker.prefetch(cells)
-    for h in cells:
-        tracker(h)
+    tracker.many(_cells(ks, config.grid_step))
 
 
 def _brent_core(f: _Tracker, lo: float, hi: float) -> None:
@@ -312,7 +326,8 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
     # can be kept, and none can become the tracker's best, since the
     # running minimum is never below the best value, and a right-walk
     # cell that ties it lies right of the best point (the anchors
-    # bracket the incumbent).  Short runs are evaluated cell by cell.
+    # bracket the incumbent).  A run of at most _SWEEP_LEAF cells is
+    # evaluated in one tracker call.
     if not math.isfinite(tracker.best_h):
         return
     ks = _mesh(step, _LOCAL_LO)
@@ -336,10 +351,7 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
                 mid = first + way * (size // 2)
                 runs += [(mid, last), (first, mid - way)]
                 continue
-            cells = [_cell(j, step) for j in range(first, last + way, way)]
-            tracker.prefetch(cells)
-            for h in cells:
-                fk = tracker(h)
+            for fk in tracker.many(_cells(range(first, last + way, way), step)):
                 if keeps(fk, cur):
                     cur, gap = fk, 0
                 else:
@@ -352,8 +364,8 @@ def _scan_then_refine(
     tracker: _Tracker,
     config: OptimizerConfig,
 ) -> None:
-    mesh = np.linspace(_LOCAL_LO, 1.0, _SCAN_POINTS)
-    values = [tracker(float(h)) for h in mesh]
+    mesh = np.linspace(_LOCAL_LO, 1.0, _SCAN_POINTS).tolist()
+    values = tracker.many(mesh)
     scan_j = int(np.argmin(values))
     core(tracker, _LOCAL_LO, 1.0)
     if not (tracker.best_f < values[scan_j] - _SCAN_MARGIN):
@@ -361,8 +373,8 @@ def _scan_then_refine(
         # run, is not clearly below the scan's: the scan's basin is at
         # least as good, so refine inside its bracket so the returned
         # point is at full resolution.
-        lo = float(mesh[max(scan_j - 1, 0)])
-        hi = float(mesh[min(scan_j + 1, mesh.size - 1)])
+        lo = mesh[max(scan_j - 1, 0)]
+        hi = mesh[min(scan_j + 1, len(mesh) - 1)]
         if hi > lo:
             core(tracker, lo, hi)
     _plateau_sweep(tracker, config.grid_step)

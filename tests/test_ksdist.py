@@ -14,7 +14,6 @@ from hurstks.fgn import FgnSpec, IncrementSample, increments, simulate_fbm
 from hurstks.ksdist import (
     EmpiricalCdf,
     RescaledPair,
-    diameter_objective,
     gaussian_diameter,
     ks_critical,
     ks_two_sample,
@@ -292,13 +291,13 @@ class TestDiameterObjective:
         pair = _pair(fine, coarse, a_max=20)
         for h in (0.2, 0.5, 0.9, 1.0):
             want = _ks(fine, coarse * 20.0**-h)
-            assert diameter_objective(pair, h) == want
+            assert scaled_diameter_fn(pair)(h) == want
 
     def test_rejects_hurst_outside_half_open_interval(self):
         pair = _pair([1.0, 2.0], [3.0, 4.0])
         for h in (0.0, -0.5, 1.0001):
             with pytest.raises(ValueError):
-                diameter_objective(pair, h)
+                scaled_diameter_fn(pair)(h)
 
     def test_degenerate_constant_samples(self):
         with pytest.raises(DegenerateSampleError):
@@ -310,16 +309,16 @@ class TestDiameterObjective:
         rng = np.random.default_rng(8)
         fine = rng.standard_normal(25)
         coarse = rng.standard_normal(25)
-        base = diameter_objective(_pair(fine, coarse), h)
-        scaled = diameter_objective(_pair(c * fine, c * coarse), h)
+        base = scaled_diameter_fn(_pair(fine, coarse))(h)
+        scaled = scaled_diameter_fn(_pair(c * fine, c * coarse))(h)
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_order_of_values_is_irrelevant(self):
         rng = np.random.default_rng(9)
         fine = rng.standard_normal(25)
         coarse = rng.standard_normal(25)
-        a = diameter_objective(_pair(fine, coarse), 0.4)
-        b = diameter_objective(_pair(fine[::-1].copy(), np.sort(coarse)), 0.4)
+        a = scaled_diameter_fn(_pair(fine, coarse))(0.4)
+        b = scaled_diameter_fn(_pair(fine[::-1].copy(), np.sort(coarse)))(0.4)
         assert a == b
 
     def test_closure_reuses_sorted_samples(self):
@@ -327,7 +326,8 @@ class TestDiameterObjective:
         pair = _pair(rng.standard_normal(30), rng.standard_normal(30))
         fn = scaled_diameter_fn(pair)
         for h in (0.1, 0.5, 0.9):
-            assert fn(h) == diameter_objective(pair, h)
+            # One closure called again and again, against a fresh one.
+            assert fn(h) == scaled_diameter_fn(pair)(h)
 
 
 class TestCalibratedGaussianPairs:
@@ -342,7 +342,7 @@ class TestCalibratedGaussianPairs:
             pair = _pair(
                 rng.standard_normal(500), 50.0**0.6 * rng.standard_normal(500), a_max=50
             )
-            if diameter_objective(pair, 0.6) < crit:
+            if scaled_diameter_fn(pair)(0.6) < crit:
                 hits += 1
         assert hits >= 95
 
@@ -354,7 +354,7 @@ class TestCalibratedGaussianPairs:
             pair = _pair(
                 rng.standard_normal(500), 50.0**0.6 * rng.standard_normal(500), a_max=50
             )
-            if diameter_objective(pair, 0.2) > crit:
+            if scaled_diameter_fn(pair)(0.2) > crit:
                 hits += 1
         assert hits >= 99
 

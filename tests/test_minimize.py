@@ -25,7 +25,7 @@ from hurstks.minimize import (
     write_bench_csv,
 )
 from hurstks import minimize
-from hurstks.minimize import _frozen_objective, _mesh
+from hurstks.minimize import _cell, _cells, _frozen_objective, _mesh
 from hurstks.permute import PermutationPlan
 from hurstks.stats import estimator_sd, normal_quantile
 
@@ -88,6 +88,21 @@ class TestGridSearch:
         assert _mesh(1e-4, 1e-3) == range(10, 10_001)
         assert _mesh(0.07, 1e-3) == range(1, 15)
         assert _mesh(1 / (10 - 5e-7), 1e-3) == range(1, 11)
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-2, 0.07, 1 / 3, 1 / (10 - 5e-7)])
+    def test_cells_are_the_single_cells(self, step):
+        # The array form of the mesh gives the floats of min(k * step, 1),
+        # in either direction.
+        for ks in (_mesh(step), _mesh(step, 1e-3)[::-1], range(3, 0, -1)):
+            assert _cells(ks, step) == [_cell(k, step) for k in ks]
+
+    def test_nan_values_never_win(self):
+        # A NaN value is never the best point, also where it leads the run.
+        def nan_low(h):
+            return math.nan if h < 0.3 else quad(h)
+
+        r = minimize_scalar(nan_low, OptimizerConfig(method="grid", grid_step=1e-2))
+        assert (r.h_hat, r.delta_min) == (0.5, 0.0)
 
     def test_builds_no_cells_past_the_budget(self):
         # A mesh of 10**6 cells under a budget of 10: the grid may hold
@@ -290,8 +305,9 @@ class TestBoundedSweep:
     def test_every_budget_cut_matches_the_per_cell_walk(self, method, monkeypatch):
         # Brent and Nelder-Mead ask for the same exponents whatever
         # their budget, until it stops them, so one recorded run of the
-        # per-cell route gives its report at every budget: the best of
-        # the first `budget` calls, smallest exponent on ties.  Budgets
+        # per-cell route, through the tracker's single calls and its
+        # runs alike, gives its report at every budget: the best of the
+        # first `budget` evaluations, smallest exponent on ties.  Budgets
         # from ~400 below the full count to one past it cut the scan,
         # the local runs and the sweep at every cell, inside runs the
         # bound passes over as well as evaluated ones.
@@ -304,6 +320,11 @@ class TestBoundedSweep:
                 f = super().__call__(h)
                 calls.append((h, f))
                 return f
+
+            def many(self, hs):
+                fs = super().many(hs)
+                calls.extend(zip(hs, fs))
+                return fs
 
         with monkeypatch.context() as patch:
             patch.setattr(minimize, "_Tracker", Recording)
@@ -341,6 +362,76 @@ class TestBoundedSweep:
         assert report.converged and report.evaluations > 350
         assert counted.bounds > 0
         assert counted.rows < 200
+
+
+# The lattice of tests/test_ksdist.py: coarse values with zeros of
+# both signs against fine values on a quarter lattice, so that exact
+# scales such as 16 ** -0.25 = 0.5 make wide ties.
+coarse_with_zeros = st.lists(
+    st.one_of(st.integers(-8, 8).map(float), st.just(-0.0)), min_size=2, max_size=60
+)
+
+
+def _tracker_state(tracker):
+    return tracker.values, tracker.evaluations, tracker.best_h.hex(), tracker.best_f.hex()
+
+
+class TestTrackerRuns:
+    """``_Tracker.many`` returns what one call per exponent of the run
+    would, and leaves the tracker in the same state, at every cut of
+    the budget."""
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=70),
+        coarse_with_zeros,
+        st.sampled_from([2, 4, 16, 50]),
+        st.lists(st.integers(1, 40), max_size=12),
+        st.lists(st.integers(1, 40), max_size=50),
+    )
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("route", ["many", "callable"])
+    def test_run_matches_single_calls(self, route, xs, coarse, a_max, memo_ks, run_ks):
+        # Exponents k / 40 hit h = 0.25, 0.5, 0.75 and 1; short lists of
+        # 40 cells repeat often, within the run and against the memo.
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        frozen = scaled_diameter_fn(
+            RescaledPair(
+                fine=IncrementSample(values=np.array(xs) / 4.0, lag=1),
+                coarse=IncrementSample(values=np.array(coarse), lag=a_max),
+                a_max=a_max,
+            )
+        )
+        called = []
+
+        def plain(h):
+            called.append(h)
+            return frozen(h)
+
+        objective = frozen if route == "many" else plain
+        memo = [k / 40 for k in memo_ks]
+        run = [k / 40 for k in run_ks]
+        for cut in range(len(run) + 2):
+            single = minimize._Tracker(objective, len(memo) + cut)
+            batch = minimize._Tracker(objective, len(memo) + cut)
+            for h in memo:
+                single(h)
+                batch(h)
+            want = []
+            try:
+                for h in run:
+                    want.append(single(h))
+            except minimize._Budget:
+                want = None
+            del called[:]
+            try:
+                got = batch.many(run)
+            except minimize._Budget:
+                got = None
+            assert got == want
+            assert _tracker_state(batch) == _tracker_state(single)
+            if route == "callable":
+                new = [h for h in run[:cut] if h not in memo]
+                assert called == list(dict.fromkeys(new))
 
 
 class TestCoreInvariants:
