@@ -131,9 +131,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         days = np.datetime64(args.start_date, "D") + np.arange(len(path))
         for lo in range(0, len(path), _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
-            dates = days[lo:hi].astype(str).tolist()
+            dates = np.datetime_as_string(days[lo:hi]).tolist()
             values = map(repr, path.values[lo:hi].tolist())
-            fh.write("".join([f"{d},{v}\r\n" for d, v in zip(dates, values)]))
+            fh.write("\r\n".join(map(",".join, zip(dates, values))))
+            fh.write("\r\n")
     print(f"wrote {len(path)} points to {args.out}")
     return 0
 

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import logging
 import math
 import os
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Mapping
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -185,69 +188,228 @@ class RunReport:
     warnings: tuple[str, ...]
 
 
+# Bytes read per piece of a series file, and records per chunk of a
+# quoted one: the most text that one columnar conversion holds.
+_PIECE_BYTES = 1 << 16
+_CHUNK_ROWS = 1 << 11
+
+
+def _pieces(file, fh) -> Iterator[str]:
+    # The UTF-8 text of a file opened in binary mode, in pieces of about
+    # _PIECE_BYTES that end on a line break (a CR is never parted from
+    # the LF after it) or at the end of the file.  Line ends are kept.
+    # Bytes that are not UTF-8 raise CsvFormatError with their line: one
+    # past the line breaks (LF, CRLF or a lone CR) before them.
+    carry = b""
+    start = 0  # file offset of carry
+    while True:
+        block = fh.read(_PIECE_BYTES)
+        data = carry + block
+        if not data:
+            return
+        cut = len(data)
+        if block:
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, cut - 1)) + 1
+        try:
+            text = data[:cut].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            fh.seek(0)
+            head = fh.read(start + exc.start)
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise CsvFormatError(f"{file}: line {line}: not UTF-8 text") from None
+        carry, start = data[cut:], start + cut
+        if text:
+            yield text
+
+
+def _check_header(file, header: list[str]) -> None:
+    if [h.strip().lower() for h in header] != ["date", "value"]:
+        raise CsvFormatError(f"{file}: header must be 'date,value'")
+
+
+def _plain_chunk(text: str):
+    # (records, rows, columns) of quote-free text with LF line ends: its
+    # record count, a thunk giving its rows as csv.reader would, and
+    # what _csv_columns gives for them.
+    if text.endswith("\n"):
+        text = text[:-1]
+    code = np.frombuffer(text.encode(), np.uint8)
+    breaks = np.flatnonzero(code == ord("\n"))
+    commas = np.bincount(
+        np.searchsorted(breaks, np.flatnonzero(code == ord(","))), minlength=breaks.size + 1
+    )
+
+    def rows() -> list[list[str]]:
+        return [line.split(",") for line in text.split("\n")]
+
+    if (commas == 1).all():
+        fields = text.replace("\n", ",").split(",")
+        return commas.size, rows, (fields[0::2], fields[1::2])
+    return commas.size, rows, _csv_columns(rows())
+
+
+def _csv_columns(rows: list[list[str]]):
+    # The date and value fields of the two-field rows, or None when a
+    # row that is not blank has another field count.
+    two = np.fromiter(map(len, rows), np.intp, len(rows)) == 2
+    if not two.all():
+        if any(map(str.strip, map("".join, compress(rows, ~two)))):
+            return None
+        rows = list(compress(rows, two))
+    return list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+
+
+def _chunks(file, fh):
+    # Check the header, then yield (line, rows, columns) per chunk of
+    # the data records: the number of the chunk's first record, counted
+    # as csv.reader counts them, and what _plain_chunk or _csv_columns
+    # give for it.
+    pieces = _pieces(file, fh)
+    line = 0  # the next record's number, once the header is read
+    for piece in pieces:
+        if '"' in piece:
+            # A quoted field may hold a comma or a line break, so
+            # csv.reader tokenizes the rest, from this piece on.
+            yield from _csv_chunks(file, chain([piece], pieces), line)
+            return
+        text = piece.replace("\r\n", "\n").replace("\r", "\n")
+        if not line:
+            header, _, text = text.partition("\n")
+            _check_header(file, header.split(","))
+            line = 2
+        if text:
+            records, rows, columns = _plain_chunk(text)
+            yield line, rows, columns
+            line += records
+    if not line:
+        raise CsvFormatError(f"{file}: empty file")
+
+
+def _csv_chunks(file, texts: Iterable[str], line: int):
+    # _chunks for texts that begin on a record, by csv.reader.
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, texts, repeat(""))))
+    if not line:
+        _check_header(file, next(reader))
+        line = 2
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        yield line, lambda chunk=chunk: chunk, _csv_columns(chunk)
+        line += len(chunk)
+
+
+def _columnar(dates: list[str], values: list[str]) -> tuple[np.ndarray, np.ndarray, int, int]:
+    # (days, values, parsed, dropped) of two-field rows, each column
+    # converted by C-level maps: the day ordinals and values kept, the
+    # count of data rows and of those dropped for a missing or NaN
+    # value.  ValueError for anything _row_walk must report.
+    dates = list(map(str.strip, dates))
+    values = list(map(str.strip, values))
+    has_value = np.fromiter(map(bool, values), bool, len(values))
+    data = has_value | np.fromiter(map(bool, dates), bool, len(dates))
+    if not data.all():
+        dates, values = list(compress(dates, data)), list(compress(values, data))
+        has_value = has_value[data]
+    days = np.fromiter(
+        map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), np.int64, len(dates)
+    )
+    if not has_value.all():
+        days, values = days[has_value], list(compress(values, has_value))
+    column = np.fromiter(map(float, values), float, len(values))
+    if np.isinf(column).any():
+        raise ValueError("non-finite value")
+    kept = ~np.isnan(column)
+    return days[kept], column[kept], len(dates), len(dates) - int(np.count_nonzero(kept))
+
+
+def _row_walk(
+    file, line: int, rows: Iterable[list[str]]
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    # What _columnar gives, one row at a time, for rows numbered from
+    # ``line``; raises the first of their errors with its line.
+    days: list[int] = []
+    values: list[float] = []
+    dropped = 0
+    parsed = 0
+    for lineno, row in enumerate(rows, start=line):
+        if len(row) != 2:
+            # Rows whose fields are all blank are skipped.
+            if "".join(row).strip():
+                raise CsvFormatError(f"{file}: line {lineno}: expected 2 fields")
+            continue
+        raw_date, raw_value = row[0].strip(), row[1].strip()
+        if not (raw_date or raw_value):
+            continue
+        parsed += 1
+        try:
+            date = dt.date.fromisoformat(raw_date)
+        except ValueError:
+            raise CsvFormatError(
+                f"{file}: line {lineno}: bad date {raw_date!r}"
+            ) from None
+        if raw_value == "":
+            dropped += 1
+            continue
+        try:
+            value = float(raw_value)
+        except ValueError:
+            raise CsvFormatError(
+                f"{file}: line {lineno}: bad value {raw_value!r}"
+            ) from None
+        if not math.isfinite(value):
+            if math.isnan(value):
+                dropped += 1
+                continue
+            raise CsvFormatError(
+                f"{file}: line {lineno}: non-finite value {raw_value!r}"
+            )
+        days.append(date.toordinal())
+        values.append(value)
+    return np.array(days, np.int64), np.array(values, float), parsed, dropped
+
+
+def _read_columns(file) -> tuple[np.ndarray, np.ndarray, int, int]:
+    # (days, values, parsed, dropped) of a date,value CSV in file order:
+    # the day ordinals and values kept, the count of data rows and of
+    # those dropped for a missing or NaN value.
+    day_chunks = [np.empty(0, np.int64)]
+    value_chunks = [np.empty(0)]
+    parsed = 0
+    dropped = 0
+    with open(file, "rb") as fh:
+        for line, rows, columns in _chunks(file, fh):
+            chunk = None
+            if columns is not None:
+                try:
+                    chunk = _columnar(*columns)
+                except ValueError:
+                    pass
+            if chunk is None:
+                chunk = _row_walk(file, line, rows())
+            day_chunks.append(chunk[0])
+            value_chunks.append(chunk[1])
+            parsed += chunk[2]
+            dropped += chunk[3]
+    return np.concatenate(day_chunks), np.concatenate(value_chunks), parsed, dropped
+
+
 def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
     """Parse a date,value CSV; returns (series, rows_parsed, dropped).
 
     Under ``value_scale="level"`` non-positive values count as dropped.
+    The file is read as UTF-8 in pieces; each chunk of records is
+    converted column by column, and only a chunk that holds an error,
+    or a row of another field count, is walked row by row to report it.
     """
     if value_scale not in VALUE_SCALES:
         raise ValueError(f"value_scale must be one of {VALUE_SCALES}")
-    dates: list[dt.date] = []
-    values: list[float] = []
-    dropped = 0
-    parsed = 0
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{file}: empty file") from None
-        if [h.strip().lower() for h in header] != ["date", "value"]:
-            raise CsvFormatError(f"{file}: header must be 'date,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                # Rows whose fields are all blank are skipped.
-                if "".join(row).strip():
-                    raise CsvFormatError(f"{file}: line {lineno}: expected 2 fields")
-                continue
-            raw_date, raw_value = row[0].strip(), row[1].strip()
-            if not (raw_date or raw_value):
-                continue
-            parsed += 1
-            try:
-                date = dt.date.fromisoformat(raw_date)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{file}: line {lineno}: bad date {raw_date!r}"
-                ) from None
-            if raw_value == "":
-                dropped += 1
-                continue
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{file}: line {lineno}: bad value {raw_value!r}"
-                ) from None
-            if not math.isfinite(value):
-                if math.isnan(value):
-                    dropped += 1
-                    continue
-                raise CsvFormatError(
-                    f"{file}: line {lineno}: non-finite value {raw_value!r}"
-                )
-            dates.append(date)
-            values.append(value)
-    # Sort, check and filter the columns; days go through the ordinal,
-    # far cheaper than numpy's conversion of date objects.
-    days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    days, column, parsed, dropped = _read_columns(file)
+    # Sort, check and filter the columns.
     order = np.argsort(days, kind="stable")
     days = days[order]
     repeated = np.flatnonzero(days[1:] == days[:-1])
     if repeated.size:
         day = dt.date.fromordinal(int(days[repeated[0]]))
         raise CsvFormatError(f"{file}: duplicate date {day.isoformat()}")
-    column = np.array(values, dtype=float)[order]
+    column = column[order]
     if value_scale == "level":
         keep = column > 0.0
         # A plain int: the count goes into report.json.
@@ -431,27 +593,29 @@ def parse_manifest(file) -> RunManifest:
     """
     settings: dict[str, object] = {}
     lines: dict[str, int] = {}
-    with open(file) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = _COMMENT.split(line, 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise CsvFormatError(f"{file}: line {lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _MANIFEST_KEYS:
-                raise CsvFormatError(f"{file}: line {lineno}: unknown key {key!r}")
-            if key in settings:
-                raise CsvFormatError(f"{file}: line {lineno}: duplicate key {key!r}")
-            kind = _MANIFEST_KEYS[key][0]
-            lines[key] = lineno
-            try:
-                settings[key] = kind(value)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{file}: line {lineno}: {key}: expected {kind.__name__}, got {value!r}"
-                ) from None
+    with open(file, "rb") as fh:
+        content = "".join(_pieces(file, fh))
+    # Lines split as a file opened in text mode splits them.
+    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
+        text = _COMMENT.split(line, 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise CsvFormatError(f"{file}: line {lineno}: expected 'key = value'")
+        key, _, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _MANIFEST_KEYS:
+            raise CsvFormatError(f"{file}: line {lineno}: unknown key {key!r}")
+        if key in settings:
+            raise CsvFormatError(f"{file}: line {lineno}: duplicate key {key!r}")
+        kind = _MANIFEST_KEYS[key][0]
+        lines[key] = lineno
+        try:
+            settings[key] = kind(value)
+        except ValueError:
+            raise CsvFormatError(
+                f"{file}: line {lineno}: {key}: expected {kind.__name__}, got {value!r}"
+            ) from None
     if "input" not in settings:
         raise CsvFormatError(f"{file}: missing required key 'input'")
     return build_manifest(settings, lines, file)

@@ -137,6 +137,14 @@ class TestEstimate:
         assert code == 1
         assert f"{file}: line 3: non-finite value {cell!r}" in err
 
+    def test_non_utf8_series_is_input_error_with_line(self, tmp_path, capsys):
+        file = tmp_path / "latin1.csv"
+        file.write_bytes(b"date,value\r\n2001-01-01,1.0\r\n2001-01-02,\xff\r\n")
+        code, stdout, err = run(capsys, "estimate", "--input", str(file), "--amax", "2")
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {file}: line 3: not UTF-8 text\n"
+
     def test_missing_input_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "estimate")
         assert code == 1
@@ -328,6 +336,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--manifest", str(manifest))
         assert code == 1
         assert err == f"error: {manifest}: {message}\n"
+
+    def test_non_utf8_manifest_is_input_error_with_line(self, tmp_path, capsys):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_bytes(b"input = a.csv\n\n# r\xe9sum\xe9\n")
+        code, stdout, err = run(capsys, "analyze", "--manifest", str(manifest))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {manifest}: line 3: not UTF-8 text\n"
 
     @pytest.mark.parametrize("lines,message", [
         ("a_max = 1", "line 2: a_max: a_max must exceed 1"),

@@ -6,12 +6,15 @@ import datetime as dt
 import json
 import logging
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurstks import pipeline
 from hurstks.fgn import FgnSpec, Path, simulate_fbm
 from hurstks.pipeline import (
     VALUE_SCALES,
@@ -74,6 +77,17 @@ class TestLoadSeries:
         file = _write(tmp_path / "s.csv", "date,value\n2001-01-01,1.0\n2001-01-02,1.0,9\n")
         with pytest.raises(CsvFormatError, match="line 3"):
             load_series(file)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_misaligned_rows_are_field_count_errors(self, tmp_path, newline):
+        # Two commas on one line and none on the next: one per line on
+        # average, still a 3-field row.
+        rows = ["date,value", "2001-01-03,1.0", "2001-01-01,1.0,2001-01-02", "2.0"]
+        file = tmp_path / "s.csv"
+        file.write_bytes(newline.join(rows).encode())
+        with pytest.raises(CsvFormatError) as got:
+            load_series(file)
+        assert str(got.value) == f"{file}: line 3: expected 2 fields"
 
     def test_bad_date_error_carries_line_number(self, tmp_path):
         file = _write(tmp_path / "s.csv", "date,value\n01/02/2001,1.0\n")
@@ -179,11 +193,14 @@ _VALUE_TEXT = st.one_of(
     st.sampled_from(["", "nan", "NaN", "-0.0", "0.0", "0", "1e-320", "+2.5", "1_000"]),
 )
 _JUNK_ROWS = st.sampled_from(["", "   ", ",", " , ", ",,", '""', '"",""', '" ",'])
-# One file in three gets one bad row.
+# One file in three gets one bad row.  "{nl}" is the file's newline:
+# a 3-field row then a 1-field row have one comma per line between them.
 _BAD_ROWS = st.sampled_from(
-    [None] * 18
+    [None] * 24
     + ["2001-01-01", "2001-01-01,1.0,2", "2001-02-30,1.0", "01/02/2001,1.0", ",1.0",
-       "2001-01-01,x", "2001-01-01,1.0.0", "2001-01-01,inf", "2001-01-01, -Infinity"]
+       "2001-01-01,x", "2001-01-01,1.0.0", "2001-01-01,inf", "2001-01-01, -Infinity",
+       '"2001-01-01","1,5"', '"2001-01-01","1\n5"', '"2001-01-01","1{nl}5"',
+       "2001-01-01,1.0,2001-01-02{nl}2.0"]
 )
 _HEADERS = st.sampled_from(
     ["date,value"] * 6 + [" Date , VALUE ", '"date","value"', "date,value,", "time,value"]
@@ -192,44 +209,117 @@ _HEADERS = st.sampled_from(
 
 @st.composite
 def _csv_text(draw):
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     offsets = draw(st.lists(st.integers(-400, 400), max_size=25, unique=True))
     for _ in range(draw(st.sampled_from([0] * 8 + [1, 2])) if offsets else 0):
         offsets.append(draw(st.sampled_from(offsets)))
+    # Half the files hold no quote, apart from a bad row, so that they
+    # take the plain tokenizer.  The last two quoted forms hold a line
+    # break, so that later records are numbered apart from the lines.
+    quoted = draw(st.booleans())
+    forms = ["{},{}", "{},{}", " {} ,\t{} "]
+    if quoted:
+        forms += ['"{}","{}"', '" {}",{} ', '"{}\n",{}', '"{}","{}\r\n"']
     rows = []
     for off in draw(st.permutations(offsets)):
         date = (dt.date(2001, 1, 1) + dt.timedelta(days=off)).isoformat()
         value = draw(_VALUE_TEXT)
-        form = draw(st.sampled_from(["{},{}", " {} ,\t{} ", '"{}","{}"', '" {}",{} ']))
-        rows.append(form.format(date, value))
+        rows.append(draw(st.sampled_from(forms)).format(date, value))
+    junk = _JUNK_ROWS if quoted else _JUNK_ROWS.filter(lambda row: '"' not in row)
     for _ in range(draw(st.integers(0, 4))):
-        rows.insert(draw(st.integers(0, len(rows))), draw(_JUNK_ROWS))
+        rows.insert(draw(st.integers(0, len(rows))), draw(junk))
     bad = draw(_BAD_ROWS)
     if bad is not None:
-        rows.insert(draw(st.integers(0, len(rows))), bad)
+        rows.insert(draw(st.integers(0, len(rows))), bad.replace("{nl}", newline))
     header = draw(_HEADERS)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
+def _check_against_reference(tmp_path_factory, text, value_scale):
+    file = tmp_path_factory.mktemp("parse") / "s.csv"
+    file.write_bytes(text.encode())
+    try:
+        want = _row_by_row_parse(file, value_scale)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as got:
+            _parse_series(file, value_scale)
+        assert str(got.value) == str(exc)
+        return
+    records, parsed, dropped = want
+    series, got_parsed, got_dropped = _parse_series(file, value_scale)
+    assert series.dates.dtype == np.dtype("datetime64[D]")
+    assert series.dates.tolist() == [r[0] for r in records]
+    assert series.values.tobytes() == np.array([r[1] for r in records], dtype=float).tobytes()
+    assert (got_parsed, got_dropped) == (parsed, dropped)
 
 
 class TestColumnarParse:
     @settings(max_examples=400, deadline=None)
     @given(text=_csv_text(), value_scale=st.sampled_from(VALUE_SCALES))
     def test_matches_row_by_row_reference(self, tmp_path_factory, text, value_scale):
-        file = tmp_path_factory.mktemp("parse") / "s.csv"
-        file.write_bytes(text.encode())
+        _check_against_reference(tmp_path_factory, text, value_scale)
+
+    # Tiny pieces and chunks put their boundaries inside the examples.
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_text(), value_scale=st.sampled_from(VALUE_SCALES))
+    def test_matches_reference_across_tiny_chunks(
+        self, tmp_path_factory, size, text, value_scale
+    ):
+        with mock.patch.multiple(pipeline, _PIECE_BYTES=size, _CHUNK_ROWS=size):
+            _check_against_reference(tmp_path_factory, text, value_scale)
+
+    def test_memory_stays_near_the_file_size(self, tmp_path):
+        # Whole-file lists of fields or date objects would take several
+        # times the file; the columnar parse holds one piece at a time.
+        n = 200_000
+        days = np.datetime_as_string(np.datetime64("1700-01-01") + np.arange(n)).tolist()
+        values = map(repr, np.random.default_rng(4).standard_normal(n).tolist())
+        file = tmp_path / "s.csv"
+        file.write_text("date,value\r\n" + "\r\n".join(map(",".join, zip(days, values))))
+        tracemalloc.start()
         try:
-            want = _row_by_row_parse(file, value_scale)
-        except CsvFormatError as exc:
-            with pytest.raises(CsvFormatError) as got:
-                _parse_series(file, value_scale)
-            assert str(got.value) == str(exc)
-            return
-        records, parsed, dropped = want
-        series, got_parsed, got_dropped = _parse_series(file, value_scale)
-        assert series.dates.dtype == np.dtype("datetime64[D]")
-        assert series.dates.tolist() == [r[0] for r in records]
-        assert series.values.tobytes() == np.array([r[1] for r in records], dtype=float).tobytes()
-        assert (got_parsed, got_dropped) == (parsed, dropped)
+            series, parsed, _ = _parse_series(file, "log")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == len(series) == n
+        assert peak < 2 * file.stat().st_size
+
+
+class TestUtf8:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("size", [1 << 16, 1, 7])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_series_error_names_file_and_line(self, tmp_path, monkeypatch, newline, size, quoted):
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        rows = ["date,value", '"2001-01-01",1.0' if quoted else "2001-01-01,1.0", "2001-01-02,"]
+        file = tmp_path / "s.csv"
+        file.write_bytes(newline.join(rows).encode() + b"\xff" + newline.encode())
+        with pytest.raises(CsvFormatError) as got:
+            _parse_series(file, "level")
+        assert str(got.value) == f"{file}: line 3: not UTF-8 text"
+
+    def test_series_is_read_as_utf8(self, tmp_path):
+        file = tmp_path / "s.csv"
+        file.write_bytes("date,value\n2001-01-01,1.0\n2001-01-02,\u00e9\n".encode())
+        with pytest.raises(CsvFormatError) as got:
+            load_series(file)
+        assert str(got.value) == f"{file}: line 3: bad value '\u00e9'"
+
+    def test_manifest_error_names_file_and_line(self, tmp_path):
+        file = tmp_path / "m.manifest"
+        file.write_bytes(b"input = a.csv\r\n# caf\xe9\r\nseed = 3\r\n")
+        with pytest.raises(CsvFormatError) as got:
+            parse_manifest(file)
+        assert str(got.value) == f"{file}: line 2: not UTF-8 text"
+
+    def test_manifest_is_read_as_utf8(self, tmp_path):
+        file = tmp_path / "m.manifest"
+        file.write_bytes("input = caf\u00e9.csv\rseed = 3\r".encode())
+        manifest = parse_manifest(file)
+        assert manifest.inputs == ("caf\u00e9.csv",)
+        assert manifest.master_seed == 3
 
 
 def _series(values):
