@@ -229,8 +229,8 @@ def _check_header(file, header: list[str]) -> None:
 
 def _plain_chunk(text: str):
     # (records, rows, columns) of quote-free text with LF line ends: its
-    # record count, a thunk giving its rows as csv.reader would, and
-    # what _csv_columns gives for them.
+    # record count, a thunk giving its lines split at commas, and what
+    # _csv_columns gives for those rows.
     if text.endswith("\n"):
         text = text[:-1]
     code = np.frombuffer(text.encode(), np.uint8)
