@@ -227,50 +227,37 @@ def _check_header(file, header: list[str]) -> None:
         raise CsvFormatError(f"{file}: header must be 'date,value'")
 
 
-def _plain_chunk(text: str):
-    # (records, rows, columns) of quote-free text with LF line ends: its
-    # record count, a thunk giving its lines split at commas, and what
-    # _csv_columns gives for those rows.
-    if text.endswith("\n"):
-        text = text[:-1]
-    code = np.frombuffer(text.encode(), np.uint8)
-    breaks = np.flatnonzero(code == ord("\n"))
-    commas = np.bincount(
-        np.searchsorted(breaks, np.flatnonzero(code == ord(","))), minlength=breaks.size + 1
-    )
-
-    def rows() -> list[list[str]]:
-        return [line.split(",") for line in text.split("\n")]
-
-    if (commas == 1).all():
-        fields = text.replace("\n", ",").split(",")
-        return commas.size, rows, (fields[0::2], fields[1::2])
-    return commas.size, rows, _csv_columns(rows())
+# Every byte but the field and record separators of LF text: what
+# bytes.translate deletes to leave the separators alone.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
-def _csv_columns(rows: list[list[str]]):
-    # The date and value fields of the two-field rows, or None when a
-    # row that is not blank has another field count.
-    two = np.fromiter(map(len, rows), np.intp, len(rows)) == 2
-    if not two.all():
-        if any(map(str.strip, map("".join, compress(rows, ~two)))):
-            return None
-        rows = list(compress(rows, two))
-    return list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
-
-
-def _chunks(file, fh):
-    # Check the header, then yield (line, rows, columns) per chunk of
-    # the data records: the number of the chunk's first record, counted
-    # as csv.reader counts them, and what _plain_chunk or _csv_columns
-    # give for it.
+def _records(file, fh):
+    # Check the header, then yield (line, records) per chunk of the data
+    # records: the number of the chunk's first record, counted as
+    # csv.reader counts them, and either the text of a quote-free piece,
+    # LF line ends and no final LF, or a list of csv.reader rows.
     pieces = _pieces(file, fh)
     line = 0  # the next record's number, once the header is read
     for piece in pieces:
         if '"' in piece:
             # A quoted field may hold a comma or a line break, so
-            # csv.reader tokenizes the rest, from this piece on.
-            yield from _csv_chunks(file, chain([piece], pieces), line)
+            # csv.reader tokenizes the rest, from this piece on.  Until
+            # then a record was a line: the reader's first is line ``first``.
+            reader = csv.reader(
+                chain.from_iterable(map(io.StringIO, chain([piece], pieces), repeat("")))
+            )
+            first = line or 1
+            try:
+                if not line:
+                    _check_header(file, next(reader))
+                    line = 2
+                while chunk := list(islice(reader, _CHUNK_ROWS)):
+                    yield line, chunk
+                    line += len(chunk)
+            except csv.Error as exc:
+                line = first + reader.line_num - 1
+                raise CsvFormatError(f"{file}: line {line}: {exc}") from None
             return
         text = piece.replace("\r\n", "\n").replace("\r", "\n")
         if not line:
@@ -278,29 +265,45 @@ def _chunks(file, fh):
             _check_header(file, header.split(","))
             line = 2
         if text:
-            records, rows, columns = _plain_chunk(text)
-            yield line, rows, columns
-            line += records
+            # A piece of one blank line is still one record.
+            text = text.removesuffix("\n")
+            yield line, text
+            line += text.count("\n") + 1
     if not line:
         raise CsvFormatError(f"{file}: empty file")
 
 
-def _csv_chunks(file, texts: Iterable[str], line: int):
-    # _chunks for texts that begin on a record, by csv.reader.
-    reader = csv.reader(chain.from_iterable(map(io.StringIO, texts, repeat(""))))
-    if not line:
-        _check_header(file, next(reader))
-        line = 2
-    while chunk := list(islice(reader, _CHUNK_ROWS)):
-        yield line, lambda chunk=chunk: chunk, _csv_columns(chunk)
-        line += len(chunk)
+def _rows(records) -> list[list[str]]:
+    # The fields of each record of a chunk from _records.
+    if isinstance(records, str):
+        return [line.split(",") for line in records.split("\n")]
+    return records
+
+
+def _columns(records) -> tuple[list[str], list[str]]:
+    # The date and value fields of the two-field rows of a chunk from
+    # _records.  Rows whose fields are all blank are skipped; ValueError
+    # when another row has another field count.
+    if isinstance(records, str):
+        # One comma on every line leaves ",\n,\n...,\n,".
+        separators = records.encode().translate(None, _NOT_SEPARATORS)
+        if separators == b",\n" * (len(separators) // 2) + b",":
+            fields = records.replace("\n", ",").split(",")
+            return fields[0::2], fields[1::2]
+    rows = _rows(records)
+    two = np.fromiter(map(len, rows), np.intp, len(rows)) == 2
+    if not two.all():
+        if any(map(str.strip, map("".join, compress(rows, ~two)))):
+            raise ValueError("expected 2 fields")
+        rows = list(compress(rows, two))
+    return list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
 
 
 def _columnar(dates: list[str], values: list[str]) -> tuple[np.ndarray, np.ndarray, int, int]:
     # (days, values, parsed, dropped) of two-field rows, each column
     # converted by C-level maps: the day ordinals and values kept, the
     # count of data rows and of those dropped for a missing or NaN
-    # value.  ValueError for anything _row_walk must report.
+    # value.  ValueError for anything _locate_error reports.
     dates = list(map(str.strip, dates))
     values = list(map(str.strip, values))
     has_value = np.fromiter(map(bool, values), bool, len(values))
@@ -320,75 +323,45 @@ def _columnar(dates: list[str], values: list[str]) -> tuple[np.ndarray, np.ndarr
     return days[kept], column[kept], len(dates), len(dates) - int(np.count_nonzero(kept))
 
 
-def _row_walk(
-    file, line: int, rows: Iterable[list[str]]
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    # What _columnar gives, one row at a time, for rows numbered from
-    # ``line``; raises the first of their errors with its line.
-    days: list[int] = []
-    values: list[float] = []
-    dropped = 0
-    parsed = 0
-    for lineno, row in enumerate(rows, start=line):
-        if len(row) != 2:
-            # Rows whose fields are all blank are skipped.
-            if "".join(row).strip():
-                raise CsvFormatError(f"{file}: line {lineno}: expected 2 fields")
-            continue
-        raw_date, raw_value = row[0].strip(), row[1].strip()
-        if not (raw_date or raw_value):
-            continue
-        parsed += 1
+def _locate_error(file, line: int, records) -> None:
+    # Raise the first error that _columns or _columnar found in a chunk
+    # from _records whose first record is number ``line``.
+    for lineno, row in enumerate(_rows(records), start=line):
+        fields = [field.strip() for field in row]
+        if not any(fields):
+            continue  # a blank row, of any field count
+        where = f"{file}: line {lineno}"
+        if len(fields) != 2:
+            raise CsvFormatError(f"{where}: expected 2 fields")
+        raw_date, raw_value = fields
         try:
-            date = dt.date.fromisoformat(raw_date)
+            dt.date.fromisoformat(raw_date)
         except ValueError:
-            raise CsvFormatError(
-                f"{file}: line {lineno}: bad date {raw_date!r}"
-            ) from None
-        if raw_value == "":
-            dropped += 1
-            continue
+            raise CsvFormatError(f"{where}: bad date {raw_date!r}") from None
+        if not raw_value:
+            continue  # a missing value
         try:
             value = float(raw_value)
         except ValueError:
-            raise CsvFormatError(
-                f"{file}: line {lineno}: bad value {raw_value!r}"
-            ) from None
-        if not math.isfinite(value):
-            if math.isnan(value):
-                dropped += 1
-                continue
-            raise CsvFormatError(
-                f"{file}: line {lineno}: non-finite value {raw_value!r}"
-            )
-        days.append(date.toordinal())
-        values.append(value)
-    return np.array(days, np.int64), np.array(values, float), parsed, dropped
+            raise CsvFormatError(f"{where}: bad value {raw_value!r}") from None
+        if math.isinf(value):
+            raise CsvFormatError(f"{where}: non-finite value {raw_value!r}")
 
 
 def _read_columns(file) -> tuple[np.ndarray, np.ndarray, int, int]:
     # (days, values, parsed, dropped) of a date,value CSV in file order:
     # the day ordinals and values kept, the count of data rows and of
     # those dropped for a missing or NaN value.
-    day_chunks = [np.empty(0, np.int64)]
-    value_chunks = [np.empty(0)]
-    parsed = 0
-    dropped = 0
+    chunks = [(np.empty(0, np.int64), np.empty(0), 0, 0)]
     with open(file, "rb") as fh:
-        for line, rows, columns in _chunks(file, fh):
-            chunk = None
-            if columns is not None:
-                try:
-                    chunk = _columnar(*columns)
-                except ValueError:
-                    pass
-            if chunk is None:
-                chunk = _row_walk(file, line, rows())
-            day_chunks.append(chunk[0])
-            value_chunks.append(chunk[1])
-            parsed += chunk[2]
-            dropped += chunk[3]
-    return np.concatenate(day_chunks), np.concatenate(value_chunks), parsed, dropped
+        for line, records in _records(file, fh):
+            try:
+                chunks.append(_columnar(*_columns(records)))
+            except ValueError:
+                _locate_error(file, line, records)
+                raise
+    days, values, parsed, dropped = zip(*chunks)
+    return np.concatenate(days), np.concatenate(values), sum(parsed), sum(dropped)
 
 
 def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
@@ -396,8 +369,8 @@ def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
 
     Under ``value_scale="level"`` non-positive values count as dropped.
     The file is read as UTF-8 in pieces; each chunk of records is
-    converted column by column, and only a chunk that holds an error,
-    or a row of another field count, is walked row by row to report it.
+    converted column by column, and only a chunk that holds an error is
+    walked row by row, to report the first error with its line.
     """
     if value_scale not in VALUE_SCALES:
         raise ValueError(f"value_scale must be one of {VALUE_SCALES}")

@@ -145,6 +145,24 @@ class TestEstimate:
         assert stdout == ""
         assert err == f"error: {file}: line 3: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("size", [1 << 16, 1])
+    def test_overlong_quoted_field_is_input_error_with_line(
+        self, tmp_path, capsys, monkeypatch, size
+    ):
+        # csv.reader takes over at line 1, or at line 3 in pieces of one
+        # line; a quoted line break puts the long field on line 5.
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        file = tmp_path / "long.csv"
+        file.write_text(
+            'date,value\n2001-01-01,1.0\n"2001-01-02"," 2.0\n"\n'
+            f'2001-01-03,"{"1" * 140_000}"\n2001-01-04,3.0\n'
+        )
+        code, stdout, err = run(capsys, "estimate", "--input", str(file), "--amax", "2")
+        assert code == 1
+        assert stdout == ""
+        limit = csv.field_size_limit()
+        assert err == f"error: {file}: line 5: field larger than field limit ({limit})\n"
+
     def test_missing_input_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "estimate")
         assert code == 1

@@ -81,8 +81,10 @@ class TestLoadSeries:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_misaligned_rows_are_field_count_errors(self, tmp_path, newline):
         # Two commas on one line and none on the next: one per line on
-        # average, still a 3-field row.
-        rows = ["date,value", "2001-01-03,1.0", "2001-01-01,1.0,2001-01-02", "2.0"]
+        # average, still a 3-field row.  A row follows, so that the pair
+        # is not cut apart at the last line break.
+        rows = ["date,value", "2001-01-03,1.0", "2001-01-01,1.0,2001-01-02", "2.0",
+                "2001-01-04,1.0"]
         file = tmp_path / "s.csv"
         file.write_bytes(newline.join(rows).encode())
         with pytest.raises(CsvFormatError) as got:
@@ -253,6 +255,14 @@ def _check_against_reference(tmp_path_factory, text, value_scale):
     assert (got_parsed, got_dropped) == (parsed, dropped)
 
 
+def _forbid_row_split(monkeypatch):
+    def fail(*args):
+        raise AssertionError("chunk walked row by row")
+
+    monkeypatch.setattr(pipeline, "_rows", fail)
+    monkeypatch.setattr(pipeline, "_locate_error", fail)
+
+
 class TestColumnarParse:
     @settings(max_examples=400, deadline=None)
     @given(text=_csv_text(), value_scale=st.sampled_from(VALUE_SCALES))
@@ -268,6 +278,34 @@ class TestColumnarParse:
     ):
         with mock.patch.multiple(pipeline, _PIECE_BYTES=size, _CHUNK_ROWS=size):
             _check_against_reference(tmp_path_factory, text, value_scale)
+
+    # Valid rows of one comma each, quote-free, are converted by column
+    # alone: the per-row split and the error locator fail here.
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("size", [1 << 16, 7])
+    def test_valid_rows_take_the_fast_path(self, tmp_path, monkeypatch, newline, size):
+        _forbid_row_split(monkeypatch)
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        n = 4000
+        days = np.datetime_as_string(np.datetime64("2001-01-01") + np.arange(n)).tolist()
+        values = np.random.default_rng(5).standard_normal(n).tolist()
+        lines = ["date,value", *map(",".join, zip(days, map(repr, values))), ""]
+        file = tmp_path / "s.csv"
+        file.write_bytes(newline.join(lines).encode())
+        series, parsed, dropped = _parse_series(file, "log")
+        assert series.values.tolist() == values
+        assert (parsed, dropped) == (n, 0)
+
+    def test_missing_and_nan_values_take_the_fast_path(self, tmp_path, monkeypatch):
+        _forbid_row_split(monkeypatch)
+        file = _write(
+            tmp_path / "s.csv",
+            "date,value\n2001-01-01,1.0\n2001-01-02,\n2001-01-03,nan\n"
+            "2001-01-04, NaN \n 2001-01-05 , -2.0\n2001-01-06,3.0\n",
+        )
+        series, parsed, dropped = _parse_series(file, "level")
+        assert series.values.tolist() == [1.0, 3.0]
+        assert (parsed, dropped) == (6, 4)
 
     def test_memory_stays_near_the_file_size(self, tmp_path):
         # Whole-file lists of fields or date objects would take several
