@@ -11,11 +11,14 @@ killed by a closed pipe).
 from __future__ import annotations
 
 import argparse
+import calendar
 import datetime as dt
 import logging
 import math
 import os
 import sys
+from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -118,6 +121,19 @@ def _build_parser() -> argparse.ArgumentParser:
 _CHUNK_ROWS = 1 << 16
 
 
+def _date_fields(start: dt.date) -> Iterator[str]:
+    # "YYYY-MM-DD," for every day from start on: the year joined to a
+    # table of "-MM-DD," for a common or a leap year.
+    tables = [
+        [(jan1 + dt.timedelta(i)).isoformat()[4:] + "," for i in range(365 + leap)]
+        for leap, jan1 in enumerate((dt.date(2001, 1, 1), dt.date(2000, 1, 1)))
+    ]
+    day = start.timetuple().tm_yday - 1
+    for year in count(start.year):
+        yield from map(f"{year:04d}".__add__, tables[calendar.isleap(year)][day:])
+        day = 0
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = FgnSpec(hurst=args.hurst, length=args.length, scale=args.scale, seed=args.seed)
     if args.start_date.toordinal() + spec.length - 1 > dt.date.max.toordinal():
@@ -128,12 +144,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.out, "w", newline="") as fh:
         path = simulate_fbm(spec)
         fh.write("date,value\r\n")
-        days = np.datetime64(args.start_date, "D") + np.arange(len(path))
+        dates = _date_fields(args.start_date)
         for lo in range(0, len(path), _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            dates = np.datetime_as_string(days[lo:hi]).tolist()
-            values = map(repr, path.values[lo:hi].tolist())
-            fh.write("\r\n".join(map(",".join, zip(dates, values))))
+            values = path.values[lo : lo + _CHUNK_ROWS].tolist()
+            rows = map(str.__add__, islice(dates, len(values)), map(repr, values))
+            fh.write("\r\n".join(rows))
             fh.write("\r\n")
     print(f"wrote {len(path)} points to {args.out}")
     return 0

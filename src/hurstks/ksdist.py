@@ -73,9 +73,9 @@ def _statistic(right, left, n: int, up_base: np.ndarray, dn_base: np.ndarray):
     return np.maximum((up_base - right / n).max(axis=-1), (left / n - dn_base).max(axis=-1))
 
 
-def _ks_sorted(
-    a: np.ndarray, b: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
-) -> float:
+def _ks_sorted(a: np.ndarray, b: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray):
+    # The KS statistic of a and each row of b, both sorted along the
+    # last axis: a scalar for a 1-D b, one value per row for a 2-D b.
     # The sup of |F - G| is attained at a jump of G, the ECDF of b.
     # Between two jumps of G, G - F is largest just after the left one
     # and F - G just before the right one; G - F <= 0 before the first
@@ -93,12 +93,13 @@ def _ks_sorted(
     # reads a[-1] > b_j, never equal).
     right = np.searchsorted(a, b, side="right")
     left = np.searchsorted(a, b, side="left") if (a[right - 1] == b).any() else right
-    return float(_statistic(right, left, a.size, up_base, dn_base))
+    return _statistic(right, left, a.size, up_base, dn_base)
 
 
-# Most crossing events one sweep piece may hold; it also bounds every
-# temporary of the piece, about a hundred bytes per event.  Of 2**11 ..
-# 2**15, 2**13 was fastest on the full mesh at 500 x 500 and 1491 x 1491.
+# Most crossing events one sweep piece, or products one ranked piece,
+# may hold; it also bounds every temporary of the piece, about a
+# hundred bytes per event.  Of 2**11 .. 2**15, 2**13 was fastest on the
+# full mesh at 500 x 500 and 1491 x 1491.
 _SWEEP_EVENTS = 1 << 13
 
 
@@ -140,8 +141,11 @@ def _ks_sweep(
     width = (right - left) * (first != last)
     events = int(width.sum())
     if events > k * b.size:
-        # Windows so wide that ranking each row costs less.
-        return np.array([_ks_sorted(a, b * s, up_base, dn_base) for s in scales])
+        # Windows so wide that ranking every product costs less: rank
+        # the rows b * s in pieces of at most _SWEEP_EVENTS products.
+        rows = max(1, _SWEEP_EVENTS // b.size)
+        pieces = (scales[i : i + rows, None] * b for i in range(0, k, rows))
+        return np.concatenate([_ks_sorted(a, piece, up_base, dn_base) for piece in pieces])
     if events > _SWEEP_EVENTS:
         pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
         return np.concatenate(
@@ -218,7 +222,7 @@ def ks_two_sample(first: EmpiricalCdf, second: EmpiricalCdf) -> float:
         strictly increasing transform applied to both samples.
     """
     b = second.sorted_values
-    return _ks_sorted(first.sorted_values, b, *_jump_bases(b.size))
+    return float(_ks_sorted(first.sorted_values, b, *_jump_bases(b.size)))
 
 
 def ks_critical(n: int, m: int, alpha: float) -> float:
@@ -277,7 +281,7 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     def objective(hurst: float) -> float:
         if not 0.0 < hurst <= 1.0:
             raise ValueError("hurst must lie in (0, 1]")
-        return _ks_sorted(fine, coarse * a_max ** (-hurst), up_base, dn_base)
+        return float(_ks_sorted(fine, coarse * a_max ** (-hurst), up_base, dn_base))
 
     def many(hursts: Sequence[float]) -> np.ndarray:
         hs = [float(h) for h in hursts]

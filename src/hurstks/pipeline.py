@@ -198,17 +198,18 @@ def _pieces(file, fh) -> Iterator[str]:
     # The UTF-8 text of a file opened in binary mode, in pieces of about
     # _PIECE_BYTES that end on a line break (a CR is never parted from
     # the LF after it) or at the end of the file.  Line ends are kept.
+    # The next block is read ahead, so the last piece runs to the end of
+    # the file even when no line break ends it.
     # Bytes that are not UTF-8 raise CsvFormatError with their line: one
     # past the line breaks (LF, CRLF or a lone CR) before them.
     carry = b""
     start = 0  # file offset of carry
-    while True:
-        block = fh.read(_PIECE_BYTES)
+    block = fh.read(_PIECE_BYTES)
+    while block:
+        ahead = fh.read(_PIECE_BYTES)
         data = carry + block
-        if not data:
-            return
         cut = len(data)
-        if block:
+        if ahead:
             cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, cut - 1)) + 1
         try:
             text = data[:cut].decode("utf-8")
@@ -220,6 +221,7 @@ def _pieces(file, fh) -> Iterator[str]:
         carry, start = data[cut:], start + cut
         if text:
             yield text
+        block = ahead
 
 
 def _check_header(file, header: list[str]) -> None:

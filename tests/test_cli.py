@@ -63,7 +63,9 @@ class TestSimulate:
         assert "error" in err
 
     @pytest.mark.parametrize("length", [1, 2, 65536, 65537, 70000])
-    @pytest.mark.parametrize("start", ["1999-12-31", "2000-02-28", "last"])
+    @pytest.mark.parametrize(
+        "start", ["1999-12-31", "2000-02-28", "last", "0999-12-20", "1899-12-30"]
+    )
     def test_bytes_match_csv_writer(self, tmp_path, capsys, length, start):
         # Reference: the csv.writer loop, one row per point, whose bytes
         # the chunked writer must reproduce.

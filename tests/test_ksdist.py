@@ -4,6 +4,7 @@ rescaled-increment objective built on it."""
 import itertools
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -512,15 +513,27 @@ class TestBlockEvaluation:
         }
         want = {name: [fn(h) for h in hs] for name, hs in runs.items()}
         calls = _count_calls(monkeypatch, ksdist, "_ks_sweep", "_ks_sorted")
+        shapes, counted = [], ksdist._ks_sorted
+
+        def ranked(a, b, *bases):
+            shapes.append(b.shape)
+            return counted(a, b, *bases)
+
+        monkeypatch.setattr(ksdist, "_ks_sorted", ranked)
         got = {}
         for name, hs in runs.items():
             calls.update(_ks_sweep=0, _ks_sorted=0)
+            shapes.clear()
             assert fn.many(hs).tolist() == want[name]
-            got[name] = dict(calls)
+            got[name] = dict(calls, shapes=list(shapes))
         # A 50-point scan of the whole interval crosses more fine points
-        # than ranking its 50 rows takes; runs of the mesh go through
-        # the sweep, a long one in pieces.
-        assert got["scan"] == {"_ks_sweep": 1, "_ks_sorted": 50}
+        # than ranking its 50 rows of products takes, so it ranks them
+        # in one 2D pass, in pieces of at most _SWEEP_EVENTS products,
+        # and makes no per-exponent kernel call; runs of the mesh go
+        # through the sweep, a long one in pieces.
+        rows = ksdist._SWEEP_EVENTS // 400
+        assert got["scan"]["_ks_sweep"] == 1
+        assert got["scan"]["shapes"] == [(min(rows, 50 - i), 400) for i in range(0, 50, rows)]
         assert got["mesh 1e-3"]["_ks_sweep"] > 2
         assert got["mesh 1e-4"]["_ks_sorted"] == got["mesh 1e-3"]["_ks_sorted"] == 0
 
@@ -572,6 +585,59 @@ class TestBlockEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_wide_run_at_1491_ranks_in_small_pieces(self, monkeypatch):
+        import hurstks.ksdist as ksdist
+
+        # A 1491 x 1491 pair as analyze draws it from a 1512-point window.
+        path = simulate_fbm(FgnSpec(hurst=0.5, length=1512, seed=1))
+        plan = PermutationPlan(subsample_size=1491, seed=1)
+        fn = scaled_diameter_fn(
+            RescaledPair(
+                fine=uniform_sample_permute(increments(path, 1), plan),
+                coarse=uniform_sample_permute(increments(path, 21), plan),
+                a_max=21,
+            )
+        )
+        # About the widest run of [1e-3, 1] that still ranks every
+        # product: 400 rows of 1491, 4.8 MB per array if formed at once.
+        hs = np.linspace(1e-3, 1.0, 400).tolist()
+        fn.many(hs)
+        calls = _count_calls(monkeypatch, ksdist, "_ks_sorted")
+        tracemalloc.start()
+        try:
+            fn.many(hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls["_ks_sorted"] == math.ceil(400 / (ksdist._SWEEP_EVENTS // 1491))
+        assert peak < 1_000_000
+
+    @given(
+        st.lists(st.integers(0, 30), min_size=21, max_size=21),
+        st.lists(st.integers(0, 3), min_size=21, max_size=21),
+        st.one_of(st.sampled_from([4, 16]), st.integers(2, 50)),
+        st.integers(1, 60),
+        st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), max_size=4),
+        st.sampled_from([1, 16, 100, 1 << 13]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_wide_runs_match_per_exponent_calls(self, fine, coarse, a_max, k, exact, budget):
+        # Samples of -10 .. 10, each value repeated as often as drawn,
+        # tie at zero, and at exact scales such as 16 ** -0.25 = 0.5
+        # elsewhere.  A scan of [1e-3, 1] moves the products across
+        # more fine points than it has exponents, so it mostly ranks
+        # every product; the budget splits the rows into pieces of
+        # every size down to one.
+        import hurstks.ksdist as ksdist
+
+        xs, ys = (np.repeat(np.arange(-10.0, 11.0), counts) for counts in (fine, coarse))
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        fn = scaled_diameter_fn(_pair(xs, ys, a_max=a_max))
+        hs = np.linspace(1e-3, 1.0, k).tolist() + exact
+        want = [fn(h) for h in hs]
+        with patch.object(ksdist, "_SWEEP_EVENTS", budget):
+            assert fn.many(hs).tolist() == want
 
     def test_any_order_and_repeats(self):
         rng = np.random.default_rng(4)

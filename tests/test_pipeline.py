@@ -307,6 +307,24 @@ class TestColumnarParse:
         assert series.values.tolist() == [1.0, 3.0]
         assert (parsed, dropped) == (6, 4)
 
+    # A last line without a line break stays in the piece before it.
+    @pytest.mark.parametrize(
+        "size, chunks",
+        [
+            (1 << 16, [(2, "2001-01-03,1.0\n2001-01-01,1.0\n2001-01-02,2.0")]),
+            (32, [(2, "2001-01-03,1.0"), (3, "2001-01-01,1.0\n2001-01-02,2.0")]),
+        ],
+        ids=["one-block", "two-blocks"],
+    )
+    def test_unterminated_last_line_joins_the_piece_before(
+        self, tmp_path, monkeypatch, size, chunks
+    ):
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        file = tmp_path / "s.csv"
+        file.write_bytes(b"date,value\n2001-01-03,1.0\n2001-01-01,1.0\n2001-01-02,2.0")
+        with open(file, "rb") as fh:
+            assert list(pipeline._records(file, fh)) == chunks
+
     def test_memory_stays_near_the_file_size(self, tmp_path):
         # Whole-file lists of fields or date objects would take several
         # times the file; the columnar parse holds one piece at a time.
