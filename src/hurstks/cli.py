@@ -27,6 +27,7 @@ from hurstks.ksdist import RescaledPair, ks_critical
 from hurstks.minimize import METHODS, bench_optimizers, estimate_hurst, write_bench_csv
 from hurstks.permute import DegenerateSampleError, PermutationPlan
 from hurstks.pipeline import (
+    VALUE_SCALES,
     CsvFormatError,
     NotConvergedError,
     build_manifest,
@@ -34,7 +35,6 @@ from hurstks.pipeline import (
     optimizer_config,
     parse_manifest,
     run_static_analysis,
-    series_path,
 )
 from hurstks.stats import confidence_interval, estimator_sd
 
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True)
     est.add_argument(
         "--input-scale",
-        choices=("level", "log"),
+        choices=VALUE_SCALES,
         default="log",
         help="'log' (default) reads values as already log-scale, e.g. simulated paths; "
         "use 'level' for positive volatility levels",
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--manifest", help="flat key=value manifest file; takes no other flags")
     ana.add_argument("--input")
     ana.add_argument("--input2")
-    ana.add_argument("--input-scale", choices=("level", "log"))
+    ana.add_argument("--input-scale", choices=VALUE_SCALES)
     ana.add_argument("--window", type=int, dest="window_length")
     ana.add_argument("--amax", type=int, dest="a_max")
     ana.add_argument("--subseq", type=int)
@@ -155,8 +155,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    series = load_series(args.input, value_scale=args.input_scale)
-    path = series_path(args.input, series, args.input_scale)
+    path = load_series(args.input, value_scale=args.input_scale).path
     if len(path) <= args.amax:
         raise CsvFormatError(f"{args.input}: series shorter than the coarse lag")
     pair = RescaledPair(

@@ -49,7 +49,6 @@ __all__ = [
     "NotConvergedError",
     "load_series",
     "log_transform",
-    "series_path",
     "window_partition",
     "parse_manifest",
     "build_manifest",
@@ -72,17 +71,23 @@ class NotConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Series:
-    """A date-ordered series as two columns of equal length.
+    """An estimation-ready series loaded from a ``date,value`` CSV.
 
-    ``dates`` holds strictly increasing ``datetime64[D]`` days and
-    ``values`` the finite float64 observations on them.
+    ``dates`` holds the strictly increasing ``datetime64[D]`` days kept
+    and ``path`` the log values on them.  ``rows_parsed`` counts the
+    data rows of the file and ``rows_dropped`` those left out;
+    ``warning`` is the text of the warning logged when more than 1% of
+    the data rows were dropped, or None.
     """
 
     dates: np.ndarray
-    values: np.ndarray
+    path: Path
+    rows_parsed: int
+    rows_dropped: int
+    warning: str | None
 
     def __len__(self) -> int:
-        return self.values.size
+        return len(self.path)
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,9 @@ def _pieces(file, fh) -> Iterator[str]:
     # _PIECE_BYTES that end on a line break (a CR is never parted from
     # the LF after it) or at the end of the file.  Line ends are kept.
     # The next block is read ahead, so the last piece runs to the end of
-    # the file even when no line break ends it.
+    # the file even when no line break ends it.  A byte-order mark that
+    # opens the file is skipped: no line break is in it, so the first
+    # piece holds all of it.
     # Bytes that are not UTF-8 raise CsvFormatError with their line: one
     # past the line breaks (LF, CRLF or a lone CR) before them.
     carry = b""
@@ -218,6 +225,8 @@ def _pieces(file, fh) -> Iterator[str]:
             head = fh.read(start + exc.start)
             line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise CsvFormatError(f"{file}: line {line}: not UTF-8 text") from None
+        if not start:
+            text = text.removeprefix("\ufeff")
         carry, start = data[cut:], start + cut
         if text:
             yield text
@@ -366,10 +375,11 @@ def _read_columns(file) -> tuple[np.ndarray, np.ndarray, int, int]:
     return np.concatenate(days), np.concatenate(values), sum(parsed), sum(dropped)
 
 
-def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
-    """Parse a date,value CSV; returns (series, rows_parsed, dropped).
+def _parse_series(file, value_scale: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Parse a date,value CSV; returns (dates, values, rows_parsed, dropped).
 
-    Under ``value_scale="level"`` non-positive values count as dropped.
+    The rows are sorted by date and their dates checked for repeats;
+    under ``value_scale="level"`` non-positive values count as dropped.
     The file is read as UTF-8 in pieces; each chunk of records is
     converted column by column, and only a chunk that holds an error is
     walked row by row, to report the first error with its line.
@@ -377,7 +387,6 @@ def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
     if value_scale not in VALUE_SCALES:
         raise ValueError(f"value_scale must be one of {VALUE_SCALES}")
     days, column, parsed, dropped = _read_columns(file)
-    # Sort, check and filter the columns.
     order = np.argsort(days, kind="stable")
     days = days[order]
     repeated = np.flatnonzero(days[1:] == days[:-1])
@@ -391,25 +400,11 @@ def _parse_series(file, value_scale: str) -> tuple[Series, int, int]:
         dropped += column.size - int(np.count_nonzero(keep))
         days, column = days[keep], column[keep]
     epoch = dt.date(1970, 1, 1).toordinal()
-    return Series((days - epoch).astype("datetime64[D]"), column), parsed, dropped
-
-
-def _log_dropped(file, parsed: int, dropped: int) -> str | None:
-    # Log the count of dropped rows; more than 1% of the data rows is
-    # a warning, whose text is returned for the run report.
-    if not dropped:
-        return None
-    message = f"{file}: dropped {dropped} of {parsed} rows"
-    if dropped <= 0.01 * max(parsed, 1):
-        logger.info(message)
-        return None
-    message += " (>1%)"
-    logger.warning(message)
-    return message
+    return (days - epoch).astype("datetime64[D]"), column, parsed, dropped
 
 
 def load_series(file, value_scale: str = "level") -> Series:
-    """Load a ``date,value`` CSV into a date-ordered series.
+    """Load a ``date,value`` CSV into an estimation-ready series.
 
     Parameters
     ----------
@@ -418,44 +413,42 @@ def load_series(file, value_scale: str = "level") -> Series:
         dates.
     value_scale : str, optional
         ``"level"`` (the default) drops rows with missing or
-        non-positive values, since a log transform follows;
-        ``"log"`` means values are already on log scale and only
-        missing values are dropped.
+        non-positive values and log-transforms the rest; ``"log"``
+        means values are already on log scale and only missing values
+        are dropped.
 
     Returns
     -------
     Series
-        Sorted by date.  Dropped-row counts go to the module logger,
-        with a warning when they exceed 1% of data rows.
+        Sorted by date.  The count of dropped rows goes to the module
+        logger, as a warning when it exceeds 1% of the data rows.
 
     Raises
     ------
     CsvFormatError
         On malformed headers, unparseable or infinite values (with
-        line number), or duplicate dates.
+        line number), duplicate dates, or fewer than two usable rows.
     """
-    series, parsed, dropped = _parse_series(file, value_scale)
-    _log_dropped(file, parsed, dropped)
-    return series
-
-
-def log_transform(series: Series) -> Path:
-    """Natural log of the series values, as a path."""
-    if len(series) < 2:
-        raise ValueError("need at least two observations")
-    if np.any(series.values <= 0.0):
-        raise ValueError("log transform needs positive values")
-    return Path(np.log(series.values))
-
-
-def series_path(file, series: Series, value_scale: str) -> Path:
-    """Path of a loaded series: log levels, or the values as given under
-    ``value_scale="log"``; CsvFormatError below two observations."""
-    if len(series) < 2:
+    dates, values, parsed, dropped = _parse_series(file, value_scale)
+    warning = None
+    if dropped:
+        message = f"{file}: dropped {dropped} of {parsed} rows"
+        if dropped <= 0.01 * max(parsed, 1):
+            logger.info(message)
+        else:
+            warning = message + " (>1%)"
+            logger.warning(warning)
+    if values.size < 2:
         raise CsvFormatError(f"{file}: fewer than two usable rows")
-    if value_scale == "level":
-        return log_transform(series)
-    return Path(series.values)
+    path = log_transform(values) if value_scale == "level" else Path(values)
+    return Series(dates, path, parsed, dropped, warning)
+
+
+def log_transform(values: np.ndarray) -> Path:
+    """Natural log of positive values, as a path."""
+    if np.any(values <= 0.0):
+        raise ValueError("log transform needs positive values")
+    return Path(np.log(values))
 
 
 def window_partition(path: Path, config: WindowConfig) -> list[Path]:
@@ -613,39 +606,18 @@ def _estimate_one_window(
     return estimate_hurst(pair, plan, optimizer, alpha=wc.alpha)
 
 
-def _load_input(
-    manifest: RunManifest, file
-) -> tuple[SeriesReport, np.ndarray, list[Path], str | None]:
-    # Parse, transform and window one input.  Returns its report, still
-    # without window rows, the dates, the windows and the warning on
-    # dropped rows, if any.
-    series, parsed, dropped = _parse_series(file, manifest.input_scale)
-    path = series_path(file, series, manifest.input_scale)
-    warning = _log_dropped(file, parsed, dropped)
-    windows = window_partition(path, manifest.window)
-    report = SeriesReport(
-        input=str(file),
-        rows_parsed=parsed,
-        rows_dropped=dropped,
-        n_windows=len(windows),
-        remainder=len(path) % manifest.window.window_length,
-        windows=(),
-        aggregate=None,
-    )
-    return report, series.dates, windows, warning
-
-
-def _estimate_windows(
-    manifest: RunManifest, series_idx: int, report: SeriesReport, dates: np.ndarray,
-    windows: list[Path], sigma: float,
+def _series_report(
+    manifest: RunManifest, series_idx: int, file, series: Series, windows: list[Path],
+    sigma: float,
 ) -> SeriesReport:
+    # Estimate each window of one input and aggregate them.
     size = manifest.window.window_length
     rows = []
     for w, wpath in enumerate(windows):
         result = _estimate_one_window(wpath, manifest, series_idx, w)
         if not result.converged:
             raise NotConvergedError(
-                f"{report.input}: window {w}: minimizer ran out of its budget of "
+                f"{file}: window {w}: minimizer ran out of its budget of "
                 f"{manifest.optimizer.max_evals} evaluations"
             )
         ci_lo, ci_hi = confidence_interval(
@@ -654,8 +626,8 @@ def _estimate_windows(
         rows.append(
             WindowRow(
                 window_index=w,
-                start_date=dates[w * size].item(),
-                end_date=dates[(w + 1) * size - 1].item(),
+                start_date=series.dates[w * size].item(),
+                end_date=series.dates[(w + 1) * size - 1].item(),
                 result=result,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,
@@ -664,7 +636,15 @@ def _estimate_windows(
     aggregate = None
     if len(rows) >= 2:
         aggregate = aggregate_windows([r.result.h_hat for r in rows], sigma)
-    return replace(report, windows=tuple(rows), aggregate=aggregate)
+    return SeriesReport(
+        input=str(file),
+        rows_parsed=series.rows_parsed,
+        rows_dropped=series.rows_dropped,
+        n_windows=len(windows),
+        remainder=len(series) % size,
+        windows=tuple(rows),
+        aggregate=aggregate,
+    )
 
 
 # Per-window output fields: name and value, in windows.csv column order.
@@ -734,13 +714,12 @@ def _report_json(manifest: RunManifest, report: RunReport) -> dict:
 def run_static_analysis(manifest: RunManifest) -> RunReport:
     """Run the full windowed analysis described by a manifest.
 
-    Loads each input series, log-transforms it (unless the manifest
-    says values are already logs) and partitions it into windows; only
-    when every input has passed these steps does it estimate the
-    exponent per window, with seeds derived from the master seed and
-    the window position, and aggregate.  With two
-    inputs, the mean exponents are compared by a z-test whose scale
-    is the per-window standard deviation.
+    Loads each input series (see :func:`load_series`) and partitions
+    it into windows; only when every input has passed these steps does
+    it estimate the exponent per window, with seeds derived from the
+    master seed and the window position, and aggregate.  With two
+    inputs, the mean exponents are compared by a z-test whose scale is
+    the per-window standard deviation.
 
     Side effects: makes the manifest's ``out_dir`` before the first
     window is estimated, then writes ``report.json`` and
@@ -752,14 +731,17 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     RunReport
     """
     os.makedirs(manifest.out_dir, exist_ok=True)
-    loaded = [_load_input(manifest, file) for file in manifest.inputs]
-    warnings = tuple(warning for *_, warning in loaded if warning)
+    loaded = []
+    for file in manifest.inputs:
+        data = load_series(file, manifest.input_scale)
+        loaded.append((file, data, window_partition(data.path, manifest.window)))
+    warnings = tuple(data.warning for _, data, _ in loaded if data.warning)
     # Every window keeps T values of each sample: one sd serves them all.
     t = manifest.window.resolved_subseq()
     sigma = estimator_sd(manifest.window.a_max, t, t)
     series = [
-        _estimate_windows(manifest, idx, report, dates, windows, sigma)
-        for idx, (report, dates, windows, _) in enumerate(loaded)
+        _series_report(manifest, idx, file, data, windows, sigma)
+        for idx, (file, data, windows) in enumerate(loaded)
     ]
     z_stat = z_p = None
     if len(series) == 2:

@@ -5,11 +5,19 @@
 ``hurstks.pipeline.confidence_interval`` by name.  A refactor that
 renames or removes one of them does not fail the benchmark: it reports
 the layer as unmeasured.  This test makes such a change fail the suite
-instead.
+instead.  A name that still exists but is no longer called through the
+module attribute is as blind, so the input route is checked by call.
 """
 
+import csv
+import datetime as dt
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from hurstks import cli, pipeline
+from hurstks.fgn import FgnSpec, simulate_fbm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,3 +27,41 @@ def test_tracer_binds_every_entry_point(monkeypatch):
     tracer = importlib.import_module("tracing").Tracer()
     assert tracer.unmeasured == {}
     assert tracer.unbound == []
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _level_csv(file, seed):
+    values = np.exp(simulate_fbm(FgnSpec(hurst=0.5, length=300, seed=seed)).values)
+    with open(file, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "value"])
+        for i, value in enumerate(values.tolist()):
+            writer.writerow([dt.date(2001, 1, 1) + dt.timedelta(i), repr(value)])
+    return str(file)
+
+
+def test_front_ends_call_the_input_route_by_attribute(tmp_path, monkeypatch):
+    # The tracer counts loads at cli.load_series and times the log
+    # transform at pipeline.log_transform.
+    files = [_level_csv(tmp_path / f"v{seed}.csv", seed) for seed in (0, 1)]
+    loads = _count_calls(monkeypatch, cli, "load_series")
+    transforms = _count_calls(monkeypatch, pipeline, "log_transform")
+    argv = ["estimate", "--input", files[0], "--input-scale", "level", "--amax", "10"]
+    assert cli.main(argv) == 0
+    assert (len(loads), len(transforms)) == (1, 1)
+    transforms.clear()
+    argv = ["analyze", "--input", files[0], "--input2", files[1], "--window", "100",
+            "--amax", "10", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(transforms) == 2

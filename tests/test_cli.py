@@ -5,6 +5,7 @@ import csv
 import datetime as dt
 import io
 import json
+import logging
 import os
 import statistics
 import subprocess
@@ -51,7 +52,7 @@ class TestSimulate:
         )
         assert code == 0
         want = simulate_fbm(FgnSpec(hurst=0.7, length=128, seed=3)).values
-        got = load_series(str(out), value_scale="log").values
+        got = load_series(str(out), value_scale="log").path.values
         assert np.array_equal(got, want)
 
     def test_bad_hurst_is_input_error(self, tmp_path, capsys):
@@ -646,6 +647,47 @@ def test_negative_seed_fails_before_any_output(tmp_path, capsys, command, flags,
     assert err.startswith("error: ") and "seed must be non-negative" in err
     assert stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+# Bad level files, as the rows after the header, with the error and the
+# dropped-rows line that both front ends must report for them.
+_ROUTE_CASES = {
+    "one-row": ("2001-01-01,1.0\n2001-01-02,-1.0\n", "fewer than two usable rows",
+                "dropped 1 of 2 rows (>1%)"),
+    "duplicate-date": ("2001-01-01,1.0\n2001-01-02,\n2001-01-01,2.0\n",
+                       "duplicate date 2001-01-01", None),
+    "bad-value": ("2001-01-01,1.0\n2001-01-02,abc\n2001-01-03,\n", "line 3: bad value 'abc'",
+                  None),
+    "dropped-31": (None, None, "dropped 31 of 3024 rows (>1%)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUTE_CASES))
+def test_estimate_and_analyze_read_input_alike(tmp_path, capsys, caplog, case):
+    rows, error, dropped = _ROUTE_CASES[case]
+    if rows is None:
+        values = np.exp(simulate_fbm(FgnSpec(hurst=0.5, length=3024, seed=0)).values)
+        values[1:32] = -1.0
+        start = dt.date(2000, 1, 3)
+        rows = "".join(
+            f"{start + dt.timedelta(i)},{v!r}\n" for i, v in enumerate(values.tolist())
+        )
+    file = tmp_path / "v.csv"
+    file.write_text("date,value\n" + rows)
+    seen = []
+    for argv in (["estimate", "--input-scale", "level"], ["analyze", "--out-dir", str(tmp_path)]):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="hurstks.pipeline"):
+            code, _, err = run(capsys, *argv, "--input", str(file))
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        logged = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+        seen.append((code, errors, logged))
+    want = (
+        1 if error else 0,
+        [f"error: {file}: {error}"] if error else [],
+        [f"{file}: {dropped}"] if dropped else [],
+    )
+    assert seen == [want, want]
 
 
 class TestTopLevel:

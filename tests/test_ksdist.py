@@ -495,7 +495,7 @@ class TestBlockEvaluation:
         hs = [run[j] for j in rng.permutation(np.concatenate([np.arange(len(run)), repeats]))]
         assert fn.many(hs).tolist() == [fn(h) for h in hs]
 
-    def test_long_runs_split_and_wide_runs_go_row_by_row(self, monkeypatch):
+    def test_long_runs_split_and_wide_runs_rank_in_2d_pieces(self, monkeypatch):
         import hurstks.ksdist as ksdist
 
         path = simulate_fbm(FgnSpec(hurst=0.4, length=4097, seed=5))

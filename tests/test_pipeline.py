@@ -20,7 +20,6 @@ from hurstks.pipeline import (
     VALUE_SCALES,
     CsvFormatError,
     RunManifest,
-    Series,
     WindowConfig,
     _parse_series,
     load_series,
@@ -61,7 +60,7 @@ class TestLoadSeries:
         )
         series = load_series(file)
         assert [d.day for d in series.dates.tolist()] == [1, 2, 3]
-        assert series.values.tolist() == [1.0, 1.2, 1.5]
+        assert series.path.values.tolist() == np.log([1.0, 1.2, 1.5]).tolist()
 
     def test_rejects_wrong_header(self, tmp_path):
         file = _write(tmp_path / "s.csv", "time,value\n2001-01-01,1.0\n")
@@ -119,14 +118,15 @@ class TestLoadSeries:
             "2001-01-04,\n2001-01-05,nan\n2001-01-06,2.0\n",
         )
         series = load_series(file, value_scale="level")
-        assert series.values.tolist() == [1.0, 2.0]
+        assert series.path.values.tolist() == np.log([1.0, 2.0]).tolist()
+        assert (series.rows_parsed, series.rows_dropped) == (6, 4)
 
     def test_log_scale_keeps_negative_values(self, tmp_path):
         file = _write(
             tmp_path / "s.csv", "date,value\n2001-01-01,-1.5\n2001-01-02,0.0\n"
         )
         series = load_series(file, value_scale="log")
-        assert series.values.tolist() == [-1.5, 0.0]
+        assert series.path.values.tolist() == [-1.5, 0.0]
 
     def test_unknown_scale_rejected(self, tmp_path):
         file = _write(tmp_path / "s.csv", "date,value\n2001-01-01,1.0\n")
@@ -248,11 +248,22 @@ def _check_against_reference(tmp_path_factory, text, value_scale):
         assert str(got.value) == str(exc)
         return
     records, parsed, dropped = want
-    series, got_parsed, got_dropped = _parse_series(file, value_scale)
-    assert series.dates.dtype == np.dtype("datetime64[D]")
-    assert series.dates.tolist() == [r[0] for r in records]
-    assert series.values.tobytes() == np.array([r[1] for r in records], dtype=float).tobytes()
+    dates, values, got_parsed, got_dropped = _parse_series(file, value_scale)
+    assert dates.dtype == np.dtype("datetime64[D]")
+    assert dates.tolist() == [r[0] for r in records]
+    assert values.tobytes() == np.array([r[1] for r in records], dtype=float).tobytes()
     assert (got_parsed, got_dropped) == (parsed, dropped)
+    # load_series takes the same columns on to a path, from two rows on.
+    if len(records) < 2:
+        with pytest.raises(CsvFormatError) as got:
+            load_series(file, value_scale)
+        assert str(got.value) == f"{file}: fewer than two usable rows"
+        return
+    series = load_series(file, value_scale)
+    want = np.log(values) if value_scale == "level" else values
+    assert series.path.values.tobytes() == want.tobytes()
+    assert series.dates.tobytes() == dates.tobytes()
+    assert (series.rows_parsed, series.rows_dropped) == (parsed, dropped)
 
 
 def _forbid_row_split(monkeypatch):
@@ -292,8 +303,8 @@ class TestColumnarParse:
         lines = ["date,value", *map(",".join, zip(days, map(repr, values))), ""]
         file = tmp_path / "s.csv"
         file.write_bytes(newline.join(lines).encode())
-        series, parsed, dropped = _parse_series(file, "log")
-        assert series.values.tolist() == values
+        _, got, parsed, dropped = _parse_series(file, "log")
+        assert got.tolist() == values
         assert (parsed, dropped) == (n, 0)
 
     def test_missing_and_nan_values_take_the_fast_path(self, tmp_path, monkeypatch):
@@ -303,8 +314,8 @@ class TestColumnarParse:
             "date,value\n2001-01-01,1.0\n2001-01-02,\n2001-01-03,nan\n"
             "2001-01-04, NaN \n 2001-01-05 , -2.0\n2001-01-06,3.0\n",
         )
-        series, parsed, dropped = _parse_series(file, "level")
-        assert series.values.tolist() == [1.0, 3.0]
+        _, values, parsed, dropped = _parse_series(file, "level")
+        assert values.tolist() == [1.0, 3.0]
         assert (parsed, dropped) == (6, 4)
 
     # A last line without a line break stays in the piece before it.
@@ -335,11 +346,11 @@ class TestColumnarParse:
         file.write_text("date,value\r\n" + "\r\n".join(map(",".join, zip(days, values))))
         tracemalloc.start()
         try:
-            series, parsed, _ = _parse_series(file, "log")
+            _, values, parsed, _ = _parse_series(file, "log")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert parsed == len(series) == n
+        assert parsed == values.size == n
         assert peak < 2 * file.stat().st_size
 
 
@@ -370,6 +381,50 @@ class TestUtf8:
             parse_manifest(file)
         assert str(got.value) == f"{file}: line 2: not UTF-8 text"
 
+    # An Excel "CSV UTF-8" export opens with a byte-order mark; one-byte
+    # pieces cut the mark apart.
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("size", [1 << 16, 1])
+    def test_series_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, newline, size):
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        text = newline.join(["date,value", "2001-01-02,2.0", "2001-01-01,1.0", ""])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = load_series(plain, "log")
+        got = load_series(marked, "log")
+        assert got.dates.tolist() == want.dates.tolist()
+        assert got.path.values.tolist() == want.path.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("size", [1 << 16, 1])
+    def test_manifest_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, newline, size):
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        file = tmp_path / "m.manifest"
+        file.write_bytes(b"\xef\xbb\xbf" + newline.join(["input = a.csv", "seed = 3", ""]).encode())
+        manifest = parse_manifest(file)
+        assert manifest.inputs == ("a.csv",)
+        assert manifest.master_seed == 3
+
+    # Only the mark that opens the file is skipped.
+    @pytest.mark.parametrize("size", [1 << 16, 1])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"date,value\n\xef\xbb\xbf2001-01-01,1.0\n", "line 2: bad date '\\ufeff2001-01-01'"),
+            (b"\xef\xbb\xbf\xef\xbb\xbfdate,value\n", "header must be 'date,value'"),
+            (b"\xef\xbbdate,value\n", "line 1: not UTF-8 text"),
+        ],
+        ids=["second-line", "twice", "cut-short"],
+    )
+    def test_other_byte_order_marks_are_errors(self, tmp_path, monkeypatch, size, data, message):
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
+        file = tmp_path / "s.csv"
+        file.write_bytes(data)
+        with pytest.raises(CsvFormatError) as got:
+            load_series(file)
+        assert str(got.value) == f"{file}: {message}"
+
     def test_manifest_is_read_as_utf8(self, tmp_path):
         file = tmp_path / "m.manifest"
         file.write_bytes("input = caf\u00e9.csv\rseed = 3\r".encode())
@@ -378,23 +433,18 @@ class TestUtf8:
         assert manifest.master_seed == 3
 
 
-def _series(values):
-    days = np.datetime64("2001-01-01") + np.arange(len(values))
-    return Series(days, np.array(values, dtype=float))
-
-
 class TestLogTransform:
     def test_takes_natural_logs(self):
-        path = log_transform(_series([1.0, math.e, math.e**2]))
+        path = log_transform(np.array([1.0, math.e, math.e**2]))
         assert np.allclose(path.values, [0.0, 1.0, 2.0], atol=1e-15)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
-            log_transform(_series([1.0]))
+            log_transform(np.array([1.0]))
 
     def test_needs_positive_values(self):
         with pytest.raises(ValueError):
-            log_transform(_series([1.0, -1.0]))
+            log_transform(np.array([1.0, -1.0]))
 
 
 class TestWindowConfig:
