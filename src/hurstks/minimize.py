@@ -169,11 +169,10 @@ class _Tracker:
     Ties in objective value resolve toward the smaller argument, so
     every minimizer inherits one deterministic tie-break rule.
 
-    The values of the run are kept by exponent: a repeated exponent
-    still counts as an evaluation, against the budget and in the
-    tie-break, but the objective is not called again.  ``many`` records
-    a run of exponents at once, exactly as one call per exponent would,
-    and ``bound`` is the objective's own, or one that rules out nothing.
+    Every evaluation calls the objective, a repeated exponent too,
+    except those ``skip`` counts.  ``many`` records a run of exponents
+    at once, exactly as one call per exponent would, and ``bound`` is
+    the objective's own, or one that rules out nothing.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
@@ -181,7 +180,6 @@ class _Tracker:
         self._many = getattr(fn, "many", None)
         self.bound = getattr(fn, "bound", lambda lo, hi: -math.inf)
         self._max = max_evals
-        self.values: dict[float, float] = {}
         self.evaluations = 0
         self.best_h = math.nan
         self.best_f = math.inf
@@ -193,36 +191,27 @@ class _Tracker:
             self.best_f, self.best_h = f, h
 
     def skip(self, count: int) -> None:
-        """Count ``count`` evaluations whose values a bound shows can
-        change neither the best point nor the caller's walk.  The budget
-        runs out where ``count`` calls one by one would run it out."""
+        """Count ``count`` evaluations whose values the caller holds, or
+        a bound shows can change neither the best point nor its walk.
+        The budget runs out where ``count`` calls one by one would."""
         if self.evaluations + count > self._max:
             self.evaluations = self._max
             raise _Budget
         self.evaluations += count
 
     def __call__(self, h: float) -> float:
-        if self.evaluations >= self._max:
-            raise _Budget
-        self.evaluations += 1
-        f = self.values.get(h)
-        if f is None:
-            f = self.values[h] = self._fn(h)
+        self.skip(1)
+        f = self._fn(h)
         self._offer(f, h)
         return f
 
     def many(self, hs: Sequence[float]) -> list[float]:
-        """Record one call per exponent of ``hs`` and return the values.
-        Each exponent not yet evaluated is evaluated once, all of them
-        in one call to the objective's own ``many`` if it has one.  A
-        run longer than the budget left is recorded as far as the
-        budget reaches, and then the budget runs out."""
+        """Record one call per exponent of ``hs`` and return the values,
+        all of them from one call to the objective's own ``many`` if it
+        has one.  A run longer than the budget left is recorded as far
+        as the budget reaches, and then the budget runs out."""
         fit = hs[: self._max - self.evaluations]
-        todo = list(dict.fromkeys(h for h in fit if h not in self.values))
-        if todo:
-            new = self._many(todo).tolist() if self._many else [self._fn(h) for h in todo]
-            self.values.update(zip(todo, new))
-        fs = [self.values[h] for h in fit]
+        fs = self._many(fit).tolist() if self._many else [self._fn(h) for h in fit]
         self.evaluations += len(fit)
         # The current best goes first, so that a leading NaN value
         # cannot stand in for the least pair of the run.
@@ -426,7 +415,11 @@ def _annealing(tracker: _Tracker, config: OptimizerConfig) -> None:
     temp = 0.1
     for _ in range(max(config.max_evals // 2 - 1, 0)):
         u = min(max(x + temp * rng.standard_normal(), _LOCAL_LO), 1.0)
-        fu = tracker(u)
+        if u == x:  # too cold to move, or clamped at the end x is on
+            tracker.skip(1)
+            fu = fx
+        else:
+            fu = tracker(u)
         if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
             x, fx = u, fu
         temp = max(temp * 0.95, 1e-300)

@@ -29,7 +29,7 @@ import numpy as np
 from hurstks.fgn import Path, increments
 from hurstks.ksdist import RescaledPair
 from hurstks.minimize import EstimationResult, OptimizerConfig, estimate_hurst
-from hurstks.permute import PermutationPlan
+from hurstks.permute import DegenerateSampleError, PermutationPlan
 from hurstks.stats import (
     AggregateReport,
     aggregate_windows,
@@ -451,7 +451,7 @@ def log_transform(values: np.ndarray) -> Path:
     return Path(np.log(values))
 
 
-def window_partition(path: Path, config: WindowConfig) -> list[Path]:
+def window_partition(path: Path, config: WindowConfig, source="window_partition") -> list[Path]:
     """Cut a path into consecutive full windows, discarding the tail.
 
     Parameters
@@ -460,6 +460,8 @@ def window_partition(path: Path, config: WindowConfig) -> list[Path]:
         Series of at least one full window.
     config : WindowConfig
         Provides the window length.
+    source : path-like or str, optional
+        Names the series (its file) in the error and the log line.
 
     Returns
     -------
@@ -472,9 +474,9 @@ def window_partition(path: Path, config: WindowConfig) -> list[Path]:
     size = config.window_length
     count = n // size
     if count == 0:
-        raise ValueError(f"series of {n} points is shorter than one window ({size})")
+        raise ValueError(f"{source}: series of {n} points is shorter than one window ({size})")
     if n % size:
-        logger.info("window_partition: discarding %d trailing points", n % size)
+        logger.info("%s: discarding %d trailing points", source, n % size)
     return [Path(path.values[w * size : (w + 1) * size]) for w in range(count)]
 
 
@@ -614,7 +616,10 @@ def _series_report(
     size = manifest.window.window_length
     rows = []
     for w, wpath in enumerate(windows):
-        result = _estimate_one_window(wpath, manifest, series_idx, w)
+        try:
+            result = _estimate_one_window(wpath, manifest, series_idx, w)
+        except DegenerateSampleError as exc:
+            raise DegenerateSampleError(f"{file}: window {w}: {exc}") from exc
         if not result.converged:
             raise NotConvergedError(
                 f"{file}: window {w}: minimizer ran out of its budget of "
@@ -734,7 +739,7 @@ def run_static_analysis(manifest: RunManifest) -> RunReport:
     loaded = []
     for file in manifest.inputs:
         data = load_series(file, manifest.input_scale)
-        loaded.append((file, data, window_partition(data.path, manifest.window)))
+        loaded.append((file, data, window_partition(data.path, manifest.window, file)))
     warnings = tuple(data.warning for _, data, _ in loaded if data.warning)
     # Every window keeps T values of each sample: one sd serves them all.
     t = manifest.window.resolved_subseq()

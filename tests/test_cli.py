@@ -346,6 +346,40 @@ class TestAnalyze:
         assert code == 1
         assert message in err
 
+    def test_window_errors_name_the_file(self, tmp_path, capsys, caplog):
+        # 3,100 points make two windows of 1,512 and a tail of 76.
+        level = _level_csv(tmp_path, "level.csv", 3100)
+        short = tmp_path / "short.csv"
+        short.write_text("date,value\n2001-01-01,1.0\n2001-01-02,1.1\n2001-01-03,1.2\n")
+        with caplog.at_level(logging.INFO, logger="hurstks.pipeline"):
+            code, _, err = run(
+                capsys, "analyze", "--input", level, "--input2", str(short),
+                "--out-dir", str(tmp_path / "o"),
+            )
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {short}: series of 3 points is shorter than one window (1512)"
+        ]
+        assert [r.getMessage() for r in caplog.records if "trailing" in r.getMessage()] == [
+            f"{level}: discarding 76 trailing points"
+        ]
+
+    def test_flat_window_names_the_file_and_window(self, tmp_path, capsys):
+        values = np.exp(simulate_fbm(FgnSpec(hurst=0.5, length=3024, seed=0)).values)
+        values[1512:] = 1.0
+        start = dt.date(2000, 1, 3)
+        file = tmp_path / "flat.csv"
+        file.write_text("date,value\n" + "".join(
+            f"{start + dt.timedelta(i)},{v!r}\n" for i, v in enumerate(values.tolist())
+        ))
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "analyze", "--input", str(file), "--out-dir", str(out))
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {file}: window 1: constant increment sample"
+        ]
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("line,message", [
         ("a_max = 2.5", "line 2: a_max: expected int, got '2.5'"),
         ("alpha = x", "line 2: alpha: expected float, got 'x'"),

@@ -230,11 +230,10 @@ class TestDispatch:
 
 
 class TestBlockEvaluation:
-    """Mesh runs evaluated in blocks, sweep runs passed over on the
-    objective's ``bound``, and repeated exponents served from the run's
-    own values, leave every report field but the wall time exactly as
-    one call per exponent would: the plain lambda below has neither
-    ``many`` nor ``bound`` and so takes the per-exponent path."""
+    """Mesh runs evaluated in blocks and sweep runs passed over on the
+    objective's ``bound`` leave every report field but the wall time
+    exactly as one call per exponent would: the plain lambda below has
+    neither ``many`` nor ``bound`` and so takes the per-exponent path."""
 
     @staticmethod
     def _same_report(frozen, config):
@@ -364,6 +363,78 @@ class TestBoundedSweep:
         assert counted.rows < 200
 
 
+def _remembering_annealing(objective, config, memo):
+    # Simulated annealing as a chain that asks the tracker for every
+    # proposal, its own point included, and an objective that computes
+    # each exponent once, in ``memo``: a repeat still counts as an
+    # evaluation but is not computed again.
+    def remembered(h):
+        if h not in memo:
+            memo[h] = objective(h)
+        return memo[h]
+
+    tracker = minimize._Tracker(remembered, config.max_evals)
+    rng = np.random.default_rng(config.seed)
+    try:
+        x = 0.5 * (1e-3 + 1.0)
+        fx = tracker(x)
+        temp = 0.1
+        for _ in range(max(config.max_evals // 2 - 1, 0)):
+            u = min(max(x + temp * rng.standard_normal(), 1e-3), 1.0)
+            fu = tracker(u)
+            if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
+                x, fx = u, fu
+            temp = max(temp * 0.95, 1e-300)
+        minimize._plateau_sweep(tracker, config.grid_step)
+        converged = True
+    except minimize._Budget:
+        converged = False
+    return OptimizerReport(
+        "simulated_annealing", tracker.best_h, tracker.best_f, tracker.evaluations, 0.0,
+        converged,
+    )
+
+
+class TestStuckChain:
+    """Annealing counts a proposal of the chain's own point without
+    computing it, and reports what a chain that remembers every value
+    it computed reports."""
+
+    @staticmethod
+    def _tied_objective():
+        return scaled_diameter_fn(
+            RescaledPair(
+                fine=IncrementSample(
+                    values=np.array([-3, 1, 0, 2, -1, 4, 1, -2, 0, 3, -1, 2]) / 2.0, lag=1
+                ),
+                coarse=IncrementSample(
+                    values=np.array([-2, 1, 0, 3, -1, 2, 1, 0, -3, 2], dtype=float), lag=10
+                ),
+                a_max=10,
+            )
+        )
+
+    @pytest.mark.parametrize("objective", ["simulated", "tied"])
+    def test_matches_the_remembering_chain_at_every_budget(self, objective):
+        if objective == "simulated":
+            frozen, _, _ = _frozen_objective(*_pair_plan(0.3, 77, 78))
+        else:
+            frozen = self._tied_objective()
+        memo = {}
+        for budget in [*range(2, 403, 2), OptimizerConfig().max_evals]:
+            config = OptimizerConfig(method="simulated_annealing", max_evals=budget)
+            got = replace(minimize_scalar(frozen, config), wall_time_s=0.0)
+            assert got == _remembering_annealing(frozen, config, memo), budget
+
+    def test_computes_few_kernel_rows(self):
+        # Most of the ~5,400 chain and sweep evaluations propose the
+        # chain's own point; ~730 rows reach the kernel.
+        counted = _CountingObjective(_frozen_objective(*_pair_plan(0.3, 77, 78))[0])
+        report = minimize_scalar(counted, OptimizerConfig(method="simulated_annealing"))
+        assert report.converged
+        assert counted.rows < 1_000 < 5_000 < report.evaluations
+
+
 # The lattice of tests/test_ksdist.py: coarse values with zeros of
 # both signs against fine values on a quarter lattice, so that exact
 # scales such as 16 ** -0.25 = 0.5 make wide ties.
@@ -373,7 +444,7 @@ coarse_with_zeros = st.lists(
 
 
 def _tracker_state(tracker):
-    return tracker.values, tracker.evaluations, tracker.best_h.hex(), tracker.best_f.hex()
+    return tracker.evaluations, tracker.best_h.hex(), tracker.best_f.hex()
 
 
 class TestTrackerRuns:
@@ -390,9 +461,10 @@ class TestTrackerRuns:
     )
     @settings(max_examples=100, deadline=None)
     @pytest.mark.parametrize("route", ["many", "callable"])
-    def test_run_matches_single_calls(self, route, xs, coarse, a_max, memo_ks, run_ks):
+    def test_run_matches_single_calls(self, route, xs, coarse, a_max, earlier_ks, run_ks):
         # Exponents k / 40 hit h = 0.25, 0.5, 0.75 and 1; short lists of
-        # 40 cells repeat often, within the run and against the memo.
+        # 40 cells repeat often, within the run and against the earlier
+        # calls, and each repeat is evaluated again.
         assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
         frozen = scaled_diameter_fn(
             RescaledPair(
@@ -408,12 +480,12 @@ class TestTrackerRuns:
             return frozen(h)
 
         objective = frozen if route == "many" else plain
-        memo = [k / 40 for k in memo_ks]
+        earlier = [k / 40 for k in earlier_ks]
         run = [k / 40 for k in run_ks]
         for cut in range(len(run) + 2):
-            single = minimize._Tracker(objective, len(memo) + cut)
-            batch = minimize._Tracker(objective, len(memo) + cut)
-            for h in memo:
+            single = minimize._Tracker(objective, len(earlier) + cut)
+            batch = minimize._Tracker(objective, len(earlier) + cut)
+            for h in earlier:
                 single(h)
                 batch(h)
             want = []
@@ -430,8 +502,7 @@ class TestTrackerRuns:
             assert got == want
             assert _tracker_state(batch) == _tracker_state(single)
             if route == "callable":
-                new = [h for h in run[:cut] if h not in memo]
-                assert called == list(dict.fromkeys(new))
+                assert called == run[:cut]
 
 
 class TestCoreInvariants:
