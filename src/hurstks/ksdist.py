@@ -88,12 +88,17 @@ def _ks_sorted(a: np.ndarray, b: np.ndarray, up_base: np.ndarray, dn_base: np.nd
     # evaluation over all n + m points, and both operations are
     # monotone, so the maximum is bit-identical to the pooled one.
     # The two bases come from ``_jump_bases(m)``.
-    # The two ranks differ only where some b_j equals a fine point, so
-    # the "left" search runs only then (a[right - 1] with right = 0
-    # reads a[-1] > b_j, never equal).
+    return _statistic(*_ranks(a, b), a.size, up_base, dn_base)
+
+
+def _ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # right = #{a <= b_j} and left = #{a < b_j} for every entry of b.
+    # The two differ only where some b_j equals a fine point, so the
+    # "left" search runs only then (a[right - 1] with right = 0 reads
+    # a[-1] > b_j, never equal).
     right = np.searchsorted(a, b, side="right")
     left = np.searchsorted(a, b, side="left") if (a[right - 1] == b).any() else right
-    return _statistic(right, left, a.size, up_base, dn_base)
+    return right, left
 
 
 # Most crossing events one sweep piece, or products one ranked piece,
@@ -141,11 +146,8 @@ def _ks_sweep(
     width = (right - left) * (first != last)
     events = int(width.sum())
     if events > k * b.size:
-        # Windows so wide that ranking every product costs less: rank
-        # the rows b * s in pieces of at most _SWEEP_EVENTS products.
-        rows = max(1, _SWEEP_EVENTS // b.size)
-        pieces = (scales[i : i + rows, None] * b for i in range(0, k, rows))
-        return np.concatenate([_ks_sorted(a, piece, up_base, dn_base) for piece in pieces])
+        # Windows so wide that ranking every product costs less.
+        return _ks_rows(a, b, scales, up_base, dn_base)
     if events > _SWEEP_EVENTS:
         pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
         return np.concatenate(
@@ -192,6 +194,42 @@ def _ks_sweep(
     np.maximum.at(after, past, np.where(rising, dn, up))
     np.maximum(out, np.maximum.accumulate(before[::-1])[::-1][1:], out=out)
     np.maximum(out, np.maximum.accumulate(after)[:k], out=out)
+    return out
+
+
+def _ks_rows(
+    a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+) -> np.ndarray:
+    # _ks_sorted(a, b * s, ...) for every s in scales, the rows b * s
+    # ranked in pieces of at most _SWEEP_EVENTS products.
+    rows = max(1, _SWEEP_EVENTS // b.size)
+    pieces = (scales[i : i + rows, None] * b for i in range(0, scales.size, rows))
+    return np.concatenate([_ks_sorted(a, piece, up_base, dn_base) for piece in pieces])
+
+
+def _ks_least(
+    a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+) -> np.ndarray:
+    # _ks_sorted(a, b * s, ...) for every s in scales that may hold the
+    # least of them, +inf for the others.  Each row's products are
+    # ranked at the columns cols, every floor(sqrt(m))-th and the last,
+    # all rows at once.  The terms at those columns are the statistic's
+    # own, so their largest is a lower bound.  Between two sampled
+    # columns c < c', b_j * s lies between the end products, as in
+    # _outer_ranks, so right_j >= right_c and left_j <= left_c'; with
+    # up_base_j <= up_base_c', dn_base_j >= dn_base_c and monotone float
+    # steps, every term of the block [c, c'] is at most up_base_c' -
+    # right_c / n or left_c' / n - dn_base_c, an upper bound.  A row
+    # that holds the least value has its lower bound at most the least
+    # upper bound; only such rows are ranked in full.
+    m = b.size
+    cols = np.unique(np.r_[0 : m : math.isqrt(m), m - 1])
+    right, left = _ranks(a, scales[:, None] * b[cols])
+    lower = _statistic(right, left, a.size, up_base[cols], dn_base[cols])
+    upper = _statistic(right[:, :-1], left[:, 1:], a.size, up_base[cols[1:]], dn_base[cols[:-1]])
+    keep = np.flatnonzero(lower <= upper.min())
+    out = np.full(scales.size, np.inf)
+    out[keep] = _ks_rows(a, b, scales[keep], up_base, dn_base)
     return out
 
 
@@ -247,9 +285,10 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     to any exponent is 1) while the coarse sample is multiplied by
     ``a_max ** (-H)``; the value, in ``[0, 1]``, is the exact
     two-sample KS statistic between the two rescaled samples.  At the
-    true exponent of a self-similar path with decorrelated increments
-    both samples share one distribution and the value is small.  The
-    closure accepts exponents in ``(0, 1]``.
+    true exponent of a self-similar path both samples share one
+    distribution and the value is small.  Both samples are sorted, so
+    the order of their values never matters.  The closure accepts
+    exponents in ``(0, 1]``.
 
     Sorting and the coarse sample's jump heights are computed once
     here; each evaluation then only rescales the coarse sample (a
@@ -262,9 +301,17 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     for each time a rescaled coarse point crosses a fine one rather
     than for each (exponent, point) pair, so a run of nearby exponents
     such as consecutive mesh points costs little more than one call.
-    Its ``bound(h_first, h_last)`` method returns, from one rank pass,
-    a lower bound on the closure's value at every exponent between
-    the two, equal to the value itself when they coincide.
+    Its ``least(hursts)`` method returns ``(value, index)``: the least
+    value of the run and the first index of the least (value,
+    exponent) pair, the pair that ``min(zip(many(hursts), hursts))``
+    gives.  It ranks every ``floor(sqrt(m))``-th rescaled coarse point
+    and the last at each exponent, which bounds that exponent's value
+    from below and from above, and ranks in full only the exponents
+    whose lower bound is at most the least upper bound; an empty run
+    is a ``ValueError``.  Its ``bound(h_first, h_last)`` method
+    returns, from one rank pass, a lower bound on the closure's value
+    at every exponent between the two, equal to the value itself when
+    they coincide.
 
     Raises
     ------
@@ -283,15 +330,29 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
             raise ValueError("hurst must lie in (0, 1]")
         return float(_ks_sorted(fine, coarse * a_max ** (-hurst), up_base, dn_base))
 
-    def many(hursts: Sequence[float]) -> np.ndarray:
+    def scales_of(hursts: Sequence[float]) -> tuple[list[float], np.ndarray, np.ndarray]:
+        # The exponents as floats, their distinct scales in increasing
+        # order, and the index of each exponent's scale.
         hs = [float(h) for h in hursts]
         if not all(0.0 < h <= 1.0 for h in hs):
             raise ValueError("hurst must lie in (0, 1]")
-        if not hs:
-            return np.empty(0)
         # The scalar path's own power: np.power may round differently.
         scales, where = np.unique([a_max ** (-h) for h in hs], return_inverse=True)
+        return hs, scales, where
+
+    def many(hursts: Sequence[float]) -> np.ndarray:
+        hs, scales, where = scales_of(hursts)
+        if not hs:
+            return np.empty(0)
         return _ks_sweep(fine, coarse, scales, up_base, dn_base)[where]
+
+    def least(hursts: Sequence[float]) -> tuple[float, int]:
+        hs, scales, where = scales_of(hursts)
+        if not hs:
+            raise ValueError("no exponents to compare")
+        values = _ks_least(fine, coarse, scales, up_base, dn_base)[where].tolist()
+        f, _, j = min(zip(values, hs, range(len(hs))))
+        return f, j
 
     def bound(h_first: float, h_last: float) -> float:
         # For h between h_first and h_last, the scalar path's scale
@@ -306,6 +367,7 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
         return float(_statistic(right, left, fine.size, up_base, dn_base))
 
     objective.many = many
+    objective.least = least
     objective.bound = bound
     return objective
 

@@ -171,13 +171,15 @@ class _Tracker:
 
     Every evaluation calls the objective, a repeated exponent too,
     except those ``skip`` counts.  ``many`` records a run of exponents
-    at once, exactly as one call per exponent would, and ``bound`` is
-    the objective's own, or one that rules out nothing.
+    at once, exactly as one call per exponent would, and ``least`` does
+    the same for a run of which only the least value is wanted.
+    ``bound`` is the objective's own, or one that rules out nothing.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
         self._fn = fn
         self._many = getattr(fn, "many", None)
+        self._least = getattr(fn, "least", None)
         self.bound = getattr(fn, "bound", lambda lo, hi: -math.inf)
         self._max = max_evals
         self.evaluations = 0
@@ -219,6 +221,21 @@ class _Tracker:
         if len(fit) < len(hs):
             raise _Budget
         return fs
+
+    def least(self, hs: Sequence[float]) -> tuple[float, int]:
+        """Record one call per exponent of ``hs``, which must increase,
+        and return the least value and the first index that holds it.
+        The objective's own ``least`` decides the run if it has one and
+        the budget covers the run; otherwise ``many`` records it, and a
+        run cut by the budget stops where ``many`` stops."""
+        if self._least is None or len(hs) > self._max - self.evaluations:
+            fs = self.many(hs)
+            j = int(np.argmin(fs))
+            return fs[j], j
+        f, j = self._least(hs)
+        self.evaluations += len(hs)
+        self._offer(f, hs[j])
+        return f, j
 
 
 def _cell(k: int, step: float) -> float:
@@ -354,10 +371,9 @@ def _scan_then_refine(
     config: OptimizerConfig,
 ) -> None:
     mesh = np.linspace(_LOCAL_LO, 1.0, _SCAN_POINTS).tolist()
-    values = tracker.many(mesh)
-    scan_j = int(np.argmin(values))
+    scan_f, scan_j = tracker.least(mesh)
     core(tracker, _LOCAL_LO, 1.0)
-    if not (tracker.best_f < values[scan_j] - _SCAN_MARGIN):
+    if not (tracker.best_f < scan_f - _SCAN_MARGIN):
         # The tracker's best, the least value of the scan and the local
         # run, is not clearly below the scan's: the scan's basin is at
         # least as good, so refine inside its bracket so the returned
@@ -460,7 +476,12 @@ def minimize_scalar(
         clamped to the interval.
 
         Both local methods first scan 50 evenly spaced points of the
-        interval.  The local run restarts inside the scan's best bracket
+        interval.  Only the scan's least value and its exponent are
+        used, so an objective with a ``least`` method (see
+        :func:`~hurstks.ksdist.scaled_diameter_fn`) decides the scan
+        in one call that ranks in full only the points that can hold
+        it; the scan still counts 50 evaluations.  The local run
+        restarts inside the scan's best bracket
         unless it beat the scan by more than 1e-6, and a plateau sweep
         of the ``grid_step`` mesh around the incumbent finishes.  A
         local run stops when its bracket is narrower than 1e-6.  Every
@@ -506,9 +527,11 @@ def _permute(sample, plan: PermutationPlan):
 def _frozen_objective(
     pair: RescaledPair, plan: PermutationPlan
 ) -> tuple[Callable[[float], float], int, int]:
-    # Decorrelate both samples once, with independent streams derived
-    # from the plan's seed, and freeze the objective on the result.
-    # Returns the objective and the sizes n, m.
+    # Apply the plan to both samples once, with independent streams
+    # derived from the plan's seed, and freeze the objective on the
+    # result.  The objective sorts both samples, so the permutation
+    # order changes no value: only the subsample drawn does.  Returns
+    # the objective and the sizes n, m.
     sub = np.random.SeedSequence(plan.seed).generate_state(2)
     fine = _permute(pair.fine, replace(plan, seed=int(sub[0])))
     coarse = _permute(pair.coarse, replace(plan, seed=int(sub[1])))
@@ -524,10 +547,12 @@ def estimate_hurst(
 ) -> EstimationResult:
     """Estimate the scaling exponent from one pair of increment samples.
 
-    Both samples are decorrelated once, with independent streams
+    The plan is applied to both samples once, with independent streams
     derived from the plan's seed; the resulting objective is frozen
     and handed to the configured minimizer, so repeated calls with
-    equal inputs return identical results.  The fitted minimum is
+    equal inputs return identical results.  The objective sorts both
+    samples, so permuting a whole sample changes no KS value: only the
+    choice of subsample moves the estimate.  The fitted minimum is
     compared against the two-sample KS threshold: a minimum below the
     threshold means the best-fitting exponent is statistically
     acceptable at level ``alpha``.

@@ -1,10 +1,13 @@
 """Decorrelating permutations of increment samples.
 
-Estimation treats increments as an i.i.d. sample, so serial dependence
-has to be destroyed first.  Two schemes are provided: a block
+Estimation compares the increments' empirical distributions, which
+sort each sample, so the order of the values reaches no KS value: a
+permutation of a whole sample leaves the estimate as it is, and only
+the choice of subsample changes it.  Two schemes are provided: a block
 permutation with a random phase (shuffles positions inside consecutive
-blocks), and a plain uniform subsample without replacement in random
-order.  Both preserve the marginal distribution of the values.
+blocks), a tool for the autocorrelation diagnostic, and a plain
+uniform subsample without replacement in random order.  Both preserve
+the marginal distribution of the values.
 """
 
 from __future__ import annotations

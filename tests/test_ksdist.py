@@ -654,6 +654,105 @@ class TestBlockEvaluation:
                 fn.many(bad)
 
 
+class TestLeast:
+    """``least`` returns the least (value, exponent) pair of ``many``,
+    at its first index."""
+
+    @staticmethod
+    def _want(fn, hs):
+        pairs = list(zip(fn.many(hs).tolist(), hs))
+        j = pairs.index(min(pairs))
+        return pairs[j][0], j
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=70),
+        st.integers(2, 60).flatmap(
+            lambda m: st.lists(
+                st.one_of(st.integers(-8, 8).map(float), st.just(-0.0)), min_size=m, max_size=m
+            )
+        ),
+        st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
+        st.one_of(
+            st.integers(1, 60).map(lambda k: np.linspace(1e-3, 1.0, k).tolist()),
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                    st.integers(1, 1000).map(lambda k: k / 1000),
+                ),
+                min_size=1,
+                max_size=60,
+            ),
+        ),
+        st.sampled_from([1, 16, 1 << 13]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_least_pair_of_many(self, xs, coarse, a_max, hs, budget):
+        # Small integers tie within and across the samples, and exact
+        # scales such as 16 ** -0.25 = 0.5 put products on fine points,
+        # so the <= and < ranks differ.  m of 2 .. 60 samples every 1st
+        # to 7th coarse point, the last one on a sampled stride or past
+        # it.  The exponents are the scan mesh or a drawn list, which
+        # repeats and shuffles them; the budget ranks in pieces of
+        # every size down to one row.
+        import hurstks.ksdist as ksdist
+
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
+        want = self._want(fn, hs)
+        with patch.object(ksdist, "_SWEEP_EVENTS", budget):
+            assert fn.least(hs) == want
+
+    @pytest.mark.parametrize("a_max", [2, 4, 16])
+    def test_exact_scales_on_tied_lattice(self, a_max):
+        # Mesh runs through exact scales, where wide ties decide the
+        # first index, in increasing and in decreasing order.
+        rng = np.random.default_rng(a_max)
+        fine = rng.integers(-40, 41, 300) / 4.0
+        coarse = rng.integers(-30, 31, 200).astype(float)
+        coarse[:3] = [0.0, -0.0, 0.0]
+        fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
+        for step in (1e-2, 1e-3):
+            for centre in (0.25, 0.5, 0.75, 1.0):
+                k = int(round(centre / step))
+                hs = _mesh_run(step, max(k - 40, 1), 81)
+                assert fn.least(hs) == self._want(fn, hs)
+                assert fn.least(hs[::-1]) == self._want(fn, hs[::-1])
+
+    @pytest.mark.parametrize("size", [500, 1491])
+    def test_scan_ranks_few_rows_in_full(self, size, monkeypatch):
+        # On the benchmark's sample sizes the sampled ranks rule out
+        # most of the scan's 50 rows before any is ranked in full.
+        import hurstks.ksdist as ksdist
+
+        length, a_max = (4097, 50) if size == 500 else (1512, 21)
+        path = simulate_fbm(FgnSpec(hurst=0.3, length=length, seed=size))
+        plan = PermutationPlan(subsample_size=size, seed=size)
+        fn = scaled_diameter_fn(
+            RescaledPair(
+                fine=uniform_sample_permute(increments(path, 1), plan),
+                coarse=uniform_sample_permute(increments(path, a_max), plan),
+                a_max=a_max,
+            )
+        )
+        hs = np.linspace(1e-3, 1.0, 50).tolist()
+        want = self._want(fn, hs)
+        rows, ranked = [], ksdist._ks_rows
+
+        def counted(a, b, scales, *bases):
+            rows.append(scales.size)
+            return ranked(a, b, scales, *bases)
+
+        monkeypatch.setattr(ksdist, "_ks_rows", counted)
+        assert fn.least(hs) == want
+        assert len(rows) == 1 and 1 <= rows[0] < 25
+
+    def test_domain(self):
+        fn = scaled_diameter_fn(_pair([1.0, 2.0, 3.0], [1.0, 4.0]))
+        for bad in ([], [0.5, 0.0], [1.0001], [-0.2, 0.3]):
+            with pytest.raises(ValueError):
+                fn.least(bad)
+
+
 class TestBound:
     """``bound`` is a lower bound on every cell of a mesh run and the
     value itself on one cell."""

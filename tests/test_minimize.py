@@ -276,12 +276,14 @@ class TestBlockEvaluation:
 
 
 class _CountingObjective:
-    """Forwards a frozen objective, its ``many`` and its ``bound``, and
-    counts the kernel rows computed and the bound passes made."""
+    """Forwards a frozen objective, its ``many``, ``least`` and
+    ``bound``, and counts the kernel rows of calls and ``many``, the
+    length of every ``many`` and ``least`` run, and the bound passes."""
 
     def __init__(self, frozen):
         self._frozen = frozen
         self.rows = self.bounds = 0
+        self.many_runs, self.least_runs = [], []
 
     def __call__(self, h):
         self.rows += 1
@@ -289,7 +291,12 @@ class _CountingObjective:
 
     def many(self, hs):
         self.rows += len(hs)
+        self.many_runs.append(len(hs))
         return self._frozen.many(hs)
+
+    def least(self, hs):
+        self.least_runs.append(len(hs))
+        return self._frozen.least(hs)
 
     def bound(self, h_first, h_last):
         self.bounds += 1
@@ -347,6 +354,20 @@ class TestBoundedSweep:
         for budget in range(2, 403, 2):
             config = OptimizerConfig(method="simulated_annealing", max_evals=budget)
             TestBlockEvaluation._same_report(frozen, config)
+
+    @pytest.mark.parametrize("method", ["brent", "nelder_mead"])
+    def test_scan_is_one_least_call(self, method):
+        # The opening scan reaches the objective as one ``least`` run of
+        # 50 exponents, not as a ``many`` run, and the report is that of
+        # the per-cell walk of a plain callable.
+        frozen, _, _ = _frozen_objective(*_pair_plan(0.3, 77, 78))
+        counted = _CountingObjective(frozen)
+        config = OptimizerConfig(method=method)
+        got = minimize_scalar(counted, config)
+        want = minimize_scalar(lambda h: frozen(h), config)
+        assert counted.least_runs == [50]
+        assert 50 not in counted.many_runs
+        assert replace(got, wall_time_s=0.0) == replace(want, wall_time_s=0.0)
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
     def test_brent_computes_few_kernel_rows(self, hurst):
