@@ -49,9 +49,9 @@ _LOCAL_LO = 1e-3
 # after this many consecutive non-improving cells.
 _SWEEP_GAP = 150
 
-# Longest run of sweep cells that is evaluated, in one call to the
-# tracker's ``many``, rather than split further in search of a run
-# that the objective's bound rules out.
+# Number of sweep cells nearest the walk's front that are evaluated,
+# in one call to the tracker's ``many``, when the objective's bound
+# fails to rule out the whole look-ahead.
 _SWEEP_LEAF = 16
 
 # Brent and Nelder-Mead first evaluate this many evenly spaced points
@@ -325,44 +325,39 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
     # smooth objective the sweep changes nothing: no mesh cell beats
     # the converged interior point.
     #
-    # However the values turn out, the walk visits every cell up to
-    # _SWEEP_GAP - gap cells ahead, so that run is split depth-first
-    # in walk order.  A run whose bound fails the direction's keep rule
-    # is passed over as that many non-improving cells: none of them
-    # can be kept, and none can become the tracker's best, since the
-    # running minimum is never below the best value, and a right-walk
-    # cell that ties it lies right of the best point (the anchors
-    # bracket the incumbent).  A run of at most _SWEEP_LEAF cells is
-    # evaluated in one tracker call.
+    # However the values turn out, the walk visits every cell of the
+    # look-ahead: the next cell and the _SWEEP_GAP - gap cells beyond
+    # it, within the mesh.  So that whole run is bounded at once.  A
+    # look-ahead whose bound fails the direction's keep rule is passed
+    # over as that many non-improving cells: none of them can be kept,
+    # and none can become the tracker's best, since the running
+    # minimum is never below the best value, and a right-walk cell
+    # that ties it lies right of the best point (the anchors bracket
+    # the incumbent).  Otherwise its nearest _SWEEP_LEAF cells are
+    # evaluated in one tracker call, and the next look-ahead starts
+    # after them.
     if not math.isfinite(tracker.best_h):
         return
     ks = _mesh(step, _LOCAL_LO)
     kf = int(math.floor(tracker.best_h / step))
     anchors = [k for k in (kf, kf + 1) if k in ks] or [min(max(kf, ks[0]), ks[-1])]
     f0, k0 = min((tracker(_cell(k, step)), k) for k in anchors)
-    bound = tracker.bound
     for way, keeps in ((-1, operator.le), (1, operator.lt)):
         cur, gap, k = f0, 0, k0 + way
-        runs: list[tuple[int, int]] = []  # pending (first, last), next on top
         while k in ks and gap <= _SWEEP_GAP:
-            if not runs:
-                runs.append((k, min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])))
-            first, last = runs.pop()
-            size = abs(last - first) + 1
-            if not keeps(bound(_cell(first, step), _cell(last, step)), cur):
-                tracker.skip(size)
-                gap, k = gap + size, last + way
+            last = min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])
+            ahead = range(k, last + way, way)
+            if not keeps(tracker.bound(_cell(k, step), _cell(last, step)), cur):
+                tracker.skip(len(ahead))
+                gap, k = gap + len(ahead), ahead.stop
                 continue
-            if size > _SWEEP_LEAF:
-                mid = first + way * (size // 2)
-                runs += [(mid, last), (first, mid - way)]
-                continue
-            for fk in tracker.many(_cells(range(first, last + way, way), step)):
+            leaf = ahead[:_SWEEP_LEAF]
+            for fk in tracker.many(_cells(leaf, step)):
                 if keeps(fk, cur):
                     cur, gap = fk, 0
                 else:
                     gap += 1
-            k = last + way
+            k = leaf.stop
 
 
 def _scan_then_refine(

@@ -2,6 +2,7 @@
 optimizer benchmark harness."""
 
 import csv
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -307,8 +308,15 @@ class TestBoundedSweep:
     """The plateau sweep passes over runs that the objective's bound
     rules out, yet counts every cell the walk decides."""
 
-    @pytest.mark.parametrize("method", ["brent", "nelder_mead"])
-    def test_every_budget_cut_matches_the_per_cell_walk(self, method, monkeypatch):
+    @pytest.mark.parametrize(
+        "method,size",
+        [
+            pytest.param("brent", 500, id="brent"),
+            pytest.param("nelder_mead", 500, id="nelder_mead"),
+            pytest.param("brent", 1491, id="brent-1491"),
+        ],
+    )
+    def test_every_budget_cut_matches_the_per_cell_walk(self, method, size, monkeypatch):
         # Brent and Nelder-Mead ask for the same exponents whatever
         # their budget, until it stops them, so one recorded run of the
         # per-cell route, through the tracker's single calls and its
@@ -316,8 +324,10 @@ class TestBoundedSweep:
         # first `budget` evaluations, smallest exponent on ties.  Budgets
         # from ~400 below the full count to one past it cut the scan,
         # the local runs and the sweep at every cell, inside runs the
-        # bound passes over as well as evaluated ones.
-        pair, plan = _pair_plan(0.3, 77, 78)
+        # bound passes over as well as evaluated ones; at the analyze
+        # size a cut also lands inside leaves that a stronger bound
+        # would have passed over.
+        pair, plan = _pair_plan(0.3, 77, 78) if size == 500 else _analyze_pair_plan(5)
         frozen, _, _ = _frozen_objective(pair, plan)
         calls = []
 
@@ -374,14 +384,66 @@ class TestBoundedSweep:
         # The golden record's objectives: Brent decides ~400 cells, but
         # the bound rules out most of the sweep's, so fewer than 200
         # rows reach the kernel.
-        path = simulate_fbm(FgnSpec(hurst=hurst, length=4097, seed=int(hurst * 100)))
-        pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 50), a_max=50)
-        plan = PermutationPlan(scheme="uniform_sample", subsample_size=500, seed=7)
-        counted = _CountingObjective(_frozen_objective(pair, plan)[0])
+        counted = _CountingObjective(_golden_objective(hurst))
         report = minimize_scalar(counted, OptimizerConfig(method="brent"))
         assert report.converged and report.evaluations > 350
         assert counted.bounds > 0
         assert counted.rows < 200
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: _golden_objective(0.2), id="golden 0.2"),
+            pytest.param(lambda: _golden_objective(0.8), id="golden 0.8"),
+            pytest.param(lambda: _frozen_objective(*_analyze_pair_plan(0))[0], id="analyze"),
+        ],
+    )
+    def test_brent_makes_few_bound_passes(self, make):
+        # One bound pass covers a whole look-ahead of the walk, and a
+        # pass that fails to rule it out is followed by one leaf of
+        # evaluated cells, not by passes over ever shorter halves of it:
+        # these estimates take 3, 3 and 4 passes.
+        counted = _CountingObjective(make())
+        report = minimize_scalar(counted, OptimizerConfig(method="brent"))
+        assert report.converged
+        assert 0 < counted.bounds <= 4
+        assert counted.many_runs and max(counted.many_runs) <= minimize._SWEEP_LEAF
+
+
+class _WeakBound:
+    """Forwards a frozen objective, its ``many`` and ``least``, and a
+    ``bound`` weakened by each of ``offsets`` in turn: the objective's
+    own bound less the offset, which may be infinite."""
+
+    def __init__(self, frozen, offsets):
+        self._frozen = frozen
+        self.many, self.least = frozen.many, frozen.least
+        self._offsets = itertools.cycle(offsets)
+
+    def __call__(self, h):
+        return self._frozen(h)
+
+    def bound(self, h_first, h_last):
+        return self._frozen.bound(h_first, h_last) - next(self._offsets)
+
+
+class TestBoundStrength:
+    """The sweep's report does not depend on how strong the bound is:
+    a run the bound passes over holds no cell the walk would keep, so
+    a weaker bound only makes the sweep compute cells it could skip."""
+
+    @given(
+        st.sampled_from(["brent", "nelder_mead", "simulated_annealing"]),
+        st.one_of(st.integers(1, 700), st.just(10_000)),
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.just(math.inf)), min_size=1, max_size=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weakened_bound_gives_the_same_report(self, method, max_evals, offsets):
+        frozen, _, _ = _frozen_objective(*_pair_plan(0.3, 77, 78))
+        config = OptimizerConfig(method=method, max_evals=max_evals)
+        got = minimize_scalar(_WeakBound(frozen, offsets), config)
+        want = minimize_scalar(frozen, config)
+        assert replace(got, wall_time_s=0.0) == replace(want, wall_time_s=0.0)
 
 
 def _remembering_annealing(objective, config, memo):
@@ -563,6 +625,23 @@ def _pair_plan(h0, path_seed, plan_seed):
     pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 50), a_max=50)
     plan = PermutationPlan(scheme="uniform_sample", subsample_size=500, seed=plan_seed)
     return pair, plan
+
+
+def _analyze_pair_plan(seed):
+    # One window of the analyze workload's shape: 1,512 points, lags 1
+    # and 21, both samples subsampled to 1,491 values.
+    path = simulate_fbm(FgnSpec(hurst=0.15, length=1512, seed=seed))
+    pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 21), a_max=21)
+    plan = PermutationPlan(scheme="uniform_sample", subsample_size=1491, seed=seed + 100)
+    return pair, plan
+
+
+def _golden_objective(hurst):
+    # The frozen objective of the golden record's estimate at ``hurst``.
+    path = simulate_fbm(FgnSpec(hurst=hurst, length=4097, seed=int(hurst * 100)))
+    pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 50), a_max=50)
+    plan = PermutationPlan(scheme="uniform_sample", subsample_size=500, seed=7)
+    return _frozen_objective(pair, plan)[0]
 
 
 class TestEstimateHurst:
