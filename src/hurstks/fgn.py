@@ -9,6 +9,7 @@ validating simulated output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,6 +146,7 @@ def embedding_eigenvalues(hurst: float, n_increments: int) -> tuple[np.ndarray, 
     The embedding circulant has size equal to the smallest power of
     two that is at least twice ``n_increments``; its first row holds
     the unit-scale noise autocovariance folded symmetrically.
+    ``hurst`` must lie in (0, 1).
 
     Returns
     -------
@@ -152,6 +154,8 @@ def embedding_eigenvalues(hurst: float, n_increments: int) -> tuple[np.ndarray, 
         First row of the circulant and its (real) eigenvalue vector,
         i.e. the discrete Fourier transform of the row.
     """
+    if not 0.0 < hurst < 1.0:
+        raise ValueError("hurst must lie in (0, 1)")
     if n_increments < 1:
         raise ValueError("need at least one increment")
     size = 1
@@ -166,13 +170,32 @@ def embedding_eigenvalues(hurst: float, n_increments: int) -> tuple[np.ndarray, 
     return row, eigs
 
 
+@lru_cache(maxsize=8)
+def _embedding_weights(hurst: float, n_increments: int) -> np.ndarray:
+    # sqrt(eigs / size) of the embedding, shared by every path of one
+    # (hurst, n_increments), hence read-only.  A Monte Carlo run
+    # simulates many paths of one shape; a raised EmbeddingError is
+    # not cached.  At 2**18 increments one entry holds 4 MB.
+    _, eigs = embedding_eigenvalues(hurst, n_increments)
+    if eigs.min() < -_EIG_TOL:
+        raise EmbeddingError(
+            f"embedding eigenvalue {eigs.min():.3e} below -{_EIG_TOL:.0e}"
+        )
+    weights = np.sqrt(np.clip(eigs, 0.0, None) / eigs.size)
+    weights.flags.writeable = False
+    return weights
+
+
 def simulate_fbm(spec: FgnSpec) -> Path:
     """Simulate a fractional Brownian path by circulant embedding.
 
     Two independent standard normal arrays are combined in the
     frequency domain; the embedding yields two independent noise
     sequences of which the first is kept.  The path is the cumulative
-    sum of the noise, prefixed with a zero.
+    sum of the noise, prefixed with a zero.  The frequency-domain
+    weights depend only on the exponent and the length; they are
+    computed once per pair and kept for the last eight pairs, so
+    repeated shapes draw the same paths at less cost.
 
     Parameters
     ----------
@@ -192,18 +215,11 @@ def simulate_fbm(spec: FgnSpec) -> Path:
         power-of-two sizes; the guard protects against regressions).
     """
     n_inc = spec.length - 1
-    _, eigs = embedding_eigenvalues(spec.hurst, n_inc)
-    if eigs.min() < -_EIG_TOL:
-        raise EmbeddingError(
-            f"embedding eigenvalue {eigs.min():.3e} below -{_EIG_TOL:.0e}"
-        )
-    eigs = np.clip(eigs, 0.0, None)
-    size = eigs.size
+    weights = _embedding_weights(spec.hurst, n_inc)
     rng = np.random.default_rng(spec.seed)
     # Draw order is part of the reproducibility contract: first the
     # real array, then the imaginary one.
-    z = rng.standard_normal((2, size))
-    weights = np.sqrt(eigs / size)
+    z = rng.standard_normal((2, weights.size))
     freq = weights * (z[0] + 1j * z[1])
     noise = spec.scale * np.fft.fft(freq).real[:n_inc]
     path = np.empty(spec.length)

@@ -66,14 +66,19 @@ class RescaledPair:
             raise ValueError("coarse sample lag must equal a_max")
 
 
-def _statistic(right, left, n: int, up_base: np.ndarray, dn_base: np.ndarray):
+def _statistic(right, left, frac: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray):
     # The KS statistic from the ranks right = #{a <= b_j} and left =
     # #{a < b_j} of the jumps of G: the largest, over the last axis, of
-    # G - F at right limits and F - G at left limits.
-    return np.maximum((up_base - right / n).max(axis=-1), (left / n - dn_base).max(axis=-1))
+    # G - F at right limits and F - G at left limits.  F at rank r is
+    # frac[r] = r / n, from the table _fractions(n).
+    up = frac[right]
+    dn = up if left is right else frac[left]
+    return np.maximum((up_base - up).max(axis=-1), (dn - dn_base).max(axis=-1))
 
 
-def _ks_sorted(a: np.ndarray, b: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray):
+def _ks_sorted(
+    a: np.ndarray, b: np.ndarray, frac: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+):
     # The KS statistic of a and each row of b, both sorted along the
     # last axis: a scalar for a 1-D b, one value per row for a 2-D b.
     # The sup of |F - G| is attained at a jump of G, the ECDF of b.
@@ -83,12 +88,13 @@ def _ks_sorted(a: np.ndarray, b: np.ndarray, up_base: np.ndarray, dn_base: np.nd
     # into a and take G - F at right limits, (j+1)/m - #{a <= b_j}/n,
     # and F - G at left limits, #{a < b_j}/n - j/m.  Inside a run of
     # tied b values these index-based terms never exceed the true step,
-    # and the run's outer ends attain it.  Each candidate is formed by
-    # the same two float divisions and one subtraction as in the pooled
-    # evaluation over all n + m points, and both operations are
-    # monotone, so the maximum is bit-identical to the pooled one.
-    # The two bases come from ``_jump_bases(m)``.
-    return _statistic(*_ranks(a, b), a.size, up_base, dn_base)
+    # and the run's outer ends attain it.  Each candidate is formed from
+    # the same two quotients as in the pooled evaluation over all n + m
+    # points, rank / n and j / m, looked up from the tables
+    # ``_fractions(n)`` and ``_jump_bases(m)`` rather than divided
+    # again, and one subtraction; both operations are monotone, so the
+    # maximum is bit-identical to the pooled one.
+    return _statistic(*_ranks(a, b), frac, up_base, dn_base)
 
 
 def _ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +102,8 @@ def _ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The two differ only where some b_j equals a fine point, so the
     # "left" search runs only then (a[right - 1] with right = 0 reads
     # a[-1] > b_j, never equal).
-    right = np.searchsorted(a, b, side="right")
-    left = np.searchsorted(a, b, side="left") if (a[right - 1] == b).any() else right
+    right = a.searchsorted(b, side="right")
+    left = a.searchsorted(b, side="left") if (a[right - 1] == b).any() else right
     return right, left
 
 
@@ -116,13 +122,18 @@ def _outer_ranks(
     # = #{a <= the larger} >= #{a <= b_j s} and left = #{a < the
     # smaller} <= #{a < b_j s}; both are exact when first_j = last_j.
     return (
-        np.searchsorted(a, np.maximum(first, last), side="right"),
-        np.searchsorted(a, np.minimum(first, last), side="left"),
+        a.searchsorted(np.maximum(first, last), side="right"),
+        a.searchsorted(np.minimum(first, last), side="left"),
     )
 
 
 def _ks_sweep(
-    a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    scales: np.ndarray,
+    frac: np.ndarray,
+    up_base: np.ndarray,
+    dn_base: np.ndarray,
 ) -> np.ndarray:
     # _ks_sorted(a, b * s, ...) for every s in scales, which must be
     # sorted and distinct, bit for bit.
@@ -138,8 +149,9 @@ def _ks_sweep(
     # first point above the product attains the first, the last one
     # below it the second (the outer-rank terms do where the window has
     # no such point), so the statistic at a cell is the largest term in
-    # force there, formed by _statistic's own expressions.
-    k, n = scales.size, a.size
+    # force there, formed as _statistic forms it: the rank's entry of
+    # frac less a base, or the other way round.
+    k = scales.size
     first, last = b * scales[0], b * scales[-1]
     right, left = _outer_ranks(a, first, last)
     # A product that never moves crosses no fine point.
@@ -147,13 +159,16 @@ def _ks_sweep(
     events = int(width.sum())
     if events > k * b.size:
         # Windows so wide that ranking every product costs less.
-        return _ks_rows(a, b, scales, up_base, dn_base)
+        return _ks_rows(a, b, scales, frac, up_base, dn_base)
     if events > _SWEEP_EVENTS:
         pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
         return np.concatenate(
-            [_ks_sweep(a, b, part, up_base, dn_base) for part in np.array_split(scales, pieces)]
+            [
+                _ks_sweep(a, b, part, frac, up_base, dn_base)
+                for part in np.array_split(scales, pieces)
+            ]
         )
-    out = np.full(k, float(_statistic(right, left, n, up_base, dn_base)))
+    out = np.full(k, float(_statistic(right, left, frac, up_base, dn_base)))
     if not events:
         return out
     cols = np.flatnonzero(width)
@@ -185,8 +200,8 @@ def _ks_sweep(
     # and the "left" term once it is past; with b_j < 0 it is the other
     # way round.  A term that holds before cell c stands in every cell
     # below c, one that holds from c in every cell from c on.
-    up = up_base[col] - i / n
-    dn = (i + 1) / n - dn_base[col]
+    up = up_base[col] - frac[i]
+    dn = frac[i + 1] - dn_base[col]
     rising = bj > 0
     before = np.full(k + 1, -np.inf)
     np.maximum.at(before, cell, np.where(rising, up, dn))
@@ -198,17 +213,27 @@ def _ks_sweep(
 
 
 def _ks_rows(
-    a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    scales: np.ndarray,
+    frac: np.ndarray,
+    up_base: np.ndarray,
+    dn_base: np.ndarray,
 ) -> np.ndarray:
     # _ks_sorted(a, b * s, ...) for every s in scales, the rows b * s
     # ranked in pieces of at most _SWEEP_EVENTS products.
     rows = max(1, _SWEEP_EVENTS // b.size)
     pieces = (scales[i : i + rows, None] * b for i in range(0, scales.size, rows))
-    return np.concatenate([_ks_sorted(a, piece, up_base, dn_base) for piece in pieces])
+    return np.concatenate([_ks_sorted(a, piece, frac, up_base, dn_base) for piece in pieces])
 
 
 def _ks_least(
-    a: np.ndarray, b: np.ndarray, scales: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    scales: np.ndarray,
+    frac: np.ndarray,
+    up_base: np.ndarray,
+    dn_base: np.ndarray,
 ) -> np.ndarray:
     # _ks_sorted(a, b * s, ...) for every s in scales that may hold the
     # least of them, +inf for the others.  Each row's products are
@@ -225,17 +250,24 @@ def _ks_least(
     m = b.size
     cols = np.unique(np.r_[0 : m : math.isqrt(m), m - 1])
     right, left = _ranks(a, scales[:, None] * b[cols])
-    lower = _statistic(right, left, a.size, up_base[cols], dn_base[cols])
-    upper = _statistic(right[:, :-1], left[:, 1:], a.size, up_base[cols[1:]], dn_base[cols[:-1]])
+    lower = _statistic(right, left, frac, up_base[cols], dn_base[cols])
+    upper = _statistic(right[:, :-1], left[:, 1:], frac, up_base[cols[1:]], dn_base[cols[:-1]])
     keep = np.flatnonzero(lower <= upper.min())
     out = np.full(scales.size, np.inf)
-    out[keep] = _ks_rows(a, b, scales[keep], up_base, dn_base)
+    out[keep] = _ks_rows(a, b, scales[keep], frac, up_base, dn_base)
     return out
+
+
+def _fractions(n: int) -> np.ndarray:
+    # r / n for every rank r = 0 .. n, the values an ECDF of n points
+    # takes; _statistic looks its quotients up here.
+    return np.arange(n + 1) / n
 
 
 def _jump_bases(m: int) -> tuple[np.ndarray, np.ndarray]:
     # G at the right and left limit of its j-th jump, j = 0 .. m-1.
-    return np.arange(1, m + 1) / m, np.arange(m) / m
+    frac = _fractions(m)
+    return frac[1:], frac[:-1]
 
 
 def ks_two_sample(first: EmpiricalCdf, second: EmpiricalCdf) -> float:
@@ -259,8 +291,8 @@ def ks_two_sample(first: EmpiricalCdf, second: EmpiricalCdf) -> float:
         its arguments, to the last bit, and invariant under any
         strictly increasing transform applied to both samples.
     """
-    b = second.sorted_values
-    return float(_ks_sorted(first.sorted_values, b, *_jump_bases(b.size)))
+    a, b = first.sorted_values, second.sorted_values
+    return float(_ks_sorted(a, b, _fractions(a.size), *_jump_bases(b.size)))
 
 
 def ks_critical(n: int, m: int, alpha: float) -> float:
@@ -323,12 +355,13 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     if fine[0] == fine[-1] or coarse[0] == coarse[-1]:
         raise DegenerateSampleError("constant increment sample")
     a_max = float(pair.a_max)
+    frac = _fractions(fine.size)
     up_base, dn_base = _jump_bases(coarse.size)
 
     def objective(hurst: float) -> float:
         if not 0.0 < hurst <= 1.0:
             raise ValueError("hurst must lie in (0, 1]")
-        return float(_ks_sorted(fine, coarse * a_max ** (-hurst), up_base, dn_base))
+        return float(_ks_sorted(fine, coarse * a_max ** (-hurst), frac, up_base, dn_base))
 
     def scales_of(hursts: Sequence[float]) -> tuple[list[float], np.ndarray, np.ndarray]:
         # The exponents as floats, their distinct scales in increasing
@@ -344,13 +377,13 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
         hs, scales, where = scales_of(hursts)
         if not hs:
             return np.empty(0)
-        return _ks_sweep(fine, coarse, scales, up_base, dn_base)[where]
+        return _ks_sweep(fine, coarse, scales, frac, up_base, dn_base)[where]
 
     def least(hursts: Sequence[float]) -> tuple[float, int]:
         hs, scales, where = scales_of(hursts)
         if not hs:
             raise ValueError("no exponents to compare")
-        values = _ks_least(fine, coarse, scales, up_base, dn_base)[where].tolist()
+        values = _ks_least(fine, coarse, scales, frac, up_base, dn_base)[where].tolist()
         f, _, j = min(zip(values, hs, range(len(hs))))
         return f, j
 
@@ -364,7 +397,7 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
         if not (0.0 < h_first <= 1.0 and 0.0 < h_last <= 1.0):
             raise ValueError("hurst must lie in (0, 1]")
         right, left = _outer_ranks(fine, coarse * a_max ** (-h_first), coarse * a_max ** (-h_last))
-        return float(_statistic(right, left, fine.size, up_base, dn_base))
+        return float(_statistic(right, left, frac, up_base, dn_base))
 
     objective.many = many
     objective.least = least

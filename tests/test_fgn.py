@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurstks import fgn
 from hurstks.fgn import (
     EmbeddingError,
     FgnSpec,
@@ -133,6 +134,75 @@ class TestEmbedding:
     def test_size_is_next_power_of_two(self):
         row, _ = embedding_eigenvalues(0.5, 100)
         assert row.size == 256
+
+    @pytest.mark.parametrize("h", [0.0, 1.0, 1.5, -0.2])
+    def test_rejects_hurst_outside_open_interval(self, h):
+        with pytest.raises(ValueError, match="hurst"):
+            embedding_eigenvalues(h, 4)
+
+
+def _rebuilt(spec):
+    # simulate_fbm's path formed straight from embedding_eigenvalues,
+    # with no cache in between.
+    n_inc = spec.length - 1
+    _, eigs = embedding_eigenvalues(spec.hurst, n_inc)
+    z = np.random.default_rng(spec.seed).standard_normal((2, eigs.size))
+    freq = np.sqrt(np.clip(eigs, 0.0, None) / eigs.size) * (z[0] + 1j * z[1])
+    noise = spec.scale * np.fft.fft(freq).real[:n_inc]
+    return np.concatenate([[0.0], np.cumsum(noise)])
+
+
+class TestWeightCache:
+    """The embedding weights are computed once per (H, length)."""
+
+    SPECS = [
+        FgnSpec(hurst=0.2, length=4097, seed=3),
+        FgnSpec(hurst=0.5, length=8, seed=0),
+        FgnSpec(hurst=0.8, length=1512, scale=0.3, seed=11),
+        FgnSpec(hurst=0.35, length=2, scale=2.0, seed=7),
+        FgnSpec(hurst=0.95, length=1025, seed=0),
+    ]
+
+    def test_paths_equal_the_uncached_build_on_miss_and_hit(self):
+        fgn._embedding_weights.cache_clear()
+        for round_ in ("miss", "hit"):
+            for k, spec in enumerate(self.SPECS):
+                got = simulate_fbm(spec).values
+                assert got.tobytes() == _rebuilt(spec).tobytes(), (round_, spec)
+                # Another seed of the same shape reuses the weights.
+                other = FgnSpec(spec.hurst, spec.length, spec.scale, spec.seed + 1)
+                assert simulate_fbm(other).values.tobytes() == _rebuilt(other).tobytes()
+                info = fgn._embedding_weights.cache_info()
+                if round_ == "miss":
+                    assert (info.misses, info.hits) == (k + 1, k + 1)
+        info = fgn._embedding_weights.cache_info()
+        assert info.misses == len(self.SPECS)
+        assert info.hits == 3 * len(self.SPECS)
+
+    def test_cached_weights_are_read_only(self):
+        weights = fgn._embedding_weights(0.5, 16)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        assert fgn._embedding_weights(0.5, 16) is weights
+
+    def test_guard_raises_and_failures_are_not_cached(self, monkeypatch):
+        real = embedding_eigenvalues
+
+        def negative(hurst, n_increments):
+            row, eigs = real(hurst, n_increments)
+            eigs[3] = -10.0 * fgn._EIG_TOL
+            return row, eigs
+
+        fgn._embedding_weights.cache_clear()
+        monkeypatch.setattr(fgn, "embedding_eigenvalues", negative)
+        spec = FgnSpec(hurst=0.45, length=33, seed=0)
+        for _ in range(2):
+            with pytest.raises(EmbeddingError, match="below"):
+                simulate_fbm(spec)
+        assert fgn._embedding_weights.cache_info().currsize == 0
+        monkeypatch.setattr(fgn, "embedding_eigenvalues", real)
+        assert simulate_fbm(spec).values.tobytes() == _rebuilt(spec).tobytes()
 
 
 class TestSimulate:

@@ -189,6 +189,31 @@ class TestBitIdenticalToPooledScan:
         fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
         assert fn(h) == _ks_pooled(fine, np.sort(coarse) * float(a_max) ** (-h))
 
+    @given(
+        st.integers(1, 2000),
+        st.integers(1, 300),
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300)
+    def test_rank_table_equals_quotients(self, n, m, rows, ties, seed):
+        # _statistic reads r / n from _fractions(n) and the jump bases
+        # from slices of _fractions(m); the values are the quotients
+        # formed by division, on 1-D and 2-D ranks, with left either
+        # the same array as right (no ties) or a different one.
+        import hurstks.ksdist as ksdist
+
+        rng = np.random.default_rng(seed)
+        shape = (m,) if rows == 0 else (rows, m)
+        right = np.sort(rng.integers(0, n + 1, shape), axis=-1)
+        left = np.maximum(right - rng.integers(0, 3, shape), 0) if ties else right
+        got = ksdist._statistic(right, left, ksdist._fractions(n), *ksdist._jump_bases(m))
+        up_base, dn_base = np.arange(1, m + 1) / m, np.arange(m) / m
+        want = np.maximum((up_base - right / n).max(-1), (left / n - dn_base).max(-1))
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_real_rescaling_on_simulated_increments(self):
         path = simulate_fbm(FgnSpec(hurst=0.3, length=1025, seed=12))
         pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 21), a_max=21)
@@ -570,9 +595,9 @@ class TestBlockEvaluation:
             q = (a[:, None] / b).ravel()
             q = rng.choice(q[(q > 0.02) & (q < 1.0)], 20)
             scales = np.unique([q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)])
-            up_base, dn_base = ksdist._jump_bases(b.size)
-            got = ksdist._ks_sweep(a, b, scales, up_base, dn_base)
-            assert got.tolist() == [ksdist._ks_sorted(a, b * s, up_base, dn_base) for s in scales]
+            tables = (ksdist._fractions(a.size), *ksdist._jump_bases(b.size))
+            got = ksdist._ks_sweep(a, b, scales, *tables)
+            assert got.tolist() == [ksdist._ks_sorted(a, b * s, *tables) for s in scales]
 
     def test_full_mesh_memory_stays_small(self):
         fn = scaled_diameter_fn(_simulated_pair(0.5, seed=1))
