@@ -283,6 +283,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CsvFormatError("--reps must be positive")
     if args.seed < 0:
         raise CsvFormatError("--seed must be non-negative")
+    # A one-value sample is constant, so no cell could freeze it.
+    if args.subseq < 2:
+        raise CsvFormatError("--subseq must be at least 2")
     coarse = max(args.length - args.amax, 0)
     if args.subseq > coarse:
         raise CsvFormatError(

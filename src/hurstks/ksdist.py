@@ -66,47 +66,6 @@ class RescaledPair:
             raise ValueError("coarse sample lag must equal a_max")
 
 
-def _statistic(right, left, frac: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray):
-    # The KS statistic from the ranks right = #{a <= b_j} and left =
-    # #{a < b_j} of the jumps of G: the largest, over the last axis, of
-    # G - F at right limits and F - G at left limits.  F at rank r is
-    # frac[r] = r / n, from the table _fractions(n).
-    up = frac[right]
-    dn = up if left is right else frac[left]
-    return np.maximum((up_base - up).max(axis=-1), (dn - dn_base).max(axis=-1))
-
-
-def _ks_sorted(
-    a: np.ndarray, b: np.ndarray, frac: np.ndarray, up_base: np.ndarray, dn_base: np.ndarray
-):
-    # The KS statistic of a and each row of b, both sorted along the
-    # last axis: a scalar for a 1-D b, one value per row for a 2-D b.
-    # The sup of |F - G| is attained at a jump of G, the ECDF of b.
-    # Between two jumps of G, G - F is largest just after the left one
-    # and F - G just before the right one; G - F <= 0 before the first
-    # jump and F - G <= 0 after the last.  So rank the m points of b
-    # into a and take G - F at right limits, (j+1)/m - #{a <= b_j}/n,
-    # and F - G at left limits, #{a < b_j}/n - j/m.  Inside a run of
-    # tied b values these index-based terms never exceed the true step,
-    # and the run's outer ends attain it.  Each candidate is formed from
-    # the same two quotients as in the pooled evaluation over all n + m
-    # points, rank / n and j / m, looked up from the tables
-    # ``_fractions(n)`` and ``_jump_bases(m)`` rather than divided
-    # again, and one subtraction; both operations are monotone, so the
-    # maximum is bit-identical to the pooled one.
-    return _statistic(*_ranks(a, b), frac, up_base, dn_base)
-
-
-def _ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # right = #{a <= b_j} and left = #{a < b_j} for every entry of b.
-    # The two differ only where some b_j equals a fine point, so the
-    # "left" search runs only then (a[right - 1] with right = 0 reads
-    # a[-1] > b_j, never equal).
-    right = a.searchsorted(b, side="right")
-    left = a.searchsorted(b, side="left") if (a[right - 1] == b).any() else right
-    return right, left
-
-
 # Most crossing events one sweep piece, or products one ranked piece,
 # may hold; it also bounds every temporary of the piece, about a
 # hundred bytes per event.  Of 2**11 .. 2**15, 2**13 was fastest on the
@@ -114,160 +73,170 @@ def _ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SWEEP_EVENTS = 1 << 13
 
 
-def _outer_ranks(
-    a: np.ndarray, first: np.ndarray, last: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # For every product b_j * s between the end products first_j and
-    # last_j (either may be the smaller, as b_j may be negative), right
-    # = #{a <= the larger} >= #{a <= b_j s} and left = #{a < the
-    # smaller} <= #{a < b_j s}; both are exact when first_j = last_j.
-    return (
-        a.searchsorted(np.maximum(first, last), side="right"),
-        a.searchsorted(np.minimum(first, last), side="left"),
-    )
+class _SortedPair:
+    # The KS kernel: sorted samples a (n points, the fine sample of the
+    # frozen objective) and b (m points, the coarse one), and the tables
+    # every statistic of a against b, or against rows of rescaled copies
+    # of b, looks its quotients up in.  F at rank r is
+    # frac[r] = r / n; G at the right and left limit of its j-th jump,
+    # j = 0 .. m-1, is up_base[j] = (j+1) / m and dn_base[j] = j / m.
 
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        self.a, self.b = a, b
+        self.frac = np.arange(a.size + 1) / a.size
+        bases = np.arange(b.size + 1) / b.size
+        self.up_base, self.dn_base = bases[1:], bases[:-1]
 
-def _ks_sweep(
-    a: np.ndarray,
-    b: np.ndarray,
-    scales: np.ndarray,
-    frac: np.ndarray,
-    up_base: np.ndarray,
-    dn_base: np.ndarray,
-) -> np.ndarray:
-    # _ks_sorted(a, b * s, ...) for every s in scales, which must be
-    # sorted and distinct, bit for bit.
-    # Rounding is monotone, so over the run b_j * s moves one way
-    # between the end products: fine points below the smaller one rank
-    # under every product, points above the larger one over it, and
-    # only the window [left_j, right_j) of _outer_ranks can change rank.
-    # Ranked at those outer ranks, every column gives a term that holds
-    # at every cell.  Then each window point a_i is one event: before
-    # b_j * s passes it, #{a <= b_j s} <= i, so up_base_j - i/n is at
-    # most the "right" term; once b_j * s is past it, #{a < b_j s} >= i
-    # + 1, so (i + 1)/n - dn_base_j is at most the "left" term.  The
-    # first point above the product attains the first, the last one
-    # below it the second (the outer-rank terms do where the window has
-    # no such point), so the statistic at a cell is the largest term in
-    # force there, formed as _statistic forms it: the rank's entry of
-    # frac less a base, or the other way round.
-    k = scales.size
-    first, last = b * scales[0], b * scales[-1]
-    right, left = _outer_ranks(a, first, last)
-    # A product that never moves crosses no fine point.
-    width = (right - left) * (first != last)
-    events = int(width.sum())
-    if events > k * b.size:
-        # Windows so wide that ranking every product costs less.
-        return _ks_rows(a, b, scales, frac, up_base, dn_base)
-    if events > _SWEEP_EVENTS:
-        pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
-        return np.concatenate(
-            [
-                _ks_sweep(a, b, part, frac, up_base, dn_base)
-                for part in np.array_split(scales, pieces)
-            ]
+    def statistic(self, right, left, up=slice(None), dn=slice(None)):
+        # The KS statistic from the ranks right = #{a <= b_j} and left =
+        # #{a < b_j} of the jumps of G: the largest, over the last axis, of
+        # G - F at right limits and F - G at left limits.  up and dn pick
+        # the jumps that right and left rank, all of them by default.
+        f_up = self.frac[right]
+        f_dn = f_up if left is right else self.frac[left]
+        g_up, g_dn = self.up_base[up], self.dn_base[dn]
+        return np.maximum((g_up - f_up).max(axis=-1), (f_dn - g_dn).max(axis=-1))
+
+    def ranks(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # right = #{a <= b_j} and left = #{a < b_j} for every entry of b.
+        # The two differ only where some b_j equals a fine point, so the
+        # "left" search runs only then (a[right - 1] with right = 0 reads
+        # a[-1] > b_j, never equal).
+        a = self.a
+        right = a.searchsorted(b, side="right")
+        left = a.searchsorted(b, side="left") if (a[right - 1] == b).any() else right
+        return right, left
+
+    def ks(self, b: np.ndarray):
+        # The KS statistic of a and each row of b, m points sorted along
+        # the last axis: a scalar for a 1-D b, one value per row for a
+        # 2-D b.  The sup of |F - G| is attained at a jump of G, the ECDF
+        # of b.  Between two jumps of G, G - F is largest just after the
+        # left one and F - G just before the right one; G - F <= 0 before
+        # the first jump and F - G <= 0 after the last.  So rank the m
+        # points of b into a and take G - F at right limits, (j+1)/m -
+        # #{a <= b_j}/n, and F - G at left limits, #{a < b_j}/n - j/m.
+        # Inside a run of tied b values these index-based terms never
+        # exceed the true step, and the run's outer ends attain it.  Each
+        # candidate is formed from the same two quotients as in the
+        # pooled evaluation over all n + m points, rank / n and j / m,
+        # looked up from the tables rather than divided again, and one
+        # subtraction; both operations are monotone, so the maximum is
+        # bit-identical to the pooled one.
+        return self.statistic(*self.ranks(b))
+
+    def outer_ranks(self, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # For every product b_j * s between the end products first_j and
+        # last_j (either may be the smaller, as b_j may be negative), right
+        # = #{a <= the larger} >= #{a <= b_j s} and left = #{a < the
+        # smaller} <= #{a < b_j s}; both are exact when first_j = last_j.
+        return (
+            self.a.searchsorted(np.maximum(first, last), side="right"),
+            self.a.searchsorted(np.minimum(first, last), side="left"),
         )
-    out = np.full(k, float(_statistic(right, left, frac, up_base, dn_base)))
-    if not events:
+
+    def sweep(self, scales: np.ndarray) -> np.ndarray:
+        # ks(b * s) for every s in scales, which must be sorted and
+        # distinct, bit for bit.
+        # Rounding is monotone, so over the run b_j * s moves one way
+        # between the end products: fine points below the smaller one rank
+        # under every product, points above the larger one over it, and
+        # only the window [left_j, right_j) of outer_ranks can change rank.
+        # Ranked at those outer ranks, every column gives a term that holds
+        # at every cell.  Then each window point a_i is one event: before
+        # b_j * s passes it, #{a <= b_j s} <= i, so up_base_j - i/n is at
+        # most the "right" term; once b_j * s is past it, #{a < b_j s} >= i
+        # + 1, so (i + 1)/n - dn_base_j is at most the "left" term.  The
+        # first point above the product attains the first, the last one
+        # below it the second (the outer-rank terms do where the window has
+        # no such point), so the statistic at a cell is the largest term in
+        # force there, formed as statistic forms it: the rank's entry of
+        # frac less a base, or the other way round.
+        a, b, k = self.a, self.b, scales.size
+        first, last = b * scales[0], b * scales[-1]
+        right, left = self.outer_ranks(first, last)
+        # A product that never moves crosses no fine point.
+        width = (right - left) * (first != last)
+        events = int(width.sum())
+        if events > k * b.size:
+            # Windows so wide that ranking every product costs less.
+            return self.rows(scales)
+        if events > _SWEEP_EVENTS:
+            pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
+            return np.concatenate([self.sweep(part) for part in np.array_split(scales, pieces)])
+        out = np.full(k, float(self.statistic(right, left)))
+        if not events:
+            return out
+        cols = np.flatnonzero(width)
+        w = width[cols]
+        col = np.repeat(cols, w)
+        i = np.arange(events) + np.repeat(left[cols] - (np.cumsum(w) - w), w)
+        ai, bj = a[i], b[col]
+        # With b_j < 0 the product falls as s grows: -(b_j s) = |b_j| s
+        # exactly, so both signs ask for the first cell where |b_j| s
+        # reaches target = +-a_i, "cell" with >= and "past" with >.  The
+        # search uses the quotient a_i / b_j, which may round the other way
+        # from the product: then step each cell to the exact one.
+        mult = np.abs(bj)
+        target = np.where(bj < 0, -ai, ai)
+        cell = np.searchsorted(scales, ai / bj, side="left")
+        while (behind := (cell > 0) & (mult * scales[cell - 1] >= target)).any():
+            cell -= behind
+        while True:
+            prod = mult * scales[np.minimum(cell, k - 1)]
+            if not (ahead := (cell < k) & (prod < target)).any():
+                break
+            cell += ahead
+        past = cell
+        tie = (cell < k) & (prod == target)
+        while tie.any():
+            past = past + tie
+            tie = (past < k) & (mult * scales[np.minimum(past, k - 1)] == target)
+        # With b_j > 0 the "right" term holds before the product reaches a_i
+        # and the "left" term once it is past; with b_j < 0 it is the other
+        # way round.  A term that holds before cell c stands in every cell
+        # below c, one that holds from c in every cell from c on.
+        up = self.up_base[col] - self.frac[i]
+        dn = self.frac[i + 1] - self.dn_base[col]
+        rising = bj > 0
+        before = np.full(k + 1, -np.inf)
+        np.maximum.at(before, cell, np.where(rising, up, dn))
+        after = np.full(k + 1, -np.inf)
+        np.maximum.at(after, past, np.where(rising, dn, up))
+        np.maximum(out, np.maximum.accumulate(before[::-1])[::-1][1:], out=out)
+        np.maximum(out, np.maximum.accumulate(after)[:k], out=out)
         return out
-    cols = np.flatnonzero(width)
-    w = width[cols]
-    col = np.repeat(cols, w)
-    i = np.arange(events) + np.repeat(left[cols] - (np.cumsum(w) - w), w)
-    ai, bj = a[i], b[col]
-    # With b_j < 0 the product falls as s grows: -(b_j s) = |b_j| s
-    # exactly, so both signs ask for the first cell where |b_j| s
-    # reaches target = +-a_i, "cell" with >= and "past" with >.  The
-    # search uses the quotient a_i / b_j, which may round the other way
-    # from the product: then step each cell to the exact one.
-    mult = np.abs(bj)
-    target = np.where(bj < 0, -ai, ai)
-    cell = np.searchsorted(scales, ai / bj, side="left")
-    while (behind := (cell > 0) & (mult * scales[cell - 1] >= target)).any():
-        cell -= behind
-    while True:
-        prod = mult * scales[np.minimum(cell, k - 1)]
-        if not (ahead := (cell < k) & (prod < target)).any():
-            break
-        cell += ahead
-    past = cell
-    tie = (cell < k) & (prod == target)
-    while tie.any():
-        past = past + tie
-        tie = (past < k) & (mult * scales[np.minimum(past, k - 1)] == target)
-    # With b_j > 0 the "right" term holds before the product reaches a_i
-    # and the "left" term once it is past; with b_j < 0 it is the other
-    # way round.  A term that holds before cell c stands in every cell
-    # below c, one that holds from c in every cell from c on.
-    up = up_base[col] - frac[i]
-    dn = frac[i + 1] - dn_base[col]
-    rising = bj > 0
-    before = np.full(k + 1, -np.inf)
-    np.maximum.at(before, cell, np.where(rising, up, dn))
-    after = np.full(k + 1, -np.inf)
-    np.maximum.at(after, past, np.where(rising, dn, up))
-    np.maximum(out, np.maximum.accumulate(before[::-1])[::-1][1:], out=out)
-    np.maximum(out, np.maximum.accumulate(after)[:k], out=out)
-    return out
 
+    def rows(self, scales: np.ndarray) -> np.ndarray:
+        # ks(b * s) for every s in scales, the rows b * s ranked in
+        # pieces of at most _SWEEP_EVENTS products.
+        b = self.b
+        per_piece = max(1, _SWEEP_EVENTS // b.size)
+        pieces = (scales[i : i + per_piece, None] * b for i in range(0, scales.size, per_piece))
+        return np.concatenate([self.ks(piece) for piece in pieces])
 
-def _ks_rows(
-    a: np.ndarray,
-    b: np.ndarray,
-    scales: np.ndarray,
-    frac: np.ndarray,
-    up_base: np.ndarray,
-    dn_base: np.ndarray,
-) -> np.ndarray:
-    # _ks_sorted(a, b * s, ...) for every s in scales, the rows b * s
-    # ranked in pieces of at most _SWEEP_EVENTS products.
-    rows = max(1, _SWEEP_EVENTS // b.size)
-    pieces = (scales[i : i + rows, None] * b for i in range(0, scales.size, rows))
-    return np.concatenate([_ks_sorted(a, piece, frac, up_base, dn_base) for piece in pieces])
-
-
-def _ks_least(
-    a: np.ndarray,
-    b: np.ndarray,
-    scales: np.ndarray,
-    frac: np.ndarray,
-    up_base: np.ndarray,
-    dn_base: np.ndarray,
-) -> np.ndarray:
-    # _ks_sorted(a, b * s, ...) for every s in scales that may hold the
-    # least of them, +inf for the others.  Each row's products are
-    # ranked at the columns cols, every floor(sqrt(m))-th and the last,
-    # all rows at once.  The terms at those columns are the statistic's
-    # own, so their largest is a lower bound.  Between two sampled
-    # columns c < c', b_j * s lies between the end products, as in
-    # _outer_ranks, so right_j >= right_c and left_j <= left_c'; with
-    # up_base_j <= up_base_c', dn_base_j >= dn_base_c and monotone float
-    # steps, every term of the block [c, c'] is at most up_base_c' -
-    # right_c / n or left_c' / n - dn_base_c, an upper bound.  A row
-    # that holds the least value has its lower bound at most the least
-    # upper bound; only such rows are ranked in full.
-    m = b.size
-    cols = np.unique(np.r_[0 : m : math.isqrt(m), m - 1])
-    right, left = _ranks(a, scales[:, None] * b[cols])
-    lower = _statistic(right, left, frac, up_base[cols], dn_base[cols])
-    upper = _statistic(right[:, :-1], left[:, 1:], frac, up_base[cols[1:]], dn_base[cols[:-1]])
-    keep = np.flatnonzero(lower <= upper.min())
-    out = np.full(scales.size, np.inf)
-    out[keep] = _ks_rows(a, b, scales[keep], frac, up_base, dn_base)
-    return out
-
-
-def _fractions(n: int) -> np.ndarray:
-    # r / n for every rank r = 0 .. n, the values an ECDF of n points
-    # takes; _statistic looks its quotients up here.
-    return np.arange(n + 1) / n
-
-
-def _jump_bases(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # G at the right and left limit of its j-th jump, j = 0 .. m-1.
-    frac = _fractions(m)
-    return frac[1:], frac[:-1]
+    def least(self, scales: np.ndarray) -> np.ndarray:
+        # ks(b * s) for every s in scales that may hold the least of
+        # them, +inf for the others.  Each row's products are ranked at
+        # the columns cols, every floor(sqrt(m))-th and the last, all rows
+        # at once.  The terms at those columns are the statistic's own,
+        # so their largest is a lower bound.  Between two sampled columns
+        # c < c', b_j * s lies between the end products, as in
+        # outer_ranks, so right_j >= right_c and left_j <= left_c'; with
+        # up_base_j <= up_base_c', dn_base_j >= dn_base_c and monotone
+        # float steps, every term of the block [c, c'] is at most
+        # up_base_c' - right_c / n or left_c' / n - dn_base_c, an upper
+        # bound.  A row that holds the least value has its lower bound at
+        # most the least upper bound; only such rows are ranked in full.
+        m = self.b.size
+        cols = np.unique(np.r_[0 : m : math.isqrt(m), m - 1])
+        right, left = self.ranks(scales[:, None] * self.b[cols])
+        lower = self.statistic(right, left, cols, cols)
+        upper = self.statistic(right[:, :-1], left[:, 1:], cols[1:], cols[:-1])
+        keep = np.flatnonzero(lower <= upper.min())
+        out = np.full(scales.size, np.inf)
+        out[keep] = self.rows(scales[keep])
+        return out
 
 
 def ks_two_sample(first: EmpiricalCdf, second: EmpiricalCdf) -> float:
@@ -291,8 +260,8 @@ def ks_two_sample(first: EmpiricalCdf, second: EmpiricalCdf) -> float:
         its arguments, to the last bit, and invariant under any
         strictly increasing transform applied to both samples.
     """
-    a, b = first.sorted_values, second.sorted_values
-    return float(_ks_sorted(a, b, _fractions(a.size), *_jump_bases(b.size)))
+    pair = _SortedPair(first.sorted_values, second.sorted_values)
+    return float(pair.ks(pair.b))
 
 
 def ks_critical(n: int, m: int, alpha: float) -> float:
@@ -308,6 +277,56 @@ def ks_critical(n: int, m: int, alpha: float) -> float:
         raise ValueError("alpha must lie in (0, 1)")
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     return c * math.sqrt((n + m) / (n * m))
+
+
+class _ScaledDiameter:
+    # The frozen objective of scaled_diameter_fn, with the fine sample
+    # as a and the coarse one as b of its kernel.
+
+    def __init__(self, pair: _SortedPair, a_max: float) -> None:
+        self._pair, self._a_max = pair, a_max
+
+    def __call__(self, hurst: float) -> float:
+        if not 0.0 < hurst <= 1.0:
+            raise ValueError("hurst must lie in (0, 1]")
+        return float(self._pair.ks(self._pair.b * self._a_max ** (-hurst)))
+
+    def _scales(self, hursts: Sequence[float]) -> tuple[list[float], np.ndarray, np.ndarray]:
+        # The exponents as floats, their distinct scales in increasing
+        # order, and the index of each exponent's scale.
+        hs = [float(h) for h in hursts]
+        if not all(0.0 < h <= 1.0 for h in hs):
+            raise ValueError("hurst must lie in (0, 1]")
+        # The scalar path's own power: np.power may round differently.
+        scales, where = np.unique([self._a_max ** (-h) for h in hs], return_inverse=True)
+        return hs, scales, where
+
+    def many(self, hursts: Sequence[float]) -> np.ndarray:
+        hs, scales, where = self._scales(hursts)
+        if not hs:
+            return np.empty(0)
+        return self._pair.sweep(scales)[where]
+
+    def least(self, hursts: Sequence[float]) -> tuple[float, int]:
+        hs, scales, where = self._scales(hursts)
+        if not hs:
+            raise ValueError("no exponents to compare")
+        values = self._pair.least(scales)[where].tolist()
+        f, _, j = min(zip(values, hs, range(len(hs))))
+        return f, j
+
+    def bound(self, h_first: float, h_last: float) -> float:
+        # For h between h_first and h_last, the scalar path's scale
+        # a_max ** -h lies between the two end scales, and rounding a
+        # product is monotone in the scale, so b_j * s lies between
+        # the end products and outer_ranks bounds its ranks.
+        # statistic falls as right grows and rises with left, by
+        # monotone float steps, so its value is at most self(h).
+        if not (0.0 < h_first <= 1.0 and 0.0 < h_last <= 1.0):
+            raise ValueError("hurst must lie in (0, 1]")
+        b, a_max = self._pair.b, self._a_max
+        ranks = self._pair.outer_ranks(b * a_max ** (-h_first), b * a_max ** (-h_last))
+        return float(self._pair.statistic(*ranks))
 
 
 def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
@@ -354,55 +373,7 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     coarse = np.sort(pair.coarse.values)
     if fine[0] == fine[-1] or coarse[0] == coarse[-1]:
         raise DegenerateSampleError("constant increment sample")
-    a_max = float(pair.a_max)
-    frac = _fractions(fine.size)
-    up_base, dn_base = _jump_bases(coarse.size)
-
-    def objective(hurst: float) -> float:
-        if not 0.0 < hurst <= 1.0:
-            raise ValueError("hurst must lie in (0, 1]")
-        return float(_ks_sorted(fine, coarse * a_max ** (-hurst), frac, up_base, dn_base))
-
-    def scales_of(hursts: Sequence[float]) -> tuple[list[float], np.ndarray, np.ndarray]:
-        # The exponents as floats, their distinct scales in increasing
-        # order, and the index of each exponent's scale.
-        hs = [float(h) for h in hursts]
-        if not all(0.0 < h <= 1.0 for h in hs):
-            raise ValueError("hurst must lie in (0, 1]")
-        # The scalar path's own power: np.power may round differently.
-        scales, where = np.unique([a_max ** (-h) for h in hs], return_inverse=True)
-        return hs, scales, where
-
-    def many(hursts: Sequence[float]) -> np.ndarray:
-        hs, scales, where = scales_of(hursts)
-        if not hs:
-            return np.empty(0)
-        return _ks_sweep(fine, coarse, scales, frac, up_base, dn_base)[where]
-
-    def least(hursts: Sequence[float]) -> tuple[float, int]:
-        hs, scales, where = scales_of(hursts)
-        if not hs:
-            raise ValueError("no exponents to compare")
-        values = _ks_least(fine, coarse, scales, frac, up_base, dn_base)[where].tolist()
-        f, _, j = min(zip(values, hs, range(len(hs))))
-        return f, j
-
-    def bound(h_first: float, h_last: float) -> float:
-        # For h between h_first and h_last, the scalar path's scale
-        # a_max ** -h lies between the two end scales, and rounding a
-        # product is monotone in the scale, so b_j * s lies between
-        # the end products and _outer_ranks bounds its ranks.
-        # _statistic falls as right grows and rises with left, by
-        # monotone float steps, so its value is at most objective(h).
-        if not (0.0 < h_first <= 1.0 and 0.0 < h_last <= 1.0):
-            raise ValueError("hurst must lie in (0, 1]")
-        right, left = _outer_ranks(fine, coarse * a_max ** (-h_first), coarse * a_max ** (-h_last))
-        return float(_statistic(right, left, frac, up_base, dn_base))
-
-    objective.many = many
-    objective.least = least
-    objective.bound = bound
-    return objective
+    return _ScaledDiameter(_SortedPair(fine, coarse), float(pair.a_max))
 
 
 def _norm_cdf(x: float) -> float:
@@ -421,17 +392,19 @@ def gaussian_diameter(variance_ratio: float) -> float:
     Parameters
     ----------
     variance_ratio : float
-        Positive ratio of the two variances.
+        Positive, finite ratio of the two variances.
 
     Returns
     -------
     float
-        Value in ``[0, 1)``.
+        Value in ``[0, 1/2]``.
     """
     v = float(variance_ratio)
-    if not v > 0.0:
-        raise ValueError("variance ratio must be positive")
+    if not 0.0 < v < math.inf:
+        raise ValueError("variance ratio must be positive and finite")
     if v == 1.0:
         return 0.0
-    x = math.sqrt(math.log(v) / (1.0 - 1.0 / v))
+    # Below 1 the equal form v ln v / (v - 1) keeps 1/v, which
+    # overflows for a subnormal v, out of the crossing point.
+    x = math.sqrt(math.log(v) / (1.0 - 1.0 / v) if v > 1.0 else v * math.log(v) / (v - 1.0))
     return abs(_norm_cdf(x) - _norm_cdf(x / math.sqrt(v)))

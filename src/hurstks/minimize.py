@@ -4,8 +4,10 @@ The empirical objective is piecewise constant in the exponent, so
 every minimizer here reports the best value actually evaluated rather
 than trusting its own convergence point, counts objective calls, and
 breaks ties toward the smallest exponent.  A grid search is the
-reference; Brent, a one-dimensional Nelder-Mead, and simulated
-annealing are the cheaper alternatives benchmarked against it.
+reference; Brent and a one-dimensional Nelder-Mead are the cheaper
+alternatives benchmarked against it.  Simulated annealing, benchmarked
+too, costs more than the grid: its chain spends half the evaluation
+budget one call at a time.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class OptimizerConfig:
         Mesh of the grid search and of the plateau sweep that ends the
         others; it sets their resolution (local runs stop at a 1e-6 bracket).
     max_evals : int, optional
-        Hard budget of objective evaluations; doubles as the length of
-        the annealing schedule.
+        Hard budget of objective evaluations.  The annealing chain runs
+        for half of it and leaves the rest to its plateau sweep.
     seed : int, optional
         Non-negative seed for the annealing proposal chain (ignored by
         the deterministic methods).
@@ -607,9 +609,10 @@ def bench_optimizers(
 
     For every ``(h, rep)`` cell one path is simulated, its increment
     pair is decorrelated once, and all configured methods minimize the
-    same frozen objective, so rows are directly comparable.  A failing
-    cell is recorded with NaN results and the error message; the run
-    continues.
+    same frozen objective, so rows are directly comparable.  A
+    minimizer that fails is recorded as a row with NaN results and the
+    error message, and the run continues; an error simulating a path
+    or freezing its objective propagates.
 
     Returns
     -------

@@ -483,6 +483,8 @@ class TestBench:
             ["--methods", "brent,brent"],
             ["--reps", "0"],
             ["--subseq", "976"],
+            ["--subseq", "1"],
+            ["--subseq", "0"],
             ["--length", "40"],
         ],
     )

@@ -198,17 +198,17 @@ class TestBitIdenticalToPooledScan:
     )
     @settings(max_examples=300)
     def test_rank_table_equals_quotients(self, n, m, rows, ties, seed):
-        # _statistic reads r / n from _fractions(n) and the jump bases
-        # from slices of _fractions(m); the values are the quotients
-        # formed by division, on 1-D and 2-D ranks, with left either
-        # the same array as right (no ties) or a different one.
+        # The kernel's statistic reads r / n from its table of n and the
+        # jump bases from slices of its table of m; the values are the
+        # quotients formed by division, on 1-D and 2-D ranks, with left
+        # either the same array as right (no ties) or a different one.
         import hurstks.ksdist as ksdist
 
         rng = np.random.default_rng(seed)
         shape = (m,) if rows == 0 else (rows, m)
         right = np.sort(rng.integers(0, n + 1, shape), axis=-1)
         left = np.maximum(right - rng.integers(0, 3, shape), 0) if ties else right
-        got = ksdist._statistic(right, left, ksdist._fractions(n), *ksdist._jump_bases(m))
+        got = ksdist._SortedPair(np.zeros(n), np.zeros(m)).statistic(right, left)
         up_base, dn_base = np.arange(1, m + 1) / m, np.arange(m) / m
         want = np.maximum((up_base - right / n).max(-1), (left / n - dn_base).max(-1))
         assert np.shape(got) == np.shape(want)
@@ -293,6 +293,17 @@ class TestGaussianDiameter:
     def test_rejects_nonpositive_ratio(self):
         with pytest.raises(ValueError):
             gaussian_diameter(0.0)
+
+    @pytest.mark.parametrize("v", [math.inf, math.nan])
+    def test_rejects_non_finite_ratio(self, v):
+        with pytest.raises(ValueError):
+            gaussian_diameter(v)
+
+    def test_subnormal_ratio_nears_its_limit(self):
+        # 1 / v overflows at the least subnormal, where D(v) = D(1/v)
+        # sits at its limit 1/2; the other extremes agree to the bit.
+        assert gaussian_diameter(5e-324) == pytest.approx(0.5, abs=1e-12)
+        assert gaussian_diameter(1e-300) == gaussian_diameter(1e300)
 
 
 class TestRescaledPair:
@@ -448,13 +459,13 @@ def _simulated_pair(hurst, seed):
     )
 
 
-def _count_calls(monkeypatch, module, *names):
+def _count_calls(monkeypatch, owner, *names):
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _name=name, _fn=getattr(module, name)):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -537,17 +548,17 @@ class TestBlockEvaluation:
             "mesh 1e-4": _mesh_run(1e-4, 4000, 600),
         }
         want = {name: [fn(h) for h in hs] for name, hs in runs.items()}
-        calls = _count_calls(monkeypatch, ksdist, "_ks_sweep", "_ks_sorted")
-        shapes, counted = [], ksdist._ks_sorted
+        calls = _count_calls(monkeypatch, ksdist._SortedPair, "sweep", "ks")
+        shapes, counted = [], ksdist._SortedPair.ks
 
-        def ranked(a, b, *bases):
+        def ranked(self, b):
             shapes.append(b.shape)
-            return counted(a, b, *bases)
+            return counted(self, b)
 
-        monkeypatch.setattr(ksdist, "_ks_sorted", ranked)
+        monkeypatch.setattr(ksdist._SortedPair, "ks", ranked)
         got = {}
         for name, hs in runs.items():
-            calls.update(_ks_sweep=0, _ks_sorted=0)
+            calls.update(sweep=0, ks=0)
             shapes.clear()
             assert fn.many(hs).tolist() == want[name]
             got[name] = dict(calls, shapes=list(shapes))
@@ -557,21 +568,22 @@ class TestBlockEvaluation:
         # and makes no per-exponent kernel call; runs of the mesh go
         # through the sweep, a long one in pieces.
         rows = ksdist._SWEEP_EVENTS // 400
-        assert got["scan"]["_ks_sweep"] == 1
+        assert got["scan"]["sweep"] == 1
         assert got["scan"]["shapes"] == [(min(rows, 50 - i), 400) for i in range(0, 50, rows)]
-        assert got["mesh 1e-3"]["_ks_sweep"] > 2
-        assert got["mesh 1e-4"]["_ks_sorted"] == got["mesh 1e-3"]["_ks_sorted"] == 0
+        assert got["mesh 1e-3"]["sweep"] > 2
+        assert got["mesh 1e-4"]["ks"] == got["mesh 1e-3"]["ks"] == 0
 
     def test_run_just_over_the_event_budget_crosses_one_boundary(self, monkeypatch):
         import hurstks.ksdist as ksdist
 
         pair = _simulated_pair(0.5, seed=3)
         fine, coarse = np.sort(pair.fine.values), np.sort(pair.coarse.values)
+        kernel = ksdist._SortedPair(fine, coarse)
 
         def events(hs):
             # The crossing events of a run, counted as the kernel does.
             first, last = coarse * 50.0 ** -hs[0], coarse * 50.0 ** -hs[-1]
-            right, left = ksdist._outer_ranks(fine, first, last)
+            right, left = kernel.outer_ranks(first, last)
             return int(((right - left) * (first != last)).sum())
 
         length = 2
@@ -580,9 +592,9 @@ class TestBlockEvaluation:
         hs = _mesh_run(1e-4, 3000, length)
         fn = scaled_diameter_fn(pair)
         want = [fn(h) for h in hs]
-        calls = _count_calls(monkeypatch, ksdist, "_ks_sweep", "_ks_sorted")
+        calls = _count_calls(monkeypatch, ksdist._SortedPair, "sweep", "ks")
         assert fn.many(hs).tolist() == want
-        assert calls == {"_ks_sweep": 3, "_ks_sorted": 0}
+        assert calls == {"sweep": 3, "ks": 0}
 
     def test_sweep_on_scales_next_to_quotients(self):
         # Scales one ulp either side of a_i / b_j, where the quotient the
@@ -595,9 +607,8 @@ class TestBlockEvaluation:
             q = (a[:, None] / b).ravel()
             q = rng.choice(q[(q > 0.02) & (q < 1.0)], 20)
             scales = np.unique([q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)])
-            tables = (ksdist._fractions(a.size), *ksdist._jump_bases(b.size))
-            got = ksdist._ks_sweep(a, b, scales, *tables)
-            assert got.tolist() == [ksdist._ks_sorted(a, b * s, *tables) for s in scales]
+            kernel = ksdist._SortedPair(a, b)
+            assert kernel.sweep(scales).tolist() == [kernel.ks(b * s) for s in scales]
 
     def test_full_mesh_memory_stays_small(self):
         fn = scaled_diameter_fn(_simulated_pair(0.5, seed=1))
@@ -628,14 +639,14 @@ class TestBlockEvaluation:
         # product: 400 rows of 1491, 4.8 MB per array if formed at once.
         hs = np.linspace(1e-3, 1.0, 400).tolist()
         fn.many(hs)
-        calls = _count_calls(monkeypatch, ksdist, "_ks_sorted")
+        calls = _count_calls(monkeypatch, ksdist._SortedPair, "ks")
         tracemalloc.start()
         try:
             fn.many(hs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls["_ks_sorted"] == math.ceil(400 / (ksdist._SWEEP_EVENTS // 1491))
+        assert calls["ks"] == math.ceil(400 / (ksdist._SWEEP_EVENTS // 1491))
         assert peak < 1_000_000
 
     @given(
@@ -761,13 +772,13 @@ class TestLeast:
         )
         hs = np.linspace(1e-3, 1.0, 50).tolist()
         want = self._want(fn, hs)
-        rows, ranked = [], ksdist._ks_rows
+        rows, ranked = [], ksdist._SortedPair.rows
 
-        def counted(a, b, scales, *bases):
+        def counted(self, scales):
             rows.append(scales.size)
-            return ranked(a, b, scales, *bases)
+            return ranked(self, scales)
 
-        monkeypatch.setattr(ksdist, "_ks_rows", counted)
+        monkeypatch.setattr(ksdist._SortedPair, "rows", counted)
         assert fn.least(hs) == want
         assert len(rows) == 1 and 1 <= rows[0] < 25
 

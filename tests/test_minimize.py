@@ -686,12 +686,16 @@ class TestEstimateHurst:
             # Every increment is kept: n and m are the full counts.
             assert (full.n, full.m) == (length - 1, length - a_max)
             want = (full.h_hat.hex(), full.delta_min.hex(), full.n, full.m, full.converged)
-            for block_length in (1, 7, 64, 333):
-                for seed in (0, 5, 123):
-                    plan = PermutationPlan(scheme="block", block_length=block_length, seed=seed)
-                    res = estimate_hurst(pair, plan, config)
-                    got = (res.h_hat.hex(), res.delta_min.hex(), res.n, res.m, res.converged)
-                    assert got == want, (hurst, block_length, seed)
+            # Nor does the seed of the uniform scheme without a subsample.
+            plans = [
+                PermutationPlan(scheme="block", block_length=block_length, seed=seed)
+                for block_length in (1, 7, 64, 333)
+                for seed in (0, 5, 123)
+            ] + [PermutationPlan(subsample_size=None, seed=seed) for seed in (0, 5, 123)]
+            for plan in plans:
+                res = estimate_hurst(pair, plan, config)
+                got = (res.h_hat.hex(), res.delta_min.hex(), res.n, res.m, res.converged)
+                assert got == want, (hurst, plan)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_exhausted_budget_is_flagged(self, method):
