@@ -5,6 +5,14 @@ a chi-square test for constancy of the exponent across windows, a
 z-test for comparing two series, a Monte Carlo check of the variance
 ordering used to justify coarse-graining, and the lag-one scaling
 constant of rescaled fractional noise.
+
+The normal quantile is a port of Moshier's Cephes ``ndtri`` (*Methods
+and Programs for Mathematical Functions*, 1989), the code behind
+``scipy.special.ndtri``; ``tests/test_stats.py`` checks that the two
+agree bit for bit.  So importing this module, and every estimate,
+loads no SciPy: ``scipy.special`` is imported only inside the
+chi-square tail of :func:`chi2_constancy` and inside
+:func:`a_function`.
 """
 
 from __future__ import annotations
@@ -14,8 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammaincc, ndtri
 
 __all__ = [
     "AggregateReport",
@@ -44,11 +50,76 @@ class AggregateReport:
     chi2_p: float
 
 
+# Cephes ndtri coefficients, highest power first.  P0/Q0 serve the
+# centre, exp(-2) < p < 1 - exp(-2), as a series in (p - 1/2)**2;
+# P1/Q1 and P2/Q2 serve the tails as series in 1/x, x = sqrt(-2 ln p),
+# for x < 8 (p > exp(-32)) and x >= 8.  Each Q has an implicit
+# leading 1.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...], monic: bool = False) -> float:
+    """Horner's rule in Cephes order; ``monic`` adds a leading 1 (``p1evl``)."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile function."""
+    """Standard normal quantile function.
+
+    A port of Cephes ``ndtri`` (Moshier 1989) that keeps every
+    operation in Cephes order, so it returns the same double as
+    ``scipy.special.ndtri`` for every ``p`` in (0, 1);
+    ``tests/test_stats.py`` compares the two with ``==``.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    return float(ndtri(p))
+    y = float(p)
+    lower = y <= 1.0 - _EXP_M2
+    if not lower:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p_tab, q_tab = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _polevl(z, p_tab) / _polevl(z, q_tab, monic=True)
+    return -x if lower else x
 
 
 def _norm_sf(x: float) -> float:
@@ -131,6 +202,11 @@ def chi2_constancy(estimates: Sequence[float], sigma: float) -> tuple[float, int
     dev = (est - est.mean()) / sigma
     stat = float(dev @ dev)
     df = est.size - 1
+    # SciPy is loaded here and in a_function only.  A closed-form tail
+    # differs from gammaincc in the last bits, which would move the
+    # bytes of an analysis report.
+    from scipy.special import gammaincc
+
     p = float(gammaincc(df / 2.0, stat / 2.0))
     return stat, df, p
 
@@ -295,6 +371,8 @@ def a_function(hurst):
     h = np.asarray(hurst, dtype=float)
     if np.any(h <= 0.0) or np.any(h >= 1.0):
         raise ValueError("hurst must lie strictly inside (0, 1)")
+    from scipy.special import gamma as _gamma
+
     out = _gamma(h + 0.5) ** 2 / (2.0 * h * np.sin(np.pi * h) * _gamma(2.0 * h))
     if np.isscalar(hurst):
         return float(out)

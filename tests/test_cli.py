@@ -794,3 +794,48 @@ class TestTopLevel:
             for row in got + want:
                 del row["wall_time_s"]
             assert got == want and len(got) == 1
+
+
+# Run in a fresh interpreter: which modules a front end loads is a
+# property of the process, and this test process has SciPy loaded.
+_SCIPY_PROBE = """
+import json, sys
+loaded = {}
+import hurstks
+loaded["import hurstks"] = "scipy" in sys.modules
+import hurstks.cli
+from hurstks.cli import main
+loaded["import hurstks.cli"] = "scipy" in sys.modules
+tmp, level = sys.argv[1], sys.argv[2]
+runs = {
+    "simulate": ["simulate", "--hurst", "0.5", "--length", "1025", "--seed", "3",
+                 "--out", tmp + "/p.csv"],
+    "estimate": ["estimate", "--input", tmp + "/p.csv", "--subseq", "500"],
+    "bench": ["bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+              "--length", "1025", "--subseq", "500", "--out", tmp + "/b.csv"],
+    "analyze": ["analyze", "--input", level, "--out-dir", tmp + "/o"],
+}
+for name, argv in runs.items():
+    assert main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    level = _level_csv(tmp_path, "v.csv", 3024)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), level],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import hurstks": False,
+        "import hurstks.cli": False,
+        "simulate": False,
+        "estimate": False,
+        "bench": False,
+        "analyze": True,
+    }

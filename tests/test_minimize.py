@@ -697,6 +697,20 @@ class TestEstimateHurst:
                 got = (res.h_hat.hex(), res.delta_min.hex(), res.n, res.m, res.converged)
                 assert got == want, (hurst, plan)
 
+    @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_full_sample_result_is_the_same_for_every_seed(self, seed):
+        # Without a subsample the plan only rearranges both samples,
+        # which the sorted objective cannot see; the result records
+        # the seed and differs in nothing else.
+        path = simulate_fbm(FgnSpec(hurst=0.4, length=513, seed=8))
+        pair = RescaledPair(fine=increments(path, 1), coarse=increments(path, 16), a_max=16)
+        config = OptimizerConfig(method="brent")
+        want = estimate_hurst(pair, PermutationPlan(subsample_size=None), config)
+        got = estimate_hurst(pair, PermutationPlan(subsample_size=None, seed=seed), config)
+        assert got.seed == seed
+        assert replace(got, seed=want.seed) == want
+
     @pytest.mark.parametrize("method", METHODS)
     def test_exhausted_budget_is_flagged(self, method):
         # A minimizer cut off by max_evals must not pass as a normal

@@ -106,6 +106,43 @@ class TestNormalQuantile:
     def test_symmetry(self):
         assert normal_quantile(0.3) == pytest.approx(-normal_quantile(0.7), abs=1e-14)
 
+    # SciPy's ndtri is the reference: the port must return its double.
+    def test_bit_equal_to_scipy_on_a_seeded_sample(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(20251)
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 200_000),
+            # 1e-300 < p reaches the x >= 8 tail (p < exp(-32)).
+            10.0 ** -rng.uniform(0.0, 300.0, 50_000),
+            1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 50_000),
+        ])
+        p = p[(p > 0.0) & (p < 1.0)]
+        assert np.sum(p < math.exp(-32.0)) > 10_000
+        got = np.array([normal_quantile(float(v)) for v in p])
+        want = ndtri(p)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, [(p[i], got[i], want[i]) for i in bad[:5]]
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2, 0.32, 0.5])
+    def test_bit_equal_to_scipy_at_interval_levels(self, alpha):
+        from scipy.special import ndtri
+
+        p = 1.0 - alpha / 2.0
+        assert normal_quantile(p) == float(ndtri(p))
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=500, deadline=None)
+    def test_bit_equal_to_scipy_anywhere_in_the_open_interval(self, p):
+        from scipy.special import ndtri
+
+        assert normal_quantile(p) == float(ndtri(p))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
+    def test_domain(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            normal_quantile(p)
+
 
 class TestChi2Constancy:
     def test_equal_estimates_give_zero(self):
