@@ -17,6 +17,7 @@ import numpy as np
 
 from hurstks.fgn import IncrementSample
 from hurstks.permute import DegenerateSampleError
+from hurstks.stats import _norm_sf
 
 __all__ = [
     "EmpiricalCdf",
@@ -376,10 +377,6 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     return _ScaledDiameter(_SortedPair(fine, coarse), float(pair.a_max))
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def gaussian_diameter(variance_ratio: float) -> float:
     """KS distance between centered normals with variances 1 and ``v``.
 
@@ -407,4 +404,4 @@ def gaussian_diameter(variance_ratio: float) -> float:
     # Below 1 the equal form v ln v / (v - 1) keeps 1/v, which
     # overflows for a subnormal v, out of the crossing point.
     x = math.sqrt(math.log(v) / (1.0 - 1.0 / v) if v > 1.0 else v * math.log(v) / (v - 1.0))
-    return abs(_norm_cdf(x) - _norm_cdf(x / math.sqrt(v)))
+    return abs(_norm_sf(-x) - _norm_sf(-x / math.sqrt(v)))

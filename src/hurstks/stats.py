@@ -6,13 +6,9 @@ z-test for comparing two series, a Monte Carlo check of the variance
 ordering used to justify coarse-graining, and the lag-one scaling
 constant of rescaled fractional noise.
 
-The normal quantile is a port of Moshier's Cephes ``ndtri`` (*Methods
-and Programs for Mathematical Functions*, 1989), the code behind
-``scipy.special.ndtri``; ``tests/test_stats.py`` checks that the two
-agree bit for bit.  So importing this module, and every estimate,
-loads no SciPy: ``scipy.special`` is imported only inside the
-chi-square tail of :func:`chi2_constancy` and inside
-:func:`a_function`.
+The runtime needs numpy only: the normal quantile is a port of Cephes
+``ndtri`` and the chi-square tail a closed form, which
+``tests/test_stats.py`` checks against SciPy and mpmath.
 """
 
 from __future__ import annotations
@@ -126,6 +122,27 @@ def _norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _chi2_sf(stat: float, df: int) -> float:
+    """Upper tail of the chi-square law at integer ``df``.
+
+    ``e^-x * sum x^j / Gamma(j+1)``, ``x = stat/2``, over ``j = df/2 - 1,
+    df/2 - 2, ... >= 0``, plus ``erfc(sqrt x)`` for odd ``df``.  The terms
+    are a running product that takes ``e^-x`` in exact chunks of <= 700 as
+    it grows: none underflows past x ~ 745, nor errs by ~1e-12 as in logs.
+    """
+    x = min(stat / 2.0, df + 1500.0)  # beyond, Chernoff bounds the tail by e^-1195
+    j = df % 2 / 2.0
+    term, total, owed = (2.0 * math.sqrt(x / math.pi) if j else 1.0), 0.0, x
+    while j < df / 2.0:
+        if term > 1.0 and owed > 0.0:
+            chunk = min(owed, 700.0)
+            term, total, owed = term * math.exp(-chunk), total * math.exp(-chunk), owed - chunk
+        total += term
+        j += 1.0
+        term *= x / j
+    return (math.erfc(math.sqrt(x)) if df % 2 else 0.0) + total * math.exp(-owed)
+
+
 def estimator_sd(a_max: int, n: int, m: int) -> float:
     """Large-sample standard deviation of the exponent estimate.
 
@@ -197,18 +214,12 @@ def chi2_constancy(estimates: Sequence[float], sigma: float) -> tuple[float, int
     est = np.asarray(estimates, dtype=float)
     if est.size < 2:
         raise ValueError("need at least two estimates")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not (np.isfinite(est).all() and 0.0 < sigma < math.inf):
+        raise ValueError("estimates must be finite and sigma positive and finite")
     dev = (est - est.mean()) / sigma
     stat = float(dev @ dev)
     df = est.size - 1
-    # SciPy is loaded here and in a_function only.  A closed-form tail
-    # differs from gammaincc in the last bits, which would move the
-    # bytes of an analysis report.
-    from scipy.special import gammaincc
-
-    p = float(gammaincc(df / 2.0, stat / 2.0))
-    return stat, df, p
+    return stat, df, _chi2_sf(stat, df)
 
 
 def z_test_means(mean_a: float, mean_b: float, sigma: float) -> tuple[float, float]:
@@ -226,8 +237,8 @@ def z_test_means(mean_a: float, mean_b: float, sigma: float) -> tuple[float, flo
         (small ``p``) indicates the first mean is larger than
         sampling noise allows.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(mean_a) and math.isfinite(mean_b) and 0.0 < sigma < math.inf):
+        raise ValueError("means must be finite and sigma positive and finite")
     z = (mean_a - mean_b) / (sigma * math.sqrt(2.0))
     return z, _norm_sf(z)
 
@@ -371,9 +382,6 @@ def a_function(hurst):
     h = np.asarray(hurst, dtype=float)
     if np.any(h <= 0.0) or np.any(h >= 1.0):
         raise ValueError("hurst must lie strictly inside (0, 1)")
-    from scipy.special import gamma as _gamma
-
-    out = _gamma(h + 0.5) ** 2 / (2.0 * h * np.sin(np.pi * h) * _gamma(2.0 * h))
-    if np.isscalar(hurst):
-        return float(out)
-    return out
+    gamma = np.vectorize(math.gamma, otypes=[float])
+    out = gamma(h + 0.5) ** 2 / (2.0 * h * np.sin(np.pi * h) * gamma(2.0 * h))
+    return float(out) if np.isscalar(hurst) else out

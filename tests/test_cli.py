@@ -822,7 +822,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_analyze_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     level = _level_csv(tmp_path, "v.csv", 3024)
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -837,5 +837,5 @@ def test_only_analyze_loads_scipy(tmp_path):
         "simulate": False,
         "estimate": False,
         "bench": False,
-        "analyze": True,
+        "analyze": False,
     }

@@ -128,7 +128,7 @@ REPORTS = {
 }
 
 FILES = {
-    'report.json': 'fa4a6986f6d57ea29940cdd8af8e3526b9c1e33d27afa34b801fcf7a878efd1c',
+    'report.json': '062b4aa9f814ede8b76282181135a831c14baeea9d0c13dd44cb506c64704308',
     'windows.csv': '0c76fb8a11eb5e199d064e6e4dc3ff07ce602842c8ce6e3127e902cdadab1acd',
 }
 

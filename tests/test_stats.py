@@ -2,6 +2,7 @@
 conditional-variance ordering check."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstks.stats import (
+    _chi2_sf,
     AggregateReport,
     VarianceOrderingReport,
     VarianceOrderingSpec,
@@ -180,6 +182,50 @@ class TestChi2Constancy:
         with pytest.raises(ValueError):
             chi2_constancy([0.4, 0.5], 0.0)
 
+    def test_one_sigma_split_is_erfc_one(self):
+        # df = 1 and stat = 2: the tail is erfc(sqrt(1)), correctly rounded.
+        assert chi2_constancy([0.3, 0.5], 0.1)[2] == math.erfc(1.0)
+
+    @staticmethod
+    def _mpmath_tail(stat, df):
+        import mpmath
+
+        with mpmath.workdps(40):
+            return float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(stat) / 2,
+                                         mpmath.inf, regularized=True))
+
+    def test_tail_matches_mpmath_for_df_up_to_300(self):
+        rng = np.random.default_rng(26)
+        worst = 0.0
+        for df in range(1, 301):
+            for stat in df * 10.0 ** rng.uniform(-2.0, 1.0, size=3):
+                want = self._mpmath_tail(float(stat), df)
+                got = _chi2_sf(float(stat), df)
+                if want < sys.float_info.min:
+                    # Below the normal range only absolute closeness holds.
+                    assert abs(got - want) < 1e-320
+                else:
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 300])
+    def test_zero_stat_has_tail_one(self, df):
+        assert _chi2_sf(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("df, stat", [
+        (2000, 1999.0), (2000, 2000.0), (2001, 2100.0), (1600, 1850.0), (301, 1600.0),
+    ])
+    def test_tail_past_exp_underflow_matches_mpmath(self, df, stat):
+        # x = stat / 2 is past 745, where exp(-x) alone underflows to 0.
+        want = self._mpmath_tail(stat, df)
+        assert want > 1e-300
+        assert _chi2_sf(stat, df) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 2000])
+    def test_tail_vanishes_far_out(self, df):
+        assert _chi2_sf(2.0 * (df + 1500.0), df) == 0.0
+        assert _chi2_sf(1e300, df) == 0.0
+
 
 class TestZTest:
     def test_reference_comparison(self):
@@ -211,6 +257,21 @@ class TestZTest:
         _, p_small = z_test_means(gap, 0.0, sigma)
         _, p_large = z_test_means(2.0 * gap, 0.0, sigma)
         assert 0.0 < p_large < p_small < 0.5
+
+
+@pytest.mark.parametrize("call, args", [
+    (chi2_constancy, ([0.3, 0.5], math.inf)),
+    (chi2_constancy, ([0.3, 0.5], math.nan)),
+    (chi2_constancy, ([0.3, math.nan], 0.1)),
+    (chi2_constancy, ([0.3, -math.inf], 0.1)),
+    (z_test_means, (0.4, 0.1, math.inf)),
+    (z_test_means, (0.4, 0.1, math.nan)),
+    (z_test_means, (math.nan, 0.1, 0.1)),
+    (z_test_means, (0.4, math.inf, 0.1)),
+])
+def test_non_finite_inputs_are_rejected(call, args):
+    with pytest.raises(ValueError, match="finite"):
+        call(*args)
 
 
 class TestAggregateWindows:
