@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ben.add_argument("--h-list", default="0.2,0.4,0.6,0.8")
     ben.add_argument("--reps", type=int, default=10)
-    ben.add_argument("--methods", default="grid,brent,nelder_mead,simulated_annealing")
+    ben.add_argument("--methods", default=",".join(METHODS))
     ben.add_argument("--length", type=int, default=4097)
     ben.add_argument("--amax", type=int, default=50)
     ben.add_argument("--subseq", type=int, default=500)
@@ -155,9 +155,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    # A one-value sample is constant, so both samples need two values.
+    if args.subseq is not None and args.subseq < 2:
+        raise CsvFormatError("--subseq must be at least 2")
     path = load_series(args.input, value_scale=args.input_scale).path
-    if len(path) <= args.amax:
-        raise CsvFormatError(f"{args.input}: series shorter than the coarse lag")
+    if len(path) < args.amax + 2:
+        raise CsvFormatError(
+            f"{args.input}: series of {len(path)} points is shorter than --amax + 2"
+        )
     pair = RescaledPair(
         fine=increments(path, 1), coarse=increments(path, args.amax), a_max=args.amax
     )

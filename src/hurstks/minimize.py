@@ -83,15 +83,11 @@ class OptimizerConfig:
     max_evals : int, optional
         Hard budget of objective evaluations.  The annealing chain runs
         for half of it and leaves the rest to its plateau sweep.
-    seed : int, optional
-        Non-negative seed for the annealing proposal chain (ignored by
-        the deterministic methods).
     """
 
     method: str = "brent"
     grid_step: float = 1e-4
     max_evals: int = 10_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -100,8 +96,6 @@ class OptimizerConfig:
             raise ValueError("grid_step must lie in (0, 1]")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -422,7 +416,7 @@ def _nelder_mead_core(f: _Tracker, lo: float, hi: float) -> None:
 
 
 def _annealing(tracker: _Tracker, config: OptimizerConfig) -> None:
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     x = 0.5 * (_LOCAL_LO + 1.0)
     fx = tracker(x)
     temp = 0.1
@@ -493,8 +487,9 @@ def minimize_scalar(
         standard deviation proportional to the temperature, clamped to
         the interval.  The chain spends half of ``max_evals``; the rest
         pays for the plateau sweep that settles the final point on the
-        ``grid_step`` mesh.  The whole run is a pure function of
-        ``seed``.
+        ``grid_step`` mesh.  Proposals come from ``default_rng(0)``,
+        so, as for every search, the report depends only on
+        ``objective`` and ``config``.
     """
     t0 = time.perf_counter()
     tracker = _Tracker(objective, config.max_evals)

@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
@@ -105,7 +105,8 @@ class WindowConfig:
     subseq : int, optional
         Decorrelated subsample size per window; defaults to
         ``window_length - a_max`` so that both increment samples end
-        up with the same size.
+        up with the same size.  Both are at least 2: a one-value
+        sample is constant.
     alpha : float
         Level for the goodness-of-fit flag and confidence interval.
     """
@@ -118,14 +119,14 @@ class WindowConfig:
     def __post_init__(self) -> None:
         if self.a_max <= 1:
             raise ValueError("a_max must exceed 1")
-        if self.window_length <= self.a_max:
-            raise ValueError("window_length must exceed a_max")
+        if self.window_length <= self.a_max + 1:
+            raise ValueError("window_length must exceed a_max + 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.subseq is not None and not (
-            1 <= self.subseq <= self.window_length - self.a_max
+            2 <= self.subseq <= self.window_length - self.a_max
         ):
-            raise ValueError("subseq must lie in [1, window_length - a_max]")
+            raise ValueError("subseq must lie in [2, window_length - a_max]")
 
     def resolved_subseq(self) -> int:
         return self.subseq if self.subseq is not None else self.window_length - self.a_max
@@ -600,12 +601,11 @@ def _estimate_one_window(
         coarse=increments(window, wc.a_max),
         a_max=wc.a_max,
     )
-    seeds = np.random.SeedSequence(
+    seed = np.random.SeedSequence(
         manifest.master_seed, spawn_key=(series_idx, window_idx)
-    ).generate_state(2)
-    plan = PermutationPlan(subsample_size=wc.resolved_subseq(), seed=int(seeds[0]))
-    optimizer = replace(manifest.optimizer, seed=int(seeds[1]))
-    return estimate_hurst(pair, plan, optimizer, alpha=wc.alpha)
+    ).generate_state(1)[0]
+    plan = PermutationPlan(subsample_size=wc.resolved_subseq(), seed=int(seed))
+    return estimate_hurst(pair, plan, manifest.optimizer, alpha=wc.alpha)
 
 
 def _series_report(

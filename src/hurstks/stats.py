@@ -320,26 +320,20 @@ def check_variance_ordering(spec: VarianceOrderingSpec) -> VarianceOrderingRepor
     """
     rng = np.random.default_rng(spec.seed)
     g = rng.standard_normal(spec.n_outer)
-    if spec.noise_sigma > 0.0:
-        noise = np.exp(
-            spec.noise_sigma * rng.standard_normal(spec.n_outer)
-            - 0.5 * spec.noise_sigma**2
-        )
-    else:
-        noise = np.ones(spec.n_outer)
+    # noise_sigma = 0 makes every noise factor exp(0) = 1 exactly.
+    noise = np.exp(
+        spec.noise_sigma * rng.standard_normal(spec.n_outer) - 0.5 * spec.noise_sigma**2
+    )
     x = np.exp(g) * noise
 
-    if spec.n_partition >= spec.n_outer:
-        v = x.copy()
-    else:
-        order = np.argsort(g, kind="stable")
-        cell_of = np.empty(spec.n_outer, dtype=np.intp)
-        cell_of[order] = (
-            np.arange(spec.n_outer, dtype=np.int64) * spec.n_partition // spec.n_outer
-        )
-        sums = np.bincount(cell_of, weights=x, minlength=spec.n_partition)
-        counts = np.bincount(cell_of, minlength=spec.n_partition)
-        v = (sums / counts)[cell_of]
+    order = np.argsort(g, kind="stable")
+    cell_of = np.empty(spec.n_outer, dtype=np.intp)
+    cell_of[order] = np.arange(spec.n_outer, dtype=np.int64) * spec.n_partition // spec.n_outer
+    sums = np.bincount(cell_of, weights=x)
+    counts = np.bincount(cell_of)
+    # Only occupied cells are divided: with more cells than draws, some
+    # are empty, and a draw alone in its cell keeps v = x exactly.
+    v = sums[cell_of] / counts[cell_of]
 
     sx = np.sqrt(x)
     sv = np.sqrt(v)

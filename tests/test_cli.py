@@ -412,7 +412,14 @@ class TestAnalyze:
             "window_length = 10\n# comment\nsubseq = 5",
             "line 2: window_length, line 4: subseq: window_length must exceed a_max",
         ),
-    ], ids=["a_max", "optimizer", "perm_scheme", "tolerance", "seed", "window"])
+        # A one-value sample is constant.
+        ("subseq = 1", "line 2: subseq: subseq must lie in [2, window_length - a_max]"),
+        (
+            "a_max = 10\nwindow_length = 11",
+            "line 2: a_max, line 3: window_length: window_length must exceed a_max + 1",
+        ),
+    ], ids=["a_max", "optimizer", "perm_scheme", "tolerance", "seed", "window", "subseq",
+            "one-increment-window"])
     def test_manifest_value_out_of_range_names_line_and_key(
         self, tmp_path, capsys, lines, message
     ):
@@ -683,6 +690,45 @@ def test_negative_seed_fails_before_any_output(tmp_path, capsys, command, flags,
     assert err.startswith("error: ") and "seed must be non-negative" in err
     assert stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a front end estimated a sample it should have rejected")
+
+
+# A one-value sample is constant.  ``points`` is the length of the
+# input series, or None for no input file at all: those settings are
+# rejected before any input is read.
+@pytest.mark.parametrize(
+    "command, flags, points, message",
+    [
+        ("estimate", ["--amax", "10", "--subseq", "1"], None, "--subseq must be at least 2"),
+        ("estimate", ["--amax", "10"], 11, "series of 11 points is shorter than --amax + 2"),
+        ("analyze", ["--window", "500", "--amax", "10", "--subseq", "1"], None,
+         "subseq must lie in [2, window_length - a_max]"),
+        ("analyze", ["--window", "11", "--amax", "10"], None,
+         "window_length must exceed a_max + 1"),
+    ],
+    ids=["estimate-subseq", "estimate-series", "analyze-subseq", "analyze-window"],
+)
+def test_one_value_sample_is_an_input_error(
+    tmp_path, capsys, monkeypatch, command, flags, points, message
+):
+    # bench's --subseq 1 is a case of TestBench::test_bad_settings_fail_before_any_cell.
+    monkeypatch.setattr(cli, "estimate_hurst", _no_work)
+    monkeypatch.setattr(cli, "run_static_analysis", _no_work)
+    file = tmp_path / "v.csv"
+    if points is not None:
+        file = _level_csv(tmp_path, "v.csv", points)
+    out = tmp_path / "out"
+    argv = [command, *flags, "--input", str(file), "--input-scale", "level"]
+    if command == "analyze":
+        argv += ["--out-dir", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 # Bad level files, as the rows after the header, with the error and the

@@ -45,7 +45,6 @@ class TestConfig:
         {"grid_step": 0.0},
         {"grid_step": 1.5},
         {"max_evals": 0},
-        {"seed": -1},
     ])
     def test_field_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -176,27 +175,22 @@ class TestNelderMead:
 
 class TestSimulatedAnnealing:
     def test_quadratic_settles_on_the_mesh(self):
-        cfg = OptimizerConfig(method="simulated_annealing", max_evals=5000, seed=0)
+        cfg = OptimizerConfig(method="simulated_annealing", max_evals=5000)
         r = minimize_scalar(quad, cfg)
         assert abs(r.h_hat - 0.5) < 1e-9
         assert r.evaluations <= 5000
         assert r.converged
 
     def test_same_seed_same_run(self):
-        cfg = OptimizerConfig(method="simulated_annealing", max_evals=2000, seed=42)
+        # The chain's generator has a fixed seed, so the report depends
+        # only on the objective and the config.
+        cfg = OptimizerConfig(method="simulated_annealing", max_evals=2000)
         a = minimize_scalar(quad, cfg)
         b = minimize_scalar(quad, cfg)
-        assert (a.h_hat, a.delta_min, a.evaluations) == (b.h_hat, b.delta_min, b.evaluations)
-
-    def test_different_seeds_explore_differently(self):
-        evals = set()
-        for seed in range(4):
-            cfg = OptimizerConfig(method="simulated_annealing", max_evals=600, seed=seed)
-            evals.add(minimize_scalar(lambda h: math.sin(20 * h), cfg).evaluations)
-        assert len(evals) >= 1  # all runs legal; counts may coincide
+        assert replace(a, wall_time_s=0.0) == replace(b, wall_time_s=0.0)
 
     def test_respects_bounds(self):
-        cfg = OptimizerConfig(method="simulated_annealing", max_evals=800, seed=3)
+        cfg = OptimizerConfig(method="simulated_annealing", max_evals=800)
         for centre in (-1.0, 2.0):
             r = minimize_scalar(lambda h: (h - centre) ** 2, cfg)
             assert 1e-3 <= r.h_hat <= 1.0
@@ -214,7 +208,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_delta_min_consistent(self, method):
-        cfg = OptimizerConfig(method=method, max_evals=3000, seed=1)
+        cfg = OptimizerConfig(method=method, max_evals=3000)
         r = minimize_scalar(quad, cfg)
         assert r.delta_min == quad(r.h_hat)
         assert r.wall_time_s >= 0.0
@@ -250,10 +244,9 @@ class TestBlockEvaluation:
         st.sampled_from(METHODS),
         st.sampled_from([1e-4, 1e-3, 1e-2]),
         st.sampled_from([1, 49, 50, 51, 200, 10_000]),
-        st.integers(0, 3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_tied_objective(self, xs, ys, a_max, method, grid_step, max_evals, seed):
+    def test_tied_objective(self, xs, ys, a_max, method, grid_step, max_evals):
         # Small integer samples make wide plateaus, so ties to the
         # smallest exponent decide the answer; the short budgets run
         # out inside the scan, a grid chunk or a sweep's block.
@@ -263,9 +256,7 @@ class TestBlockEvaluation:
             coarse=IncrementSample(values=np.array(ys, dtype=float), lag=a_max),
             a_max=a_max,
         )
-        config = OptimizerConfig(
-            method=method, grid_step=grid_step, max_evals=max_evals, seed=seed
-        )
+        config = OptimizerConfig(method=method, grid_step=grid_step, max_evals=max_evals)
         self._same_report(scaled_diameter_fn(pair), config)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -457,7 +448,7 @@ def _remembering_annealing(objective, config, memo):
         return memo[h]
 
     tracker = minimize._Tracker(remembered, config.max_evals)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     try:
         x = 0.5 * (1e-3 + 1.0)
         fx = tracker(x)

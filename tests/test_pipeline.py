@@ -461,6 +461,9 @@ class TestWindowConfig:
         {"alpha": 1.0},
         {"subseq": 0},
         {"subseq": 1492},
+        # A one-value sample is constant.
+        {"subseq": 1},
+        {"window_length": 22, "a_max": 21},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -352,6 +352,21 @@ class TestVarianceOrdering:
         assert rep.sqrt_gap == 0.0
         assert abs(rep.gap) <= 3.0 * max(rep.gap_se, 1e-12)
 
+    @pytest.mark.parametrize("n_partition", [1000, 1001, 5000])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_partition_at_least_as_fine_as_the_draws_closes_the_gap(
+        self, n_partition, noise_sigma
+    ):
+        # Every draw is alone in its cell, so V = X exactly whatever
+        # the noise; the empty cells are never divided (a 0 / 0 would
+        # be a RuntimeWarning, which the suite treats as an error).
+        spec = VarianceOrderingSpec(
+            n_outer=1000, n_partition=n_partition, noise_sigma=noise_sigma, seed=4
+        )
+        rep = check_variance_ordering(spec)
+        assert (rep.var_v, rep.var_sqrt_v) == (rep.var_x, rep.var_sqrt_x)
+        assert (rep.gap, rep.sqrt_gap, rep.gap_se, rep.sqrt_gap_se) == (0.0, 0.0, 0.0, 0.0)
+
     def test_single_cell_partition_kills_conditional_variance(self):
         rep = check_variance_ordering(VarianceOrderingSpec(n_partition=1, seed=2))
         assert rep.var_v == pytest.approx(0.0, abs=1e-20)
