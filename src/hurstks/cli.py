@@ -163,10 +163,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise CsvFormatError(
             f"{args.input}: series of {len(path)} points is shorter than --amax + 2"
         )
+    coarse = len(path) - args.amax
+    if args.subseq is not None and args.subseq > coarse:
+        raise CsvFormatError(
+            f"--subseq {args.subseq} exceeds the {coarse} lag-{args.amax} increments of the series"
+        )
     pair = RescaledPair(
         fine=increments(path, 1), coarse=increments(path, args.amax), a_max=args.amax
     )
-    subseq = args.subseq if args.subseq is not None else len(pair.coarse)
+    subseq = args.subseq if args.subseq is not None else coarse
     plan = PermutationPlan(subsample_size=subseq, seed=args.seed)
     result = estimate_hurst(pair, plan, optimizer_config(vars(args)), alpha=args.alpha)
     ci = confidence_interval(result.h_hat, result.a_max, result.n, result.m, args.alpha)

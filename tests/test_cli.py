@@ -731,6 +731,21 @@ def test_one_value_sample_is_an_input_error(
     assert not out.exists()
 
 
+def test_estimate_subseq_above_the_coarse_sample_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # 300 points leave 250 lag-50 increments, the binding limit (the
+    # fine sample has 299); the check names the flag, not the library
+    # field, and comes before any estimate.
+    monkeypatch.setattr(cli, "estimate_hurst", _no_work)
+    file = _level_csv(tmp_path, "v.csv", 300)
+    code, stdout, err = run(
+        capsys, "estimate", "--input", str(file), "--input-scale", "level",
+        "--amax", "50", "--subseq", "280",
+    )
+    assert code == 1
+    assert err == "error: --subseq 280 exceeds the 250 lag-50 increments of the series\n"
+    assert stdout == ""
+
+
 # Bad level files, as the rows after the header, with the error and the
 # dropped-rows line that both front ends must report for them.
 _ROUTE_CASES = {
