@@ -73,6 +73,17 @@ class RescaledPair:
 # full mesh at 500 x 500 and 1491 x 1491.
 _SWEEP_EVENTS = 1 << 13
 
+# Crossing events per product above which a run, or a piece of one, is
+# ranked row by row instead of swept.  Timed against rows on two pairs
+# at each of 500 x 500 and 1491 x 1491 (medians of 9 .. 15), the two
+# cost the same at 0.34 .. 0.39 events per product on whole runs of 150
+# .. 3,000 exponents over [1e-3, 1] and on 300-cell meshes, and at 0.43
+# .. 0.45 on single pieces of ~2**13 events; at 0.1 the sweep took 0.2
+# .. 0.3 of the time of rows, at 1.0 1.6 .. 2.5 times it.  No run of the
+# benchmark's workloads comes near: the densest, 16-cell plateau sweep
+# leaves at 1491 x 1491, hold 0.07.
+_SWEEP_PER_PRODUCT = 0.4
+
 # How far a flat piece's ends are pulled in from the exponents its
 # quotient bounds map to.  The quotient, the logarithm and the power
 # each round by about an ulp of the scale, a few 1e-16 in the exponent
@@ -91,10 +102,15 @@ class _SortedPair:
     # padded is a between -inf and +inf, so that padded[r] and
     # padded[r + 1] are the fine points on either side of a point of
     # rank r = #{a <= point}; negative and positive slice the points of
-    # b below and above zero.
+    # b below and above zero.  log_a and log_b are log|a| and log|b|,
+    # from which sweep guesses where a product meets a fine point; a
+    # zero reads -745, below the log of any nonzero float.
 
     def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
         self.a, self.b = a, b
+        self.log_a, self.log_b = (
+            np.log(np.abs(x), out=np.full(x.size, -745.0), where=x != 0.0) for x in (a, b)
+        )
         self.padded = np.r_[-np.inf, a, np.inf]
         self.negative = slice(0, int(b.searchsorted(0.0)))
         self.positive = slice(int(b.searchsorted(0.0, side="right")), b.size)
@@ -173,7 +189,7 @@ class _SortedPair:
         # A product that never moves crosses no fine point.
         width = (right - left) * (first != last)
         events = int(width.sum())
-        if events > k * b.size:
+        if events > _SWEEP_PER_PRODUCT * k * b.size:
             # Windows so wide that ranking every product costs less.
             return self.rows(scales)
         if events > _SWEEP_EVENTS:
@@ -182,42 +198,63 @@ class _SortedPair:
         out = np.full(k, float(self.statistic(right, left)))
         if not events:
             return out
-        cols = np.flatnonzero(width)
+        cols = width.nonzero()[0]
         w = width[cols]
         col = np.repeat(cols, w)
         i = np.arange(events) + np.repeat(left[cols] - (np.cumsum(w) - w), w)
-        ai, bj = a[i], b[col]
         # With b_j < 0 the product falls as s grows: -(b_j s) = |b_j| s
         # exactly, so both signs ask for the first cell where |b_j| s
         # reaches target = +-a_i, "cell" with >= and "past" with >.  The
-        # search uses the quotient a_i / b_j, which may round the other way
-        # from the product: then step each cell to the exact one.
-        mult = np.abs(bj)
-        target = np.where(bj < 0, -ai, ai)
-        cell = np.searchsorted(scales, ai / bj, side="left")
-        while (behind := (cell > 0) & (mult * scales[cell - 1] >= target)).any():
+        # columns of b < 0 come first, so their events are the first down.
+        down = int(width[self.negative].sum())
+        target, mult = a[i], b[col]
+        np.negative(target[:down], out=target[:down])
+        np.negative(mult[:down], out=mult[:down])
+        # An event's window point has the sign of b_j, or is zero, so its
+        # cell is about the first whose log-scale reaches log|a_i| -
+        # log|b_j|.  The log-scales' range is cut into k buckets of equal
+        # width, and an event's guess is the first cell at or above the
+        # lower edge of its log-quotient's bucket, moved up one cell if
+        # that cell's log-scale falls short of the log-quotient.  A run of
+        # mesh cells, whose log-scales are evenly spaced, has at most one
+        # cell per bucket, so the guess is exact up to rounding.  The
+        # loops then step each guess to the exact cell, however far off
+        # rounding or an uneven run leaves it.  (An edge that rounds past
+        # the last log-scale still finds the last cell.)
+        logs = np.log(scales)
+        span = logs[-1] - logs[0]
+        firsts = logs[:-1].searchsorted(logs[0] + np.arange(k) * (span / k))
+        quotient = self.log_a[i] - self.log_b[col]
+        bucket = (quotient - logs[0]) * (k / span if span > 0.0 else 0.0)
+        np.maximum(bucket, 0.0, out=bucket)
+        cell = firsts[np.minimum(bucket, k - 1).astype(np.intp)]
+        cell += logs[cell] < quotient
+        # fenced[c + 1] is the scale of cell c, between -inf and +inf, so
+        # that the cells on either side of any c in 0 .. k read unclamped.
+        fenced = np.concatenate(([-np.inf], scales, [np.inf]))
+        while (behind := mult * fenced[cell] >= target).any():
             cell -= behind
         while True:
-            prod = mult * scales[np.minimum(cell, k - 1)]
-            if not (ahead := (cell < k) & (prod < target)).any():
+            prod = mult * fenced[cell + 1]
+            if not (ahead := prod < target).any():
                 break
             cell += ahead
         past = cell
-        tie = (cell < k) & (prod == target)
+        tie = prod == target
         while tie.any():
             past = past + tie
-            tie = (past < k) & (mult * scales[np.minimum(past, k - 1)] == target)
-        # With b_j > 0 the "right" term holds before the product reaches a_i
-        # and the "left" term once it is past; with b_j < 0 it is the other
-        # way round.  A term that holds before cell c stands in every cell
-        # below c, one that holds from c in every cell from c on.
+            tie = mult * fenced[past + 1] == target
+        # With b_j > 0 the "right" term holds until the product reaches
+        # a_i and the "left" term since it is past; with b_j < 0 it is
+        # the other way round.  A term that holds before cell c stands in
+        # every cell below c, one that holds from c in every cell from c on.
         up = self.up_base[col] - self.frac[i]
         dn = self.frac[i + 1] - self.dn_base[col]
-        rising = bj > 0
-        before = np.full(k + 1, -np.inf)
-        np.maximum.at(before, cell, np.where(rising, up, dn))
-        after = np.full(k + 1, -np.inf)
-        np.maximum.at(after, past, np.where(rising, dn, up))
+        until = np.concatenate([dn[:down], up[down:]])
+        since = np.concatenate([up[:down], dn[down:]])
+        before, after = np.full((2, k + 1), -np.inf)
+        np.maximum.at(before, cell, until)
+        np.maximum.at(after, past, since)
         np.maximum(out, np.maximum.accumulate(before[::-1])[::-1][1:], out=out)
         np.maximum(out, np.maximum.accumulate(after)[:k], out=out)
         return out
@@ -306,28 +343,36 @@ class _ScaledDiameter:
             raise ValueError("hurst must lie in (0, 1]")
         return float(self._pair.ks(self._pair.b * self._a_max ** (-hurst)))
 
-    def _scales(self, hursts: Sequence[float]) -> tuple[list[float], np.ndarray, np.ndarray]:
+    def _scales(self, hursts: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
         # The exponents as floats, their distinct scales in increasing
-        # order, and the index of each exponent's scale.
-        hs = [float(h) for h in hursts]
-        if not all(0.0 < h <= 1.0 for h in hs):
+        # order, and the index of each exponent's scale.  Scales already
+        # strictly monotone, such as a mesh run's, need no np.unique:
+        # the index is then a slice, backwards for falling scales.
+        hs = np.asarray(hursts, dtype=float)
+        if not ((0.0 < hs) & (hs <= 1.0)).all():
             raise ValueError("hurst must lie in (0, 1]")
         # The scalar path's own power: np.power may round differently.
-        scales, where = np.unique([self._a_max ** (-h) for h in hs], return_inverse=True)
+        a_max = self._a_max
+        scales = np.array([a_max**h for h in (-hs).tolist()])
+        where = slice(None, None, -1) if scales.size and scales[0] > scales[-1] else slice(None)
+        ordered = scales[where]
+        if (ordered[1:] > ordered[:-1]).all():
+            return hs, ordered, where
+        scales, where = np.unique(scales, return_inverse=True)
         return hs, scales, where
 
     def many(self, hursts: Sequence[float]) -> np.ndarray:
         hs, scales, where = self._scales(hursts)
-        if not hs:
+        if not hs.size:
             return np.empty(0)
         return self._pair.sweep(scales)[where]
 
     def least(self, hursts: Sequence[float]) -> tuple[float, int]:
         hs, scales, where = self._scales(hursts)
-        if not hs:
+        if not hs.size:
             raise ValueError("no exponents to compare")
         values = self._pair.least(scales)[where].tolist()
-        f, _, j = min(zip(values, hs, range(len(hs))))
+        f, _, j = min(zip(values, hs.tolist(), range(hs.size)))
         return f, j
 
     def bound(self, h_first: float, h_last: float) -> float:
@@ -411,6 +456,12 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     for each time a rescaled coarse point crosses a fine one rather
     than for each (exponent, point) pair, so a run of nearby exponents
     such as consecutive mesh points costs little more than one call.
+    It places each crossing among the run's exponents from the
+    logarithms of the two points, with no search: right away on a
+    run of evenly spaced exponents such as mesh points, within a few
+    steps on others, and then checks the place against the rescaled
+    point itself.  A run with more than 0.4 crossings per (exponent,
+    point) pair ranks every rescaled point instead.
     Its ``least(hursts)`` method returns ``(value, index)``: the least
     value of the run and the first index of the least (value,
     exponent) pair, the pair that ``min(zip(many(hursts), hursts))``

@@ -229,11 +229,20 @@ class _Tracker:
         has one.  A run longer than the budget left is recorded as far
         as the budget reaches, and then the budget runs out."""
         fit = hs[: self._max - self.evaluations]
-        fs = self._many(fit).tolist() if self._many else [self._fn(h) for h in fit]
+        if self._many:
+            values = self._many(fit)
+            fs = values.tolist()
+        else:
+            fs = [self._fn(h) for h in fit]
+            values = np.array(fs, dtype=float)
         self.evaluations += len(fit)
-        # The current best goes first, so that a leading NaN value
-        # cannot stand in for the least pair of the run.
-        self._offer(*min([(self.best_f, self.best_h), *zip(fs, fit)]))
+        # The run's least pair, as one offer per exponent would find it:
+        # NaN values never count, and of the cells that hold the least
+        # value the smallest exponent, the first if repeated, wins.
+        least = np.fmin.reduce(values, initial=np.nan)
+        if least == least:
+            j = min((values == least).nonzero()[0].tolist(), key=fit.__getitem__)
+            self._offer(fs[j], fit[j])
         if len(fit) < len(hs):
             raise _Budget
         return fs

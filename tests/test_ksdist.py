@@ -1,8 +1,10 @@
 """Tests for empirical CDFs, the two-sample KS distance, and the
 rescaled-increment objective built on it."""
 
+import inspect
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest.mock import patch
 
@@ -459,6 +461,41 @@ def _simulated_pair(hurst, seed):
     )
 
 
+# The lines of the sweep's fix-up loops that move guesses.
+_FIX_UP_LINES = ("cell -= behind", "cell += ahead")
+
+
+def _fix_up_steps(run):
+    # run() and the number of steps the sweep's fix-up loops take,
+    # one per pass that moves any guess, with the sweep calls made.
+    import hurstks.ksdist as ksdist
+
+    sweep = ksdist._SortedPair.sweep
+    lines, start = inspect.getsourcelines(sweep)
+    steps = {start + j for j, line in enumerate(lines) if line.strip() in _FIX_UP_LINES}
+    assert len(steps) == len(_FIX_UP_LINES)
+    counts = {"steps": 0, "calls": 0}
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in steps:
+            counts["steps"] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not sweep.__code__:
+            return None
+        counts["calls"] += 1
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        out = run()
+    finally:
+        sys.settrace(outer)
+    return out, counts
+
+
 def _count_calls(monkeypatch, owner, *names):
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -476,40 +513,62 @@ class TestBlockEvaluation:
         st.lists(st.integers(-12, 12), min_size=2, max_size=70),
         coarse_with_zeros,
         st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
-        st.sampled_from([1e-4, 1e-3, 1e-2]),
+        st.sampled_from([1e-4, 1e-3, 1e-2, 0.07, 1 / 3]),
         st.integers(1, 10_000),
         st.integers(1, 600),
+        st.booleans(),
+        st.sets(st.integers(0, 599), max_size=30),
+        st.one_of(st.none(), st.floats(1e-6, 1.0)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_mesh_run_matches_per_exponent_calls(self, xs, coarse, a_max, step, k0, length):
+    def test_mesh_run_matches_per_exponent_calls(
+        self, xs, coarse, a_max, step, k0, length, backwards, removed, stray
+    ):
+        # Rising or falling mesh runs, whose log-scales the sweep's guess
+        # expects evenly spaced; cells taken out, or one exponent off the
+        # mesh, leave buckets empty or doubly held for the fix-up loops.
         assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
         k0 = min(k0, int(round(1.0 / step)))
         fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
-        hs = _mesh_run(step, k0, length)
+        run = _mesh_run(step, k0, length)
+        hs = [h for j, h in enumerate(run) if j not in removed] or run
+        if stray is not None:
+            hs.insert(len(hs) // 2, stray)
+        if backwards:
+            hs.reverse()
         assert fn.many(hs).tolist() == [fn(h) for h in hs]
 
     @pytest.mark.parametrize("a_max", [2, 4, 16])
     def test_exact_scales_on_tied_lattice(self, a_max):
         # Runs through h = 0.25, 0.5, 0.75, 1, where a_max ** -h is a
-        # power of two and products of integers hit fine points exactly.
+        # power of two and products of integers hit fine points exactly,
+        # rising and falling; the 0.07 and 1/3 meshes pass near them.
         rng = np.random.default_rng(a_max)
         fine = rng.integers(-40, 41, 300) / 4.0
         coarse = rng.integers(-30, 31, 200).astype(float)
         coarse[:3] = [0.0, -0.0, 0.0]
         fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
-        for step in (1e-2, 1e-3, 1e-4):
+        for step in (1e-2, 1e-3, 1e-4, 0.07, 1 / 3):
             for centre in (0.25, 0.5, 0.75, 1.0):
                 k = int(round(centre / step))
                 hs = _mesh_run(step, max(k - 40, 1), 81)
-                assert centre in hs
-                assert fn.many(hs).tolist() == [fn(h) for h in hs]
+                assert centre in hs or step > 0.05
+                for run in (hs, hs[::-1]):
+                    assert fn.many(run).tolist() == [fn(h) for h in run]
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
     def test_full_mesh_on_simulated_pair(self, hurst):
+        # The grid's run, rising and falling, swept in over ten pieces: a
+        # guess a cell off would cost each piece a fix-up step; rounding
+        # may cost a few.
         fn = scaled_diameter_fn(_simulated_pair(hurst, seed=int(hurst * 10)))
         hs = _mesh_run(1e-4, 1, 10_000)
         assert len(hs) == 10_000
-        assert fn.many(hs).tolist() == [fn(h) for h in hs]
+        want = [fn(h) for h in hs]
+        for run, values in ((hs, want), (hs[::-1], want[::-1])):
+            out, counts = _fix_up_steps(lambda: fn.many(run))
+            assert out.tolist() == values
+            assert counts["calls"] > 10 and counts["steps"] <= 2
 
     @given(
         st.lists(st.integers(-12, 12), min_size=2, max_size=70),
@@ -597,8 +656,8 @@ class TestBlockEvaluation:
         assert calls == {"sweep": 3, "ks": 0}
 
     def test_sweep_on_scales_next_to_quotients(self):
-        # Scales one ulp either side of a_i / b_j, where the quotient the
-        # search uses and the product it stands for round apart.
+        # Scales one ulp either side of a_i / b_j, where the log-quotient
+        # the guess uses and the product it stands for round apart.
         import hurstks.ksdist as ksdist
 
         rng = np.random.default_rng(0)
@@ -609,6 +668,26 @@ class TestBlockEvaluation:
             scales = np.unique([q, np.nextafter(q, 0.0), np.nextafter(q, 2.0)])
             kernel = ksdist._SortedPair(a, b)
             assert kernel.sweep(scales).tolist() == [kernel.ks(b * s) for s in scales]
+
+    @pytest.mark.parametrize("size", [2, 50, 400])
+    @pytest.mark.parametrize("far", [-0.05, 0.05, 0.3])
+    def test_clustered_run_with_one_far_exponent(self, size, far):
+        # size exponents within 1e-12 around one where a product meets a
+        # fine point, and one far off: the cluster shares a bucket, so a
+        # guess may fall short by up to its size, and the loops step it
+        # no further than that.
+        fn = scaled_diameter_fn(_simulated_pair(0.5, seed=5))
+        quotients = (fn._pair.a[:, None] / fn._pair.b).ravel()
+        quotients = np.sort(quotients[(quotients > 0.1) & (quotients < 0.5)])
+        centre = -math.log(quotients[quotients.size // 2]) / math.log(50.0)
+        hs = [centre + (j - size // 2) * (1e-12 / size) for j in range(size)]
+        hs.insert(size // 3, centre + far)
+        out, counts = _fix_up_steps(lambda: fn.many(hs))
+        assert out.tolist() == [fn(h) for h in hs]
+        assert counts["steps"] <= counts["calls"] * (size + 1)
+        if size == 400 and far != 0.3:
+            # Swept in one piece, the crossing sits mid-cluster.
+            assert counts["calls"] == 1 and counts["steps"] >= size // 4
 
     def test_full_mesh_memory_stays_small(self):
         fn = scaled_diameter_fn(_simulated_pair(0.5, seed=1))

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, IncrementSample, increments, simulate_fbm
@@ -640,6 +640,46 @@ class TestTrackerRuns:
             assert _tracker_state(batch) == _tracker_state(single)
             if route == "callable":
                 assert called == run[:cut]
+
+    @given(
+        st.lists(st.sampled_from([math.nan, 0.1, 0.2, 0.3]), min_size=1, max_size=30),
+        st.lists(st.sampled_from([math.nan, 0.1, 0.2]), max_size=4),
+        st.booleans(),
+    )
+    @example([math.nan, 0.2, 0.1, 0.1], [], False)
+    @example([0.3, math.nan, 0.1, math.nan, 0.1], [0.2], False)
+    @example([math.nan] * 6, [], False)
+    @example([math.nan] * 6, [0.1], True)
+    @example([0.2, 0.1, 0.3, 0.1, 0.1], [0.1], True)
+    @settings(max_examples=200, deadline=None)
+    def test_plain_values_with_nans_and_ties(self, run_values, earlier_values, descending):
+        # A plain callable whose run holds NaN values first, in the middle
+        # or everywhere, and values tied with each other and with earlier
+        # calls; the run's exponents rise or fall, and the earlier ones
+        # sit between them, so every tie is decided by the exponent.
+        run = [(j + 1) / 64 for j in range(len(run_values))]
+        earlier = [(j + 0.5) / 64 for j in range(len(earlier_values))]
+        if descending:
+            run.reverse()
+        table = dict(zip(run + earlier, run_values + earlier_values))
+        for cut in range(len(run) + 2):
+            single = minimize._Tracker(table.__getitem__, len(earlier) + cut)
+            batch = minimize._Tracker(table.__getitem__, len(earlier) + cut)
+            for h in earlier:
+                single(h)
+                batch(h)
+            want = []
+            try:
+                for h in run:
+                    want.append(single(h))
+            except minimize._Budget:
+                want = None
+            try:
+                got = batch.many(run)
+            except minimize._Budget:
+                got = None
+            assert got == want
+            assert _tracker_state(batch) == _tracker_state(single)
 
 
 class TestCoreInvariants:
