@@ -155,6 +155,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if args.amax < 2:
+        raise CsvFormatError("--amax must be at least 2")
     # A one-value sample is constant, so both samples need two values.
     if args.subseq is not None and args.subseq < 2:
         raise CsvFormatError("--subseq must be at least 2")
@@ -293,6 +295,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CsvFormatError("--reps must be positive")
     if args.seed < 0:
         raise CsvFormatError("--seed must be non-negative")
+    if args.amax < 2:
+        raise CsvFormatError("--amax must be at least 2")
     # A one-value sample is constant, so no cell could freeze it.
     if args.subseq < 2:
         raise CsvFormatError("--subseq must be at least 2")

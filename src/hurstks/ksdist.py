@@ -338,42 +338,39 @@ class _ScaledDiameter:
     def __init__(self, pair: _SortedPair, a_max: float) -> None:
         self._pair, self._a_max = pair, a_max
 
-    def __call__(self, hurst: float) -> float:
+    def _scale(self, hurst: float) -> float:
         if not 0.0 < hurst <= 1.0:
             raise ValueError("hurst must lie in (0, 1]")
-        return float(self._pair.ks(self._pair.b * self._a_max ** (-hurst)))
+        return self._a_max**-hurst
 
-    def _scales(self, hursts: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
-        # The exponents as floats, their distinct scales in increasing
-        # order, and the index of each exponent's scale.  Scales already
-        # strictly monotone, such as a mesh run's, need no np.unique:
-        # the index is then a slice, backwards for falling scales.
+    def __call__(self, hurst: float) -> float:
+        return float(self._pair.ks(self._pair.b * self._scale(hurst)))
+
+    def _run(self, kernel, hursts: Sequence[float]) -> np.ndarray:
+        # kernel's values at the exponents' distinct scales, in
+        # increasing order, returned in the exponents' order.  Scales
+        # already strictly monotone, such as a mesh run's, need no
+        # np.unique: the index is then a slice, backwards for falling
+        # scales.
         hs = np.asarray(hursts, dtype=float)
         if not ((0.0 < hs) & (hs <= 1.0)).all():
             raise ValueError("hurst must lie in (0, 1]")
-        # The scalar path's own power: np.power may round differently.
-        a_max = self._a_max
-        scales = np.array([a_max**h for h in (-hs).tolist()])
-        where = slice(None, None, -1) if scales.size and scales[0] > scales[-1] else slice(None)
-        ordered = scales[where]
-        if (ordered[1:] > ordered[:-1]).all():
-            return hs, ordered, where
-        scales, where = np.unique(scales, return_inverse=True)
-        return hs, scales, where
-
-    def many(self, hursts: Sequence[float]) -> np.ndarray:
-        hs, scales, where = self._scales(hursts)
         if not hs.size:
             return np.empty(0)
-        return self._pair.sweep(scales)[where]
+        # _scale's power, checked once above: np.power may round differently.
+        a_max = self._a_max
+        scales = np.array([a_max**h for h in (-hs).tolist()])
+        where = slice(None, None, -1) if scales[0] > scales[-1] else slice(None)
+        ordered = scales[where]
+        if not (ordered[1:] > ordered[:-1]).all():
+            ordered, where = np.unique(scales, return_inverse=True)
+        return kernel(ordered)[where]
 
-    def least(self, hursts: Sequence[float]) -> tuple[float, int]:
-        hs, scales, where = self._scales(hursts)
-        if not hs.size:
-            raise ValueError("no exponents to compare")
-        values = self._pair.least(scales)[where].tolist()
-        f, _, j = min(zip(values, hs.tolist(), range(hs.size)))
-        return f, j
+    def many(self, hursts: Sequence[float]) -> np.ndarray:
+        return self._run(self._pair.sweep, hursts)
+
+    def least(self, hursts: Sequence[float]) -> np.ndarray:
+        return self._run(self._pair.least, hursts)
 
     def bound(self, h_first: float, h_last: float) -> float:
         # For h between h_first and h_last, the scalar path's scale
@@ -382,10 +379,8 @@ class _ScaledDiameter:
         # the end products and outer_ranks bounds its ranks.
         # statistic falls as right grows and rises with left, by
         # monotone float steps, so its value is at most self(h).
-        if not (0.0 < h_first <= 1.0 and 0.0 < h_last <= 1.0):
-            raise ValueError("hurst must lie in (0, 1]")
-        b, a_max = self._pair.b, self._a_max
-        ranks = self._pair.outer_ranks(b * a_max ** (-h_first), b * a_max ** (-h_last))
+        b = self._pair.b
+        ranks = self._pair.outer_ranks(b * self._scale(h_first), b * self._scale(h_last))
         return float(self._pair.statistic(*ranks))
 
     def piece(self, hurst: float) -> tuple[float, float, float]:
@@ -401,11 +396,9 @@ class _ScaledDiameter:
         # uses, so does every product between, and no rank moves.  A
         # nonzero product that ties a fine point may move either way,
         # and a check that fails leaves only hurst itself.
-        if not 0.0 < hurst <= 1.0:
-            raise ValueError("hurst must lie in (0, 1]")
-        pair, a_max = self._pair, self._a_max
+        pair = self._pair
         b, pad, neg, pos = pair.b, pair.padded, pair.negative, pair.positive
-        right, left = pair.ranks(b * a_max ** (-hurst))
+        right, left = pair.ranks(b * self._scale(hurst))
         value = float(pair.statistic(right, left))
         if left is not right and ((left != right) & (b != 0.0)).any():
             return value, hurst, hurst
@@ -415,13 +408,13 @@ class _ScaledDiameter:
         with np.errstate(over="ignore"):
             s_lo = max(np.max(below_p / bp, initial=0.0), np.max(above_n / bn, initial=0.0))
             s_hi = min(np.min(above_p / bp, initial=np.inf), np.min(below_n / bn, initial=np.inf))
-        ln_a = math.log(a_max)
+        ln_a = math.log(self._a_max)
         lo = -math.log(s_hi) / ln_a + _PIECE_PULL if s_hi > 0.0 else math.inf
         hi = -math.log(s_lo) / ln_a - _PIECE_PULL if s_lo > 0.0 else math.inf
         lo = min(max(lo, math.ulp(0.0)), hurst)
         hi = max(min(hi, 1.0), hurst)
         if lo < hi:
-            big, small = a_max ** (-lo), a_max ** (-hi)
+            big, small = self._scale(lo), self._scale(hi)
             inside = (
                 (below_p < bp * small).all()
                 and (bp * big < above_p).all()
@@ -462,23 +455,25 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     steps on others, and then checks the place against the rescaled
     point itself.  A run with more than 0.4 crossings per (exponent,
     point) pair ranks every rescaled point instead.
-    Its ``least(hursts)`` method returns ``(value, index)``: the least
-    value of the run and the first index of the least (value,
-    exponent) pair, the pair that ``min(zip(many(hursts), hursts))``
-    gives.  It ranks every ``floor(sqrt(m))``-th rescaled coarse point
-    and the last at each exponent, which bounds that exponent's value
+    Its ``least(hursts)`` method returns an array like ``many``'s for
+    a run of which only the least value is wanted: ``many``'s value,
+    bit for bit, at every exponent that may hold the least, and
+    ``+inf`` at the others, whose values lie strictly above it.  So
+    the least (value, exponent) pair of the two arrays is the same.
+    It ranks every ``floor(sqrt(m))``-th rescaled coarse point and
+    the last at each exponent, which bounds that exponent's value
     from below and from above, and ranks in full only the exponents
-    whose lower bound is at most the least upper bound; an empty run
-    is a ``ValueError``.  Its ``bound(h_first, h_last)`` method
-    returns, from one rank pass, a lower bound on the closure's value
-    at every exponent between the two, equal to the value itself when
-    they coincide.  Its ``piece(hurst)`` method returns ``(value, lo,
-    hi)``: the closure's value and exponents ``lo <= hurst <= hi`` in
-    ``(0, 1]`` at every one of which, and between which, the value is
-    the same bit for bit.  The interval is the flat piece of the
-    stepwise objective around ``hurst``, trimmed by a few ulps, or
-    ``hurst`` alone where a rescaled nonzero coarse point equals a
-    fine one; it costs two to three calls.
+    whose lower bound is at most the least upper bound.  Its
+    ``bound(h_first, h_last)`` method returns, from one rank pass, a
+    lower bound on the closure's value at every exponent between the
+    two, equal to the value itself when they coincide.  Its
+    ``piece(hurst)`` method returns ``(value, lo, hi)``: the closure's
+    value and exponents ``lo <= hurst <= hi`` in ``(0, 1]`` at every
+    one of which, and between which, the value is the same bit for
+    bit.  The interval is the flat piece of the stepwise objective
+    around ``hurst``, trimmed by a few ulps, or ``hurst`` alone where
+    a rescaled nonzero coarse point equals a fine one; it costs two to
+    three calls.
 
     Raises
     ------

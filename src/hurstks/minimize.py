@@ -25,7 +25,8 @@ import numpy as np
 from hurstks.fgn import FgnSpec, simulate_fbm, increments
 from hurstks.ksdist import RescaledPair, ks_critical, scaled_diameter_fn
 from hurstks.permute import PermutationPlan, block_permute, uniform_sample_permute
-from hurstks.stats import estimator_sd, normal_quantile
+# Unused here, but perfbench's tracer requires the name in this module.
+from hurstks.stats import estimator_sd  # noqa: F401
 
 __all__ = [
     "OptimizerConfig",
@@ -128,7 +129,6 @@ class EstimationResult:
     m: int
     a_max: int
     seed: int
-    ci_half_width: float
     converged: bool = True
 
     def __post_init__(self) -> None:
@@ -163,14 +163,16 @@ class _Budget(Exception):
 class _Tracker:
     """Count evaluations and remember the best point seen.
 
-    Ties in objective value resolve toward the smaller argument, so
-    every minimizer inherits one deterministic tie-break rule.
+    Ties in objective value resolve toward the smaller argument, and a
+    NaN value never counts, so every minimizer inherits one rule.
 
     Every evaluation calls the objective, a repeated exponent too,
     except those ``skip`` counts and those ``held`` records with a
     value the caller holds.  ``many`` records a run of exponents at
     once, exactly as one call per exponent would, and ``least`` does
-    the same for a run of which only the least value is wanted.
+    the same for a run of which only the least value is wanted; the
+    objective's own ``least`` may give ``+inf`` for the rest, and the
+    tracker alone picks the run's least pair, by the rule above.
     ``piece`` records one call and returns, with its value, exponents
     around it that share the value.  ``bound`` is the objective's own,
     or one that rules out nothing.
@@ -223,44 +225,43 @@ class _Tracker:
         self._offer(f, h)
         return f, lo, hi
 
-    def many(self, hs: Sequence[float]) -> list[float]:
-        """Record one call per exponent of ``hs`` and return the values,
-        all of them from one call to the objective's own ``many`` if it
-        has one.  A run longer than the budget left is recorded as far
-        as the budget reaches, and then the budget runs out."""
+    def _record(self, run, hs: Sequence[float]) -> tuple[list[float], int]:
+        # The route of many and least.  Records one call per exponent of
+        # hs, all made by run (the objective's own many or least) unless
+        # it is None, and returns the values and the index of the run's
+        # least pair, offered as one offer per cell would find it: of the
+        # cells with the least non-NaN value, the smallest exponent, the
+        # first if repeated; 0 if every value is NaN.
         fit = hs[: self._max - self.evaluations]
-        if self._many:
-            values = self._many(fit)
+        if run:
+            values = run(fit)
             fs = values.tolist()
         else:
             fs = [self._fn(h) for h in fit]
             values = np.array(fs, dtype=float)
         self.evaluations += len(fit)
-        # The run's least pair, as one offer per exponent would find it:
-        # NaN values never count, and of the cells that hold the least
-        # value the smallest exponent, the first if repeated, wins.
         least = np.fmin.reduce(values, initial=np.nan)
+        j = 0
         if least == least:
             j = min((values == least).nonzero()[0].tolist(), key=fit.__getitem__)
             self._offer(fs[j], fit[j])
         if len(fit) < len(hs):
             raise _Budget
-        return fs
+        return fs, j
+
+    def many(self, hs: Sequence[float]) -> list[float]:
+        """Record one call per exponent of ``hs`` and return the values,
+        all of them from one call to the objective's own ``many`` if it
+        has one.  A run longer than the budget left is recorded as far
+        as the budget reaches, and then the budget runs out."""
+        return self._record(self._many, hs)[0]
 
     def least(self, hs: Sequence[float]) -> tuple[float, int]:
-        """Record one call per exponent of ``hs``, which must increase,
-        and return the least value and the first index that holds it.
-        The objective's own ``least`` decides the run if it has one and
-        the budget covers the run; otherwise ``many`` records it, and a
-        run cut by the budget stops where ``many`` stops."""
-        if self._least is None or len(hs) > self._max - self.evaluations:
-            fs = self.many(hs)
-            j = int(np.argmin(fs))
-            return fs[j], j
-        f, j = self._least(hs)
-        self.evaluations += len(hs)
-        self._offer(f, hs[j])
-        return f, j
+        """Record ``hs`` as ``many`` does and return the least value and
+        the index of the least (value, exponent) pair, from the
+        objective's own ``least`` if it has one."""
+        fs, j = self._record(self._least, hs)
+        return fs[j], j
 
 
 def _cell(k: int, step: float) -> float:
@@ -644,8 +645,7 @@ def estimate_hurst(
     config : OptimizerConfig
         Minimizer choice and settings.
     alpha : float, optional
-        Significance level for the threshold and the confidence
-        interval.
+        Significance level for the threshold.
 
     Returns
     -------
@@ -656,7 +656,6 @@ def estimate_hurst(
     frozen, n, m = _frozen_objective(pair, plan)
     report = minimize_scalar(frozen, config)
     critical = ks_critical(n, m, alpha)
-    sd = estimator_sd(pair.a_max, n, m)
     return EstimationResult(
         h_hat=report.h_hat,
         delta_min=report.delta_min,
@@ -667,7 +666,6 @@ def estimate_hurst(
         m=m,
         a_max=pair.a_max,
         seed=plan.seed,
-        ci_half_width=normal_quantile(1.0 - alpha / 2.0) * sd,
         converged=report.converged,
     )
 

@@ -112,13 +112,10 @@ def block_permute(sample: IncrementSample, plan: PermutationPlan) -> IncrementSa
     IncrementSample
         Same length and lag as the input.
     """
-    n = len(sample)
-    if plan.block_length > n:
-        raise ValueError("block_length exceeds sample size")
     rng = np.random.default_rng(plan.seed)
     perm = rng.permutation(plan.block_length)
     phase = int(rng.integers(plan.block_length))
-    idx = block_indices(n, plan.block_length, perm, phase)
+    idx = block_indices(len(sample), plan.block_length, perm, phase)
     return IncrementSample(values=sample.values[idx], lag=sample.lag)
 
 

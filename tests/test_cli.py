@@ -746,6 +746,32 @@ def test_estimate_subseq_above_the_coarse_sample_is_an_input_error(tmp_path, cap
     assert stdout == ""
 
 
+def _never_read(*args, **kwargs):
+    raise AssertionError("estimate read an input it should have rejected unread")
+
+
+@pytest.mark.parametrize("amax", ["0", "1", "-3"])
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_amax_below_two_fails_before_any_input_or_output(
+    tmp_path, capsys, monkeypatch, command, amax
+):
+    # A coarse lag below 2 leaves nothing to rescale; the check names
+    # the flag and comes before estimate reads its input and before
+    # bench opens --out.
+    monkeypatch.setattr(cli, "load_series", _never_read)
+    monkeypatch.setattr(cli, "bench_optimizers", _no_work)
+    out = tmp_path / "b.csv"
+    if command == "estimate":
+        argv = ["estimate", "--input", _level_csv(tmp_path, "v.csv", 300)]
+    else:
+        argv = ["bench", "--reps", "1", "--methods", "brent", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv, "--amax", amax)
+    assert code == 1
+    assert err == "error: --amax must be at least 2\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 # Bad level files, as the rows after the header, with the error and the
 # dropped-rows line that both front ends must report for them.
 _ROUTE_CASES = {

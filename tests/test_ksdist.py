@@ -770,14 +770,19 @@ class TestBlockEvaluation:
 
 
 class TestLeast:
-    """``least`` returns the least (value, exponent) pair of ``many``,
-    at its first index."""
+    """``least`` returns ``many``'s values where they may be the least
+    and ``+inf`` where they lie above it, so both arrays have the same
+    least (value, exponent) pair, at the same first index."""
 
     @staticmethod
-    def _want(fn, hs):
-        pairs = list(zip(fn.many(hs).tolist(), hs))
-        j = pairs.index(min(pairs))
-        return pairs[j][0], j
+    def _check(got, values, hs):
+        # got is least(hs), values many(hs); values are never infinite.
+        assert isinstance(got, np.ndarray) and got.shape == values.shape == (len(hs),)
+        kept = got != np.inf
+        assert (got[kept] == values[kept]).all()
+        assert (values[~kept] > values.min()).all()
+        pairs = [min(zip(v.tolist(), hs, range(len(hs)))) for v in (got, values)]
+        assert pairs[0] == pairs[1]
 
     @given(
         st.lists(st.integers(-12, 12), min_size=2, max_size=70),
@@ -813,9 +818,9 @@ class TestLeast:
 
         assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
         fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
-        want = self._want(fn, hs)
+        values = fn.many(hs)
         with patch.object(ksdist, "_SWEEP_EVENTS", budget):
-            assert fn.least(hs) == want
+            self._check(fn.least(hs), values, hs)
 
     @pytest.mark.parametrize("a_max", [2, 4, 16])
     def test_exact_scales_on_tied_lattice(self, a_max):
@@ -830,8 +835,8 @@ class TestLeast:
             for centre in (0.25, 0.5, 0.75, 1.0):
                 k = int(round(centre / step))
                 hs = _mesh_run(step, max(k - 40, 1), 81)
-                assert fn.least(hs) == self._want(fn, hs)
-                assert fn.least(hs[::-1]) == self._want(fn, hs[::-1])
+                for run in (hs, hs[::-1]):
+                    self._check(fn.least(run), fn.many(run), run)
 
     @pytest.mark.parametrize("size", [500, 1491])
     def test_scan_ranks_few_rows_in_full(self, size, monkeypatch):
@@ -850,7 +855,7 @@ class TestLeast:
             )
         )
         hs = np.linspace(1e-3, 1.0, 50).tolist()
-        want = self._want(fn, hs)
+        values = fn.many(hs)
         rows, ranked = [], ksdist._SortedPair.rows
 
         def counted(self, scales):
@@ -858,12 +863,13 @@ class TestLeast:
             return ranked(self, scales)
 
         monkeypatch.setattr(ksdist._SortedPair, "rows", counted)
-        assert fn.least(hs) == want
+        self._check(fn.least(hs), values, hs)
         assert len(rows) == 1 and 1 <= rows[0] < 25
 
     def test_domain(self):
         fn = scaled_diameter_fn(_pair([1.0, 2.0, 3.0], [1.0, 4.0]))
-        for bad in ([], [0.5, 0.0], [1.0001], [-0.2, 0.3]):
+        assert fn.least([]).size == 0
+        for bad in ([0.5, 0.0], [1.0001], [-0.2, 0.3]):
             with pytest.raises(ValueError):
                 fn.least(bad)
 
