@@ -140,9 +140,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{spec.length} daily points from {args.start_date} run past {dt.date.max}"
         )
-    # The bytes csv.writer would write: CRLF rows, nothing to quote.
-    with open(args.out, "w", newline="") as fh:
+    # Opened before simulating, so that an unwritable --out fails first,
+    # but emptied only once the path is there: a failed simulation
+    # leaves an existing file as it was.  The bytes csv.writer would
+    # write: CRLF rows, nothing to quote.
+    with open(args.out, "a", newline="") as fh:
         path = simulate_fbm(spec)
+        fh.truncate(0)
         fh.write("date,value\r\n")
         dates = _date_fields(args.start_date)
         for lo in range(0, len(path), _CHUNK_ROWS):

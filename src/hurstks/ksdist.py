@@ -84,13 +84,6 @@ _SWEEP_EVENTS = 1 << 13
 # leaves at 1491 x 1491, hold 0.07.
 _SWEEP_PER_PRODUCT = 0.4
 
-# How far a flat piece's ends are pulled in from the exponents its
-# quotient bounds map to.  The quotient, the logarithm and the power
-# each round by about an ulp of the scale, a few 1e-16 in the exponent
-# for any a_max >= 2; a pull too small only makes the piece's check
-# fail more often.
-_PIECE_PULL = 2.0**-48
-
 
 class _SortedPair:
     # The KS kernel: sorted samples a (n points, the fine sample of the
@@ -99,21 +92,16 @@ class _SortedPair:
     # of b, looks its quotients up in.  F at rank r is
     # frac[r] = r / n; G at the right and left limit of its j-th jump,
     # j = 0 .. m-1, is up_base[j] = (j+1) / m and dn_base[j] = j / m.
-    # padded is a between -inf and +inf, so that padded[r] and
-    # padded[r + 1] are the fine points on either side of a point of
-    # rank r = #{a <= point}; negative and positive slice the points of
-    # b below and above zero.  log_a and log_b are log|a| and log|b|,
-    # from which sweep guesses where a product meets a fine point; a
-    # zero reads -745, below the log of any nonzero float.
+    # negative slices the points of b below zero.  log_a and log_b are
+    # log|a| and log|b|, from which sweep guesses where a product meets a
+    # fine point; a zero reads -745, below the log of any nonzero float.
 
     def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
         self.a, self.b = a, b
         self.log_a, self.log_b = (
             np.log(np.abs(x), out=np.full(x.size, -745.0), where=x != 0.0) for x in (a, b)
         )
-        self.padded = np.r_[-np.inf, a, np.inf]
         self.negative = slice(0, int(b.searchsorted(0.0)))
-        self.positive = slice(int(b.searchsorted(0.0, side="right")), b.size)
         self.frac = np.arange(a.size + 1) / a.size
         bases = np.arange(b.size + 1) / b.size
         self.up_base, self.dn_base = bases[1:], bases[:-1]
@@ -383,48 +371,6 @@ class _ScaledDiameter:
         ranks = self._pair.outer_ranks(b * self._scale(h_first), b * self._scale(h_last))
         return float(self._pair.statistic(*ranks))
 
-    def piece(self, hurst: float) -> tuple[float, float, float]:
-        # self(hurst) and exponents lo <= hurst <= hi in (0, 1] at which,
-        # and between which, the value is the same bit for bit.  A
-        # nonzero coarse point b_j of rank r keeps it while b_j * s stays
-        # strictly between the fine points padded[r] and padded[r + 1]:
-        # for s between the two quotients of those points by b_j.  Zeros
-        # never move.  The tightest scale interval, mapped to exponents
-        # and pulled in by _PIECE_PULL, is then checked at its ends: if
-        # every product there still lies strictly between its two fine
-        # points, then, rounding being monotone in the scale as bound
-        # uses, so does every product between, and no rank moves.  A
-        # nonzero product that ties a fine point may move either way,
-        # and a check that fails leaves only hurst itself.
-        pair = self._pair
-        b, pad, neg, pos = pair.b, pair.padded, pair.negative, pair.positive
-        right, left = pair.ranks(b * self._scale(hurst))
-        value = float(pair.statistic(right, left))
-        if left is not right and ((left != right) & (b != 0.0)).any():
-            return value, hurst, hurst
-        bn, bp, rn, rp = b[neg], b[pos], right[neg], right[pos]
-        below_n, above_n, below_p, above_p = pad[rn], pad[rn + 1], pad[rp], pad[rp + 1]
-        # A quotient past the float range is the infinity it rounds to.
-        with np.errstate(over="ignore"):
-            s_lo = max(np.max(below_p / bp, initial=0.0), np.max(above_n / bn, initial=0.0))
-            s_hi = min(np.min(above_p / bp, initial=np.inf), np.min(below_n / bn, initial=np.inf))
-        ln_a = math.log(self._a_max)
-        lo = -math.log(s_hi) / ln_a + _PIECE_PULL if s_hi > 0.0 else math.inf
-        hi = -math.log(s_lo) / ln_a - _PIECE_PULL if s_lo > 0.0 else math.inf
-        lo = min(max(lo, math.ulp(0.0)), hurst)
-        hi = max(min(hi, 1.0), hurst)
-        if lo < hi:
-            big, small = self._scale(lo), self._scale(hi)
-            inside = (
-                (below_p < bp * small).all()
-                and (bp * big < above_p).all()
-                and (below_n < bn * big).all()
-                and (bn * small < above_n).all()
-            )
-            if not inside:
-                return value, hurst, hurst
-        return value, lo, hi
-
 
 def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     """Build the frozen objective ``H -> KS(fine, a^{-H} * coarse)``.
@@ -466,14 +412,7 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     whose lower bound is at most the least upper bound.  Its
     ``bound(h_first, h_last)`` method returns, from one rank pass, a
     lower bound on the closure's value at every exponent between the
-    two, equal to the value itself when they coincide.  Its
-    ``piece(hurst)`` method returns ``(value, lo, hi)``: the closure's
-    value and exponents ``lo <= hurst <= hi`` in ``(0, 1]`` at every
-    one of which, and between which, the value is the same bit for
-    bit.  The interval is the flat piece of the stepwise objective
-    around ``hurst``, trimmed by a few ulps, or ``hurst`` alone where
-    a rescaled nonzero coarse point equals a fine one; it costs two to
-    three calls.
+    two, equal to the value itself when they coincide.
 
     Raises
     ------

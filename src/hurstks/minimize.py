@@ -6,9 +6,8 @@ than trusting its own convergence point, counts objective calls, and
 breaks ties toward the smallest exponent.  A grid search is the
 reference; Brent and a one-dimensional Nelder-Mead are the cheaper
 alternatives benchmarked against it.  Simulated annealing, benchmarked
-too, spends half the evaluation budget on its chain; a proposal on the
-chain's current flat piece of the objective is decided without a
-kernel call, yet a cell still costs several Brent runs.
+too, runs a Metropolis chain until it is colder than the local methods'
+stopping bracket.
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ _SWEEP_LEAF = 16
 # settle in a poor basin.
 _SCAN_POINTS = 50
 
-# Bracket width in H at which Brent and Nelder-Mead stop.
+# Bracket width in H at which Brent and Nelder-Mead stop, and the
+# temperature below which the annealing chain stops.
 _BRACKET = 1e-6
 
 # KS margin to skip the restart; absorbs float noise between equal values.
@@ -84,7 +84,7 @@ class OptimizerConfig:
         others; it sets their resolution (local runs stop at a 1e-6 bracket).
     max_evals : int, optional
         Hard budget of objective evaluations.  The annealing chain runs
-        for half of it and leaves the rest to its plateau sweep.
+        for at most half of it and leaves the rest to its plateau sweep.
     """
 
     method: str = "brent"
@@ -167,22 +167,18 @@ class _Tracker:
     NaN value never counts, so every minimizer inherits one rule.
 
     Every evaluation calls the objective, a repeated exponent too,
-    except those ``skip`` counts and those ``held`` records with a
-    value the caller holds.  ``many`` records a run of exponents at
-    once, exactly as one call per exponent would, and ``least`` does
+    except those ``skip`` counts.  ``many`` records a run of exponents
+    at once, exactly as one call per exponent would, and ``least`` does
     the same for a run of which only the least value is wanted; the
     objective's own ``least`` may give ``+inf`` for the rest, and the
     tracker alone picks the run's least pair, by the rule above.
-    ``piece`` records one call and returns, with its value, exponents
-    around it that share the value.  ``bound`` is the objective's own,
-    or one that rules out nothing.
+    ``bound`` is the objective's own, or one that rules out nothing.
     """
 
     def __init__(self, fn: Callable[[float], float], max_evals: int) -> None:
         self._fn = fn
         self._many = getattr(fn, "many", None)
         self._least = getattr(fn, "least", None)
-        self._piece = getattr(fn, "piece", None)
         self.bound = getattr(fn, "bound", lambda lo, hi: -math.inf)
         self._max = max_evals
         self.evaluations = 0
@@ -209,21 +205,6 @@ class _Tracker:
         f = self._fn(h)
         self._offer(f, h)
         return f
-
-    def held(self, f: float, h: float) -> None:
-        """Record one call at ``h`` whose value ``f`` the caller holds."""
-        self.skip(1)
-        self._offer(f, h)
-
-    def piece(self, h: float) -> tuple[float, float, float]:
-        """Record one call at ``h`` and return ``(f, lo, hi)``: its value
-        and exponents ``lo <= h <= hi`` between which the objective
-        takes that value, from the objective's own ``piece`` if it has
-        one, else ``(f, h, h)``."""
-        self.skip(1)
-        f, lo, hi = self._piece(h) if self._piece else (self._fn(h), h, h)
-        self._offer(f, h)
-        return f, lo, hi
 
     def _record(self, run, hs: Sequence[float]) -> tuple[list[float], int]:
         # The route of many and least.  Records one call per exponent of
@@ -446,68 +427,22 @@ def _nelder_mead_core(f: _Tracker, lo: float, hi: float) -> None:
 
 
 def _annealing(tracker: _Tracker, config: OptimizerConfig) -> None:
-    # The chain holds [lo, hi], exponents around x at which the
-    # objective takes the value fx bit for bit: the piece the
-    # objective's own ``piece`` gave, or x alone.  A proposal inside it
-    # is recorded with fx, not computed, and accepted as a computed
-    # value would be.  A proposal outside it asks for its own piece
-    # once the chain is cold, its temperature below the width of the
-    # last piece it got, when a proposal that leaves a piece mostly
-    # lands on the next one; a hotter chain would pay a piece's second
-    # pass for nothing.  On 12 objectives at 500 x 500 this rule timed
-    # the chain as a fixed gate at temperature 1e-5 did (x2.65 against
-    # one call per proposal), ahead of gates at 1e-4 (x2.26) and of a
-    # piece for every proposal (x1.44).  Once the chain proposes x
-    # itself, the rest of it is tested at once: if no later proposal
-    # moves x, every one is counted at once, and otherwise the chain
-    # steps on and tests again after the first that moves.  A NaN
-    # value draws a uniform at every step, so only a number is tested.
+    # The chain stops once it is colder than _BRACKET, where the local
+    # methods stop too: on 630 frozen objectives at 500 x 500 and
+    # 1491 x 1491, colder steps moved no estimate.
     rng = np.random.default_rng(0)
     x = 0.5 * (_LOCAL_LO + 1.0)
-    fx, lo, hi = tracker.piece(x)
-    width = hi - lo
+    fx = tracker(x)
     temp = 0.1
-    steps = max(config.max_evals // 2 - 1, 0)
-    thaw = -1
-    for i in range(steps):
+    for _ in range(max(config.max_evals // 2 - 1, 0)):
+        if temp < _BRACKET:
+            break
         u = min(max(x + temp * rng.standard_normal(), _LOCAL_LO), 1.0)
-        stuck = u == x
-        if lo <= u <= hi:
-            tracker.held(fx, u)
-            fu, u_lo, u_hi = fx, lo, hi
-        elif temp < width:
-            fu, u_lo, u_hi = tracker.piece(u)
-            width = u_hi - u_lo
-        else:
-            fu, u_lo, u_hi = tracker(u), u, u
+        fu = tracker(u)
         if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
-            x, fx, lo, hi = u, fu, u_lo, u_hi
-        temp = max(temp * 0.95, 1e-300)
-        if stuck and i > thaw and fx == fx:
-            rest = steps - i - 1
-            first = _first_move(rng, x, temp, rest)
-            if first == rest:
-                tracker.skip(rest)
-                break
-            thaw = i + 1 + first
+            x, fx = u, fu
+        temp *= 0.95
     _plateau_sweep(tracker, config.grid_step)
-
-
-def _first_move(rng: np.random.Generator, x: float, temp: float, count: int) -> int:
-    # Of the chain's next count steps from x, at temperatures temp,
-    # temp * 0.95, ... as the loop cools them, the index of the first
-    # whose proposal differs from x, or count if none does.  The
-    # generator is left as it was, unless no proposal moves.
-    state = rng.bit_generator.state
-    factors = np.full(count, 0.95)
-    factors[:1] = temp
-    temps = np.maximum(np.multiply.accumulate(factors), 1e-300)
-    u = np.minimum(np.maximum(x + temps * rng.standard_normal(count), _LOCAL_LO), 1.0)
-    moves = np.flatnonzero(u != x)
-    if moves.size:
-        rng.bit_generator.state = state
-        return int(moves[0])
-    return count
 
 
 # Each search runs under the tracker's budget; a run out of budget
@@ -562,17 +497,13 @@ def minimize_scalar(
         starts at the midpoint of the interval with temperature 0.1,
         cooled by a factor 0.95 per step; proposals are Gaussian with
         standard deviation proportional to the temperature, clamped to
-        the interval.  The chain spends half of ``max_evals``; the rest
-        pays for the plateau sweep that settles the final point on the
-        ``grid_step`` mesh.  Proposals come from ``default_rng(0)``,
-        so, as for every search, the report depends only on
-        ``objective`` and ``config``.  Every proposal counts as an
-        evaluation, but one inside the chain's current flat piece (see
-        the ``piece`` method of
-        :func:`~hurstks.ksdist.scaled_diameter_fn`; for a plain
-        callable, the chain's own point) takes the value the chain
-        holds without a call.  Once the cooled chain can no longer
-        move, its remaining steps are counted at once.
+        the interval.  The chain stops once its temperature falls below
+        1e-6, the local methods' bracket, after 225 proposals, or
+        earlier when it has spent half of ``max_evals``; the plateau
+        sweep then settles the final point on the ``grid_step`` mesh.
+        Proposals come from ``default_rng(0)``, so, as for every
+        search, the report depends only on ``objective`` and
+        ``config``.
     """
     t0 = time.perf_counter()
     tracker = _Tracker(objective, config.max_evals)

@@ -12,14 +12,23 @@ module attribute is as blind, so the input route is checked by call.
 import csv
 import datetime as dt
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hurstks import cli, pipeline
 from hurstks.fgn import FgnSpec, simulate_fbm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# The seeds with stored reference estimates of optimizer_compare.
+COMPARE_SEEDS = sorted(
+    int(key.partition("/")[2])
+    for key in json.loads((PERFBENCH / "reference.json").read_text())
+    if key.startswith("optimizer_compare/")
+)
 
 
 def test_tracer_binds_every_entry_point(monkeypatch):
@@ -65,3 +74,16 @@ def test_front_ends_call_the_input_route_by_attribute(tmp_path, monkeypatch):
             "--amax", "10", "--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == 0
     assert len(transforms) == 2
+
+
+@pytest.mark.parametrize("seed", COMPARE_SEEDS)
+def test_optimizer_compare_matches_every_stored_seed(seed, tmp_path, monkeypatch):
+    # One pass of the cycle: every method's estimate in every op agrees
+    # with the stored reference, not only on the seed the benchmark's
+    # own tests run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    run = importlib.import_module("run")
+    result = run.run_workload("optimizer_compare", seed, 0.0, setup=False)
+    assert result["failed"] == 0, result["failures"]
+    assert result["reference_checked_ops"] == result["cycle_length"]

@@ -18,7 +18,7 @@ import pytest
 
 from hurstks import cli, minimize, pipeline
 from hurstks.cli import main
-from hurstks.fgn import FgnSpec, simulate_fbm
+from hurstks.fgn import EmbeddingError, FgnSpec, simulate_fbm
 from hurstks.ksdist import ks_critical
 from hurstks.pipeline import load_series
 
@@ -658,6 +658,20 @@ class TestOutputPaths:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert stdout == ""
+
+    def test_failed_simulation_keeps_an_existing_out(self, tmp_path, capsys, monkeypatch):
+        def no_embedding(*args, **kwargs):
+            raise EmbeddingError("no embedding")
+
+        out = tmp_path / "p.csv"
+        out.write_text("date,value\n2000-01-03,0.0\n")
+        monkeypatch.setattr(cli, "simulate_fbm", no_embedding)
+        code, stdout, err = run(
+            capsys, "simulate", "--hurst", "0.5", "--length", "64", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and stdout == ""
+        assert out.read_text() == "date,value\n2000-01-03,0.0\n"
 
     def test_bench_out_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "bench_optimizers", self._never_called)

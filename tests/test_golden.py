@@ -90,9 +90,9 @@ REPORTS = {
     (0.2, 'nelder_mead', 0.07, 50): ('0x1.a396d76a89ad0p-3', '0x1.89374bc6a7f00p-5', 50, False),
     (0.2, 'nelder_mead', 0.07, 10000): ('0x1.93ee721a54d8ap-3', '0x1.89374bc6a7f00p-5', 163, True),
     (0.2, 'simulated_annealing', 0.0001, 50): ('0x1.1c5d63886594bp-2', '0x1.ba5e353f7cedap-4', 50, False),
-    (0.2, 'simulated_annealing', 0.0001, 10000): ('0x1.926e978d4fdf4p-3', '0x1.89374bc6a7f00p-5', 6139, True),
+    (0.2, 'simulated_annealing', 0.0001, 10000): ('0x1.926e978d4fdf4p-3', '0x1.89374bc6a7f00p-5', 1365, True),
     (0.2, 'simulated_annealing', 0.07, 50): ('0x1.ae147ae147ae2p-3', '0x1.89374bc6a7f00p-5', 40, True),
-    (0.2, 'simulated_annealing', 0.07, 10000): ('0x1.ae147ae147ae2p-3', '0x1.89374bc6a7f00p-5', 5015, True),
+    (0.2, 'simulated_annealing', 0.07, 10000): ('0x1.ae147ae147ae2p-3', '0x1.89374bc6a7f00p-5', 241, True),
     (0.5, 'grid', 0.0001, 50): ('0x1.b089a02752546p-9', '0x1.89374bc6a7efap-2', 50, False),
     (0.5, 'grid', 0.0001, 10000): ('0x1.00c49ba5e3540p-1', '0x1.cac083126e980p-6', 10000, True),
     (0.5, 'grid', 0.07, 50): ('0x1.f5c28f5c28f5dp-2', '0x1.374bc6a7ef9dcp-5', 14, True),
@@ -106,9 +106,9 @@ REPORTS = {
     (0.5, 'nelder_mead', 0.07, 50): ('0x1.0579aafcb2b83p-1', '0x1.0624dd2f1a9fcp-5', 50, False),
     (0.5, 'nelder_mead', 0.07, 10000): ('0x1.00ec083126e99p-1', '0x1.cac083126e980p-6', 117, True),
     (0.5, 'simulated_annealing', 0.0001, 50): ('0x1.fe0ded288ce71p-2', '0x1.eb851eb851ec0p-6', 50, False),
-    (0.5, 'simulated_annealing', 0.0001, 10000): ('0x1.00c49ba5e3540p-1', '0x1.cac083126e980p-6', 5364, True),
+    (0.5, 'simulated_annealing', 0.0001, 10000): ('0x1.00c49ba5e3540p-1', '0x1.cac083126e980p-6', 590, True),
     (0.5, 'simulated_annealing', 0.07, 50): ('0x1.004189374bc6ap-1', '0x1.eb851eb851ec0p-6', 40, True),
-    (0.5, 'simulated_annealing', 0.07, 10000): ('0x1.004189374bc6ap-1', '0x1.eb851eb851ec0p-6', 5015, True),
+    (0.5, 'simulated_annealing', 0.07, 10000): ('0x1.004189374bc6ap-1', '0x1.eb851eb851ec0p-6', 241, True),
     (0.8, 'grid', 0.0001, 50): ('0x1.0624dd2f1a9fcp-11', '0x1.395810624dd2fp-1', 50, False),
     (0.8, 'grid', 0.0001, 10000): ('0x1.91de69ad42c3dp-1', '0x1.604189374bc6cp-4', 10000, True),
     (0.8, 'grid', 0.07, 50): ('0x1.8a3d70a3d70a4p-1', '0x1.a1cac083126e8p-4', 14, True),
@@ -122,9 +122,9 @@ REPORTS = {
     (0.8, 'nelder_mead', 0.07, 50): ('0x1.979d5c93f5221p-1', '0x1.6872b020c49bcp-4', 50, False),
     (0.8, 'nelder_mead', 0.07, 10000): ('0x1.921c28f5c28f7p-1', '0x1.604189374bc6cp-4', 119, True),
     (0.8, 'simulated_annealing', 0.0001, 50): ('0x1.60f9096bb98c8p-1', '0x1.a1cac083126ecp-3', 50, False),
-    (0.8, 'simulated_annealing', 0.0001, 10000): ('0x1.91de69ad42c3dp-1', '0x1.604189374bc6cp-4', 5304, True),
+    (0.8, 'simulated_annealing', 0.0001, 10000): ('0x1.91de69ad42c3dp-1', '0x1.604189374bc6cp-4', 530, True),
     (0.8, 'simulated_annealing', 0.07, 50): ('0x1.8a3d70a3d70a4p-1', '0x1.a1cac083126e8p-4', 40, True),
-    (0.8, 'simulated_annealing', 0.07, 10000): ('0x1.91dfdd4f7e3ebp-1', '0x1.604189374bc6cp-4', 5015, True),
+    (0.8, 'simulated_annealing', 0.07, 10000): ('0x1.91dfdd4f7e3ebp-1', '0x1.604189374bc6cp-4', 241, True),
 }
 
 FILES = {

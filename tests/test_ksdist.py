@@ -920,70 +920,3 @@ class TestBound:
         for first, last in ((0.0, 0.5), (0.5, 1.0001), (-0.2, 0.3)):
             with pytest.raises(ValueError):
                 fn.bound(first, last)
-
-
-class TestPiece:
-    """``piece(h)`` returns the value at ``h`` and exponents ``lo <= h <=
-    hi`` in (0, 1] between which the value is the same bit for bit; a
-    nonzero product that ties a fine point leaves only ``h`` itself."""
-
-    @staticmethod
-    def _check(fn, h, rng):
-        value, lo, hi = fn.piece(h)
-        assert value == fn(h)
-        assert 0.0 < lo <= h <= hi <= 1.0
-        inside = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo), *rng.uniform(lo, hi, 8)]
-        assert [fn(g) for g in inside] == [value] * len(inside)
-        return lo, hi
-
-    @given(
-        st.lists(st.integers(-12, 12), min_size=2, max_size=70),
-        coarse_with_zeros,
-        st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
-        st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(1e-3, 1.0)),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_value_holds_across_the_piece(self, xs, coarse, a_max, h, seed):
-        # Exact scales such as 16 ** -0.25 = 0.5 put products on fine
-        # points; zeros of either sign sit on the fine zeros at every
-        # exponent and never pin the piece.
-        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
-        fine = np.array(xs) / 4.0
-        fn = scaled_diameter_fn(_pair(fine, coarse, a_max=a_max))
-        lo, hi = self._check(fn, h, np.random.default_rng(seed))
-        products = np.array(coarse) * float(a_max) ** (-h)
-        if np.isin(products[products != 0.0], fine).any():
-            assert lo == h == hi
-
-    @pytest.mark.parametrize("hurst, seed", [(0.2, 3), (0.5, 4), (0.8, 5)])
-    def test_simulated_pairs(self, hurst, seed):
-        # Without ties nearly every piece is wider than its exponent,
-        # and pieces are tens of 1e-6 wide at 500 x 500.
-        fn = scaled_diameter_fn(_simulated_pair(hurst, seed))
-        rng = np.random.default_rng(seed)
-        pieces = [self._check(fn, h, rng) for h in rng.uniform(1e-3, 1, 200)]
-        widths = [hi - lo for lo, hi in pieces]
-        assert np.count_nonzero(widths) >= 195
-        assert 1e-6 < np.median(widths) < 1e-4
-
-    def test_a_tie_leaves_the_exponent_alone(self):
-        # 16 ** -0.25 = 0.5 puts the coarse 1.0 on the fine 0.5.
-        fn = scaled_diameter_fn(_pair([-1.0, 0.5, 2.0], [-0.0, 1.0, 3.0], a_max=16))
-        assert fn.piece(0.25) == (fn(0.25), 0.25, 0.25)
-        value, lo, hi = fn.piece(0.3)
-        assert lo < 0.3 < hi and value == fn(0.3)
-
-    def test_no_warning_at_extreme_quotients(self):
-        # Quotients of huge fine points by tiny coarse ones overflow to
-        # infinity, and zeros divide nothing.
-        fn = scaled_diameter_fn(_pair([-1e300, 0.0, 1e300], [-1e-300, -0.0, 0.0, 1e-300]))
-        with np.errstate(all="raise"):
-            value, lo, hi = fn.piece(0.5)
-        assert value == fn(0.5) and lo < 0.5 < hi
-
-    def test_domain(self):
-        fn = scaled_diameter_fn(_pair([1.0, 2.0, 3.0], [1.0, 4.0]))
-        for h in (0.0, 1.0001, -0.2, math.nan):
-            with pytest.raises(ValueError):
-                fn.piece(h)

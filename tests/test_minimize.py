@@ -230,6 +230,19 @@ class TestSimulatedAnnealing:
         b = minimize_scalar(quad, cfg)
         assert replace(a, wall_time_s=0.0) == replace(b, wall_time_s=0.0)
 
+    def test_chain_stops_below_the_bracket(self, monkeypatch):
+        # 0.1 * 0.95 ** k >= 1e-6 for k = 0 .. 224 only, so the chain
+        # makes 225 proposals after its start, then hands over to the
+        # plateau sweep.
+        calls, swept = [], []
+        monkeypatch.setattr(
+            minimize, "_plateau_sweep", lambda tracker, step: swept.append(len(calls))
+        )
+        report = minimize_scalar(
+            lambda h: calls.append(h) or quad(h), OptimizerConfig(method="simulated_annealing")
+        )
+        assert swept == [1 + 225] and report.evaluations == 1 + 225
+
     def test_respects_bounds(self):
         cfg = OptimizerConfig(method="simulated_annealing", max_evals=800)
         for centre in (-1.0, 2.0):
@@ -334,20 +347,6 @@ class _CountingObjective:
     def bound(self, h_first, h_last):
         self.bounds += 1
         return self._frozen.bound(h_first, h_last)
-
-
-class _CountingPieces(_CountingObjective):
-    """A counting objective that forwards ``piece`` too, counting each
-    piece as one kernel row."""
-
-    def __init__(self, frozen):
-        super().__init__(frozen)
-        self.pieces = 0
-
-    def piece(self, h):
-        self.rows += 1
-        self.pieces += 1
-        return self._frozen.piece(h)
 
 
 class TestBoundedSweep:
@@ -493,10 +492,9 @@ class TestBoundStrength:
 
 
 def _remembering_annealing(objective, config, memo):
-    # Simulated annealing as a chain that asks the tracker for every
-    # proposal, its own point included, and an objective that computes
-    # each exponent once, in ``memo``: a repeat still counts as an
-    # evaluation but is not computed again.
+    # Simulated annealing as a chain that stops below the 1e-6 bracket,
+    # with an objective that computes each exponent once, in ``memo``:
+    # a repeat still counts as an evaluation but is not computed again.
     def remembered(h):
         if h not in memo:
             memo[h] = objective(h)
@@ -509,11 +507,13 @@ def _remembering_annealing(objective, config, memo):
         fx = tracker(x)
         temp = 0.1
         for _ in range(max(config.max_evals // 2 - 1, 0)):
+            if temp < 1e-6:
+                break
             u = min(max(x + temp * rng.standard_normal(), 1e-3), 1.0)
             fu = tracker(u)
             if fu <= fx or rng.random() < math.exp(-(fu - fx) / temp):
                 x, fx = u, fu
-            temp = max(temp * 0.95, 1e-300)
+            temp *= 0.95
         minimize._plateau_sweep(tracker, config.grid_step)
         converged = True
     except minimize._Budget:
@@ -525,9 +525,8 @@ def _remembering_annealing(objective, config, memo):
 
 
 class TestStuckChain:
-    """Annealing counts a proposal of the chain's own point without
-    computing it, and reports what a chain that remembers every value
-    it computed reports."""
+    """Annealing reports what a chain that remembers every value it
+    computed reports, at every budget."""
 
     @staticmethod
     def _tied_objective():
@@ -554,63 +553,6 @@ class TestStuckChain:
             config = OptimizerConfig(method="simulated_annealing", max_evals=budget)
             got = replace(minimize_scalar(frozen, config), wall_time_s=0.0)
             assert got == _remembering_annealing(frozen, config, memo), budget
-
-    def test_computes_few_kernel_rows(self):
-        # An objective without ``piece``: most of the ~5,400 chain and
-        # sweep evaluations propose the chain's own point; ~730 rows
-        # reach the kernel.
-        counted = _CountingObjective(_frozen_objective(*_pair_plan(0.3, 77, 78))[0])
-        report = minimize_scalar(counted, OptimizerConfig(method="simulated_annealing"))
-        assert report.converged
-        assert counted.rows < 1_000 < 5_000 < report.evaluations
-
-    def test_pieces_cut_the_kernel_rows(self):
-        # With ``piece`` a cold chain decides every proposal inside its
-        # current flat piece without a rank pass: ~350 rows, the plateau
-        # sweep's included and each piece counted as one, reach the
-        # kernel, and the report is the same.
-        frozen = _frozen_objective(*_pair_plan(0.3, 77, 78))[0]
-        counted = _CountingPieces(frozen)
-        config = OptimizerConfig(method="simulated_annealing")
-        report = minimize_scalar(counted, config)
-        assert 0 < counted.pieces and counted.rows < 400
-        assert replace(report, wall_time_s=0.0) == replace(
-            minimize_scalar(lambda h: frozen(h), config), wall_time_s=0.0
-        )
-
-    def test_tracker_piece_and_held_on_a_plain_callable(self):
-        tracker = minimize._Tracker(quad, 2)
-        assert tracker.piece(0.25) == (quad(0.25), 0.25, 0.25)
-        assert (tracker.evaluations, tracker.best_h) == (1, 0.25)
-        tracker.held(0.0, 0.5)
-        assert (tracker.evaluations, tracker.best_f, tracker.best_h) == (2, 0.0, 0.5)
-        with pytest.raises(minimize._Budget):
-            tracker.held(0.0, 0.5)
-
-
-class TestFrozenTail:
-    """The numpy facts by which annealing tests the rest of a stuck
-    chain at once: one vector draw of normals is the run of scalar
-    draws, and accumulated cooling factors, clamped, are the loop's
-    temperatures, past the clamp too."""
-
-    @pytest.mark.parametrize("count", [1, 7, 4300])
-    def test_one_vector_draw_equals_scalar_draws(self, count):
-        rng = np.random.default_rng(0)
-        scalar = [rng.standard_normal() for _ in range(count)]
-        assert np.random.default_rng(0).standard_normal(count).tolist() == scalar
-
-    def test_accumulated_temperatures_equal_the_loop(self):
-        # The loop clamps 0.1 * 0.95 ** k to 1e-300 from k = 13,423 on.
-        temp, loop = 0.1, []
-        for _ in range(14_000):
-            loop.append(temp)
-            temp = max(temp * 0.95, 1e-300)
-        assert loop[-1] == 1e-300
-        for start in (0, 1, 700, 13_420, 13_500):
-            factors = np.full(len(loop) - start, 0.95)
-            factors[0] = loop[start]
-            assert np.maximum(np.multiply.accumulate(factors), 1e-300).tolist() == loop[start:]
 
 
 # The lattice of tests/test_ksdist.py: coarse values with zeros of

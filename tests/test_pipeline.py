@@ -62,6 +62,21 @@ class TestLoadSeries:
         assert [d.day for d in series.dates.tolist()] == [1, 2, 3]
         assert series.path.values.tolist() == np.log([1.0, 1.2, 1.5]).tolist()
 
+    def test_reads_every_date_form_of_fromisoformat(self, tmp_path):
+        # date.fromisoformat reads basic and week dates from Python 3.11
+        # on, the oldest version the package supports; ordinal dates not.
+        file = _write(
+            tmp_path / "s.csv",
+            "date,value\n20010103,1.5\n2001-W01-2,1.2\n2001-01-01,1.0\n2001W014,1.8\n",
+        )
+        series = load_series(file)
+        assert series.dates.tolist() == [dt.date(2001, 1, d) for d in (1, 2, 3, 4)]
+        assert series.path.values.tolist() == np.log([1.0, 1.2, 1.5, 1.8]).tolist()
+        for ordinal in ("2001-001", "2001001"):
+            _write(tmp_path / "o.csv", f"date,value\n{ordinal},1.0\n")
+            with pytest.raises(CsvFormatError, match="line 2.*bad date"):
+                load_series(tmp_path / "o.csv")
+
     def test_rejects_wrong_header(self, tmp_path):
         file = _write(tmp_path / "s.csv", "time,value\n2001-01-01,1.0\n")
         with pytest.raises(CsvFormatError, match="header"):
