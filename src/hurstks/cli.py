@@ -17,8 +17,9 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager, suppress
 from itertools import count, islice
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -121,6 +122,24 @@ def _build_parser() -> argparse.ArgumentParser:
 _CHUNK_ROWS = 1 << 16
 
 
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    # path opened before the command's work, so that an unwritable one
+    # fails first, but for appending: the command empties it only once
+    # its output exists, so a failure before then leaves an existing
+    # file as it was.  A file the command created is removed if the
+    # command fails.
+    created = not os.path.lexists(path)
+    try:
+        with open(path, "a", newline="") as fh:
+            yield fh
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _date_fields(start: dt.date) -> Iterator[str]:
     # "YYYY-MM-DD," for every day from start on: the year joined to a
     # table of "-MM-DD," for a common or a leap year.
@@ -140,11 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{spec.length} daily points from {args.start_date} run past {dt.date.max}"
         )
-    # Opened before simulating, so that an unwritable --out fails first,
-    # but emptied only once the path is there: a failed simulation
-    # leaves an existing file as it was.  The bytes csv.writer would
-    # write: CRLF rows, nothing to quote.
-    with open(args.out, "a", newline="") as fh:
+    # The bytes csv.writer would write: CRLF rows, nothing to quote.
+    with _output(args.out) as fh:
         path = simulate_fbm(spec)
         fh.truncate(0)
         fh.write("date,value\r\n")
@@ -313,7 +329,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Under the uniform scheme both samples have --subseq points.
     predicted_sd = estimator_sd(args.amax, args.subseq, args.subseq)
     critical = ks_critical(args.subseq, args.subseq, 0.05)
-    with open(args.out, "w", newline="") as fh:
+    with _output(args.out) as fh:
         rows = bench_optimizers(
             h_values,
             args.reps,
@@ -323,6 +339,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             subsample=args.subseq,
             base_seed=args.seed,
         )
+        fh.truncate(0)
         write_bench_csv(rows, fh)
     failures = sum(1 for r in rows if r.error)
     unconverged = sum(1 for r in rows if not (r.error or r.converged))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,22 +68,39 @@ class RescaledPair:
             raise ValueError("coarse sample lag must equal a_max")
 
 
-# Most crossing events one sweep piece, or products one ranked piece,
-# may hold; it also bounds every temporary of the piece, about a
-# hundred bytes per event.  Of 2**11 .. 2**15, 2**13 was fastest on the
-# full mesh at 500 x 500 and 1491 x 1491.
+# Most crossing events one sweep piece, counted as it expands them, or
+# products one ranked piece, may hold; it also bounds every temporary of
+# the piece, about a hundred bytes per event.  Of 2**11 .. 2**15, 2**13
+# was fastest on the full mesh at 500 x 500 and 1491 x 1491.  Re-timed
+# with pruning on (12 objectives per shape, medians of 5 rounds), 2**13
+# still was at 500 x 500 (3.9 ms, against 5.0 at 2**12 and 4.7 at
+# 2**14), but 2**14 was faster at 1491 x 1491 (12.4 ms against 18.1).
+# It stays: the 500 x 500 grid is the benchmark's, and the ranked
+# pieces it also sizes keep their memory.
 _SWEEP_EVENTS = 1 << 13
 
 # Crossing events per product above which a run, or a piece of one, is
 # ranked row by row instead of swept.  Timed against rows on two pairs
-# at each of 500 x 500 and 1491 x 1491 (medians of 9 .. 15), the two
-# cost the same at 0.34 .. 0.39 events per product on whole runs of 150
-# .. 3,000 exponents over [1e-3, 1] and on 300-cell meshes, and at 0.43
-# .. 0.45 on single pieces of ~2**13 events; at 0.1 the sweep took 0.2
-# .. 0.3 of the time of rows, at 1.0 1.6 .. 2.5 times it.  No run of the
-# benchmark's workloads comes near: the densest, 16-cell plateau sweep
-# leaves at 1491 x 1491, hold 0.07.
-_SWEEP_PER_PRODUCT = 0.4
+# at each of 500 x 500 and 1491 x 1491 before pruning (medians of 9 ..
+# 15), the two cost the same at 0.34 .. 0.39 events per product on whole
+# runs of 150 .. 3,000 exponents over [1e-3, 1] and on 300-cell meshes.
+# Counted in kept events, with pruning on (the same runs and meshes of
+# steps 1e-3 .. 1e-2, minima of 5), they cost the same at ~0.7 at 500 x
+# 500 and ~0.9 at 1491 x 1491; at 0.35 the sweep took 0.35 .. 0.5 of the
+# time of rows, at 1.0 0.9 .. 1.2 times it.  No run of the benchmark's
+# workloads comes near: the densest, 16-cell plateau-sweep leaves at
+# 1491 x 1491, hold 0.07 before pruning.
+_SWEEP_PER_PRODUCT = 0.6
+
+# Crossing events above which a sweep expands only the events that may
+# beat the run's floor (see _SortedPair.kept); its few passes over the
+# m columns cost more than they save on a run of fewer.  On 1e-4 mesh
+# runs of 8 .. 64 cells at 36 places per shape (minima of 9, alternated),
+# pruning broke even at ~700 .. 1,000 events at 500 x 500 and ~800 ..
+# 1,200 at 1491 x 1491.  It cost ~15 us more on a 16-cell plateau-sweep
+# leaf at 500 x 500 (~230 events), and saved ~19 us on one at 1491 x
+# 1491 (~1,650 events).
+_PRUNE_EVENTS = 1 << 10
 
 
 class _SortedPair:
@@ -92,7 +110,7 @@ class _SortedPair:
     # of b, looks its quotients up in.  F at rank r is
     # frac[r] = r / n; G at the right and left limit of its j-th jump,
     # j = 0 .. m-1, is up_base[j] = (j+1) / m and dn_base[j] = j / m.
-    # negative slices the points of b below zero.  log_a and log_b are
+    # negative counts the points of b below zero.  log_a and log_b are
     # log|a| and log|b|, from which sweep guesses where a product meets a
     # fine point; a zero reads -745, below the log of any nonzero float.
 
@@ -101,7 +119,7 @@ class _SortedPair:
         self.log_a, self.log_b = (
             np.log(np.abs(x), out=np.full(x.size, -745.0), where=x != 0.0) for x in (a, b)
         )
-        self.negative = slice(0, int(b.searchsorted(0.0)))
+        self.negative = int(b.searchsorted(0.0))
         self.frac = np.arange(a.size + 1) / a.size
         bases = np.arange(b.size + 1) / b.size
         self.up_base, self.dn_base = bases[1:], bases[:-1]
@@ -154,6 +172,26 @@ class _SortedPair:
             self.a.searchsorted(np.minimum(first, last), side="left"),
         )
 
+    def kept(self, left: np.ndarray, end: np.ndarray, floor: float) -> tuple[np.ndarray, ...]:
+        # Of the events [left_j, end_j) of each column j (see sweep), those
+        # whose up or dn term may exceed floor: a head [left_j, head_j) and
+        # a tail [tail_j, end_j), as two segments per column, column by
+        # column, given by their starts and widths.  up_base_j - i/n falls
+        # as i grows and (i + 1)/n - dn_base_j rises; in exact arithmetic
+        # the first exceeds floor only for i < x = n (up_base_j - floor)
+        # and the second only for i + 1 > y = n (dn_base_j + floor).  Each
+        # float term and x and y are within a few ulps of 1, times n, of
+        # the exact ones, far below a rank, so head_j = floor(x) + 2 and
+        # tail_j = floor(y) - 1 keep one rank of margin.  (Truncating x to
+        # an integer only raises head_j where x < 0; y is never negative.)
+        n = self.a.size
+        head = (n * (self.up_base - floor)).astype(np.intp) + 2
+        tail = (n * (self.dn_base + floor)).astype(np.intp) - 1
+        np.minimum(np.maximum(head, left, out=head), end, out=head)
+        np.minimum(np.maximum(tail, head, out=tail), end, out=tail)
+        starts = np.stack((left, tail), axis=1).ravel()
+        return starts, np.stack((head - left, end - tail), axis=1).ravel()
+
     def sweep(self, scales: np.ndarray) -> np.ndarray:
         # ks(b * s) for every s in scales, which must be sorted and
         # distinct, bit for bit.
@@ -171,30 +209,45 @@ class _SortedPair:
         # no such point), so the statistic at a cell is the largest term in
         # force there, formed as statistic forms it: the rank's entry of
         # frac less a base, or the other way round.
+        # The outer-rank statistic, floor, is thus a lower bound at every
+        # cell, and out starts there.  An event whose up and dn terms are
+        # both at most floor never sets a cell's maximum, whichever of
+        # them is in force, and max is exact; so a run of more than
+        # _PRUNE_EVENTS events expands only the events kept, those whose
+        # terms may beat floor, and every value stays bit for bit.  The
+        # budgets below count kept events, so that each piece of a split
+        # run bounds its own, narrower run by its own, higher floor.
         a, b, k = self.a, self.b, scales.size
         first, last = b * scales[0], b * scales[-1]
         right, left = self.outer_ranks(first, last)
+        floor = float(self.statistic(right, left))
         # A product that never moves crosses no fine point.
         width = (right - left) * (first != last)
+        starts, stride = left, 1
         events = int(width.sum())
+        if events > _PRUNE_EVENTS:
+            starts, width = self.kept(left, left + width, floor)
+            stride, events = 2, int(width.sum())
         if events > _SWEEP_PER_PRODUCT * k * b.size:
             # Windows so wide that ranking every product costs less.
             return self.rows(scales)
         if events > _SWEEP_EVENTS:
             pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
             return np.concatenate([self.sweep(part) for part in np.array_split(scales, pieces)])
-        out = np.full(k, float(self.statistic(right, left)))
+        out = np.full(k, floor)
         if not events:
             return out
-        cols = width.nonzero()[0]
-        w = width[cols]
-        col = np.repeat(cols, w)
-        i = np.arange(events) + np.repeat(left[cols] - (np.cumsum(w) - w), w)
+        # Segment s holds events of column s // stride, from starts[s] on;
+        # the columns stay in order, so those of b < 0 still come first.
+        segs = width.nonzero()[0]
+        w = width[segs]
+        col = np.repeat(segs // stride, w)
+        i = np.arange(events) + np.repeat(starts[segs] - (np.cumsum(w) - w), w)
         # With b_j < 0 the product falls as s grows: -(b_j s) = |b_j| s
         # exactly, so both signs ask for the first cell where |b_j| s
         # reaches target = +-a_i, "cell" with >= and "past" with >.  The
         # columns of b < 0 come first, so their events are the first down.
-        down = int(width[self.negative].sum())
+        down = int(width[: stride * self.negative].sum())
         target, mult = a[i], b[col]
         np.negative(target[:down], out=target[:down])
         np.negative(mult[:down], out=mult[:down])
@@ -329,7 +382,7 @@ class _ScaledDiameter:
     def _scale(self, hurst: float) -> float:
         if not 0.0 < hurst <= 1.0:
             raise ValueError("hurst must lie in (0, 1]")
-        return self._a_max**-hurst
+        return math.pow(self._a_max, -hurst)
 
     def __call__(self, hurst: float) -> float:
         return float(self._pair.ks(self._pair.b * self._scale(hurst)))
@@ -345,9 +398,10 @@ class _ScaledDiameter:
             raise ValueError("hurst must lie in (0, 1]")
         if not hs.size:
             return np.empty(0)
-        # _scale's power, checked once above: np.power may round differently.
-        a_max = self._a_max
-        scales = np.array([a_max**h for h in (-hs).tolist()])
+        # _scale's libm power, checked once above, mapped over the run:
+        # np.power may round differently.
+        powers = map(math.pow, repeat(self._a_max), (-hs).tolist())
+        scales = np.fromiter(powers, float, hs.size)
         where = slice(None, None, -1) if scales[0] > scales[-1] else slice(None)
         ordered = scales[where]
         if not (ordered[1:] > ordered[:-1]).all():
@@ -395,12 +449,17 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     for each time a rescaled coarse point crosses a fine one rather
     than for each (exponent, point) pair, so a run of nearby exponents
     such as consecutive mesh points costs little more than one call.
-    It places each crossing among the run's exponents from the
-    logarithms of the two points, with no search: right away on a
+    The value at every exponent of the run is at least the run's
+    floor, the statistic of the coarse points ranked at their outer
+    ranks over the run, so a run of more than 1,024 crossings skips
+    those that cannot beat its floor: of the full mesh's ~92,000
+    crossings at 500 x 500 it places ~30 %, of ~740,000 at 1491 x 1491
+    ~6 %.  It places each crossing among the run's exponents from
+    the logarithms of the two points, with no search: right away on a
     run of evenly spaced exponents such as mesh points, within a few
     steps on others, and then checks the place against the rescaled
-    point itself.  A run with more than 0.4 crossings per (exponent,
-    point) pair ranks every rescaled point instead.
+    point itself.  A run with more than 0.6 crossings it places per
+    (exponent, point) pair ranks every rescaled point instead.
     Its ``least(hursts)`` method returns an array like ``many``'s for
     a run of which only the least value is wanted: ``many``'s value,
     bit for bit, at every exponent that may hold the least, and

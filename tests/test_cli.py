@@ -673,6 +673,43 @@ class TestOutputPaths:
         assert err.startswith("error: ") and stdout == ""
         assert out.read_text() == "date,value\n2000-01-03,0.0\n"
 
+    def test_failed_simulation_leaves_no_new_out(self, tmp_path, capsys, monkeypatch):
+        def no_embedding(*args, **kwargs):
+            raise EmbeddingError("no embedding")
+
+        monkeypatch.setattr(cli, "simulate_fbm", no_embedding)
+        code, stdout, err = run(
+            capsys, "simulate", "--hurst", "0.5", "--length", "64",
+            "--out", str(tmp_path / "fresh.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "existing", [None, "method,h_true\r\ngrid,0.5\r\n"], ids=["fresh", "existing"]
+    )
+    def test_failed_bench_keeps_or_leaves_no_out(self, tmp_path, capsys, monkeypatch, existing):
+        # A failure in the first cell leaves an existing --out as it was
+        # and removes one the command created.
+        def no_embedding(*args, **kwargs):
+            raise EmbeddingError("no embedding")
+
+        out = tmp_path / "b.csv"
+        if existing is not None:
+            out.write_bytes(existing.encode())
+        monkeypatch.setattr(minimize, "simulate_fbm", no_embedding)
+        code, stdout, err = run(
+            capsys, "bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and stdout == ""
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert out.read_bytes() == existing.encode()
+
     def test_bench_out_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "bench_optimizers", self._never_called)
         code, stdout, err = run(

@@ -461,24 +461,30 @@ def _simulated_pair(hurst, seed):
     )
 
 
-# The lines of the sweep's fix-up loops that move guesses.
+# The lines of the sweep's fix-up loops that move guesses, and the
+# line that makes the guesses.
 _FIX_UP_LINES = ("cell -= behind", "cell += ahead")
+_GUESS_LINE = "cell += logs[cell] < quotient"
 
 
 def _fix_up_steps(run):
     # run() and the number of steps the sweep's fix-up loops take,
-    # one per pass that moves any guess, with the sweep calls made.
+    # one per pass that moves any guess, with the sweep calls made and
+    # those of them that placed events.
     import hurstks.ksdist as ksdist
 
     sweep = ksdist._SortedPair.sweep
     lines, start = inspect.getsourcelines(sweep)
     steps = {start + j for j, line in enumerate(lines) if line.strip() in _FIX_UP_LINES}
-    assert len(steps) == len(_FIX_UP_LINES)
-    counts = {"steps": 0, "calls": 0}
+    guess = {start + j for j, line in enumerate(lines) if line.strip() == _GUESS_LINE}
+    assert len(steps) == len(_FIX_UP_LINES) and len(guess) == 1
+    counts = {"steps": 0, "calls": 0, "placed": 0}
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in steps:
             counts["steps"] += 1
+        if event == "line" and frame.f_lineno in guess:
+            counts["placed"] += 1
         return local
 
     def tracer(frame, event, arg):
@@ -558,9 +564,10 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
     def test_full_mesh_on_simulated_pair(self, hurst):
-        # The grid's run, rising and falling, swept in over ten pieces: a
-        # guess a cell off would cost each piece a fix-up step; rounding
-        # may cost a few.
+        # The grid's run, rising and falling, split into pieces, eight or
+        # more of which place the events they keep (a piece may keep
+        # none): a guess a cell off would cost each of them a fix-up
+        # step; rounding may cost a few.
         fn = scaled_diameter_fn(_simulated_pair(hurst, seed=int(hurst * 10)))
         hs = _mesh_run(1e-4, 1, 10_000)
         assert len(hs) == 10_000
@@ -568,7 +575,7 @@ class TestBlockEvaluation:
         for run, values in ((hs, want), (hs[::-1], want[::-1])):
             out, counts = _fix_up_steps(lambda: fn.many(run))
             assert out.tolist() == values
-            assert counts["calls"] > 10 and counts["steps"] <= 2
+            assert counts["placed"] >= 8 and counts["steps"] <= 2
 
     @given(
         st.lists(st.integers(-12, 12), min_size=2, max_size=70),
@@ -640,10 +647,15 @@ class TestBlockEvaluation:
         kernel = ksdist._SortedPair(fine, coarse)
 
         def events(hs):
-            # The crossing events of a run, counted as the kernel does.
+            # The crossing events of a run, counted as the kernel does:
+            # above _PRUNE_EVENTS, only those that may beat its floor.
             first, last = coarse * 50.0 ** -hs[0], coarse * 50.0 ** -hs[-1]
             right, left = kernel.outer_ranks(first, last)
-            return int(((right - left) * (first != last)).sum())
+            width = (right - left) * (first != last)
+            if width.sum() > ksdist._PRUNE_EVENTS:
+                floor = float(kernel.statistic(right, left))
+                width = kernel.kept(left, left + width, floor)[1]
+            return int(width.sum())
 
         length = 2
         while events(_mesh_run(1e-4, 3000, length)) <= ksdist._SWEEP_EVENTS:
@@ -675,13 +687,32 @@ class TestBlockEvaluation:
         # size exponents within 1e-12 around one where a product meets a
         # fine point, and one far off: the cluster shares a bucket, so a
         # guess may fall short by up to its size, and the loops step it
-        # no further than that.
+        # no further than that.  The crossing is the one nearest the
+        # median of the quotients in (0.1, 0.5) whose event the run
+        # keeps, since an event that cannot beat the run's floor is
+        # never placed.
+        import hurstks.ksdist as ksdist
+
         fn = scaled_diameter_fn(_simulated_pair(0.5, seed=5))
-        quotients = (fn._pair.a[:, None] / fn._pair.b).ravel()
-        quotients = np.sort(quotients[(quotients > 0.1) & (quotients < 0.5)])
-        centre = -math.log(quotients[quotients.size // 2]) / math.log(50.0)
-        hs = [centre + (j - size // 2) * (1e-12 / size) for j in range(size)]
-        hs.insert(size // 3, centre + far)
+        kernel = fn._pair
+        quotients = kernel.a[:, None] / kernel.b
+        events = np.argwhere((quotients > 0.1) & (quotients < 0.5))
+        events = events[np.argsort(quotients[tuple(events.T)], kind="stable")]
+        middle = np.arange(len(events)) - len(events) // 2
+        for i, j in events[np.argsort(abs(middle), kind="stable")].tolist():
+            centre = -math.log(quotients[i, j]) / math.log(50.0)
+            hs = [centre + (k - size // 2) * (1e-12 / size) for k in range(size)]
+            hs.insert(size // 3, centre + far)
+            scales = np.sort([50.0**-h for h in hs])
+            first, last = kernel.b * scales[0], kernel.b * scales[-1]
+            right, left = kernel.outer_ranks(first, last)
+            width = (right - left) * (first != last)
+            if width.sum() <= ksdist._PRUNE_EVENTS:
+                break
+            starts, widths = kernel.kept(left, left + width, float(kernel.statistic(right, left)))
+            segments = zip(starts[2 * j : 2 * j + 2], widths[2 * j : 2 * j + 2])
+            if any(s <= i < s + w for s, w in segments):
+                break
         out, counts = _fix_up_steps(lambda: fn.many(hs))
         assert out.tolist() == [fn(h) for h in hs]
         assert counts["steps"] <= counts["calls"] * (size + 1)
@@ -767,6 +798,72 @@ class TestBlockEvaluation:
         for bad in ([0.5, 0.0], [1.0001], [-0.2, 0.3]):
             with pytest.raises(ValueError):
                 fn.many(bad)
+
+
+class TestPruning:
+    """A sweep that expands only the events that may beat its run's
+    floor returns the same floats, and keeps every event that can."""
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=60),
+        st.lists(st.one_of(st.integers(-6, 6).map(float), st.just(-0.0)), min_size=2, max_size=60),
+        st.one_of(st.sampled_from([2, 4, 16]), st.integers(2, 50)),
+        st.sampled_from([1e-4, 1e-3, 1e-2, 0.07, 1 / 3]),
+        st.integers(1, 10_000),
+        st.integers(1, 400),
+        st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), max_size=4),
+        st.booleans(),
+        st.sampled_from([1, 16, 1 << 13]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_forced_pruning_matches_per_exponent_calls(
+        self, xs, coarse, a_max, step, k0, length, exact, backwards, budget
+    ):
+        # Tied integer samples of 2 .. 60 points with zeros of both signs
+        # and negatives, mesh runs with exact scales such as 16 ** -0.25
+        # = 0.5 put in, rising or falling, pruned at every run size; the
+        # budget splits them into pieces of every size down to one event.
+        import hurstks.ksdist as ksdist
+
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        k0 = min(k0, int(round(1.0 / step)))
+        fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
+        hs = sorted(set(_mesh_run(step, k0, length) + exact), reverse=backwards)
+        want = [fn(h) for h in hs]
+        with patch.object(ksdist, "_PRUNE_EVENTS", -1):
+            with patch.object(ksdist, "_SWEEP_EVENTS", budget):
+                assert fn.many(hs).tolist() == want
+
+    def test_every_event_that_beats_the_floor_is_kept(self):
+        # Random runs on tied and on continuous samples: an event i of
+        # column j whose up or dn term, formed as the sweep forms it,
+        # exceeds the run's outer-rank floor lies in the head or the
+        # tail that kept gives column j.
+        import hurstks.ksdist as ksdist
+
+        rng = np.random.default_rng(32)
+        for trial in range(300):
+            n, m = rng.integers(2, 80, 2)
+            if trial % 2:
+                a, b = rng.integers(-6, 7, n) / 4.0, rng.integers(-6, 7, m).astype(float)
+            else:
+                a, b = rng.standard_normal(n), rng.standard_normal(m)
+            kernel = ksdist._SortedPair(np.sort(a), np.sort(b))
+            scales = np.sort(float(rng.integers(2, 51)) ** -rng.uniform(0.0, 1.0, 2))
+            first, last = kernel.b * scales[0], kernel.b * scales[-1]
+            right, left = kernel.outer_ranks(first, last)
+            end = left + (right - left) * (first != last)
+            floor = float(kernel.statistic(right, left))
+            starts, widths = kernel.kept(left, end, floor)
+            for j in range(m):
+                segments = zip(starts[2 * j : 2 * j + 2], widths[2 * j : 2 * j + 2])
+                kept = {i for s, w in segments for i in range(s, s + w)}
+                assert kept <= set(range(left[j], end[j]))
+                for i in range(left[j], end[j]):
+                    up = kernel.up_base[j] - kernel.frac[i]
+                    dn = kernel.frac[i + 1] - kernel.dn_base[j]
+                    if up > floor or dn > floor:
+                        assert i in kept, (trial, i, j)
 
 
 class TestLeast:
