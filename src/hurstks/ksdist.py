@@ -75,8 +75,12 @@ class RescaledPair:
 # with pruning on (12 objectives per shape, medians of 5 rounds), 2**13
 # still was at 500 x 500 (3.9 ms, against 5.0 at 2**12 and 4.7 at
 # 2**14), but 2**14 was faster at 1491 x 1491 (12.4 ms against 18.1).
-# It stays: the 500 x 500 grid is the benchmark's, and the ranked
-# pieces it also sizes keep their memory.
+# Those were full-mesh runs, which the package no longer makes: the
+# grid and the plateau sweep hand many leaves of at most 16 cells, of
+# ~140 / ~970 crossing events (grid) and ~240 / ~1,600 (sweep) at 500 x
+# 500 / 1491 x 1491, none above ~2,000, so no budget in that range
+# splits them.  It stays for longer runs from outside callers, and so
+# that the ranked pieces of least keep their memory.
 _SWEEP_EVENTS = 1 << 13
 
 # Crossing events per product above which a run, or a piece of one, is
@@ -87,9 +91,9 @@ _SWEEP_EVENTS = 1 << 13
 # Counted in kept events, with pruning on (the same runs and meshes of
 # steps 1e-3 .. 1e-2, minima of 5), they cost the same at ~0.7 at 500 x
 # 500 and ~0.9 at 1491 x 1491; at 0.35 the sweep took 0.35 .. 0.5 of the
-# time of rows, at 1.0 0.9 .. 1.2 times it.  No run of the benchmark's
-# workloads comes near: the densest, 16-cell plateau-sweep leaves at
-# 1491 x 1491, hold 0.07 before pruning.
+# time of rows, at 1.0 0.9 .. 1.2 times it.  No run the package makes
+# comes near: its densest, the grid's and the plateau sweep's leaves at
+# 1491 x 1491, hold at most ~0.08 before pruning.
 _SWEEP_PER_PRODUCT = 0.6
 
 # Crossing events above which a sweep expands only the events that may
@@ -99,7 +103,8 @@ _SWEEP_PER_PRODUCT = 0.6
 # pruning broke even at ~700 .. 1,000 events at 500 x 500 and ~800 ..
 # 1,200 at 1491 x 1491.  It cost ~15 us more on a 16-cell plateau-sweep
 # leaf at 500 x 500 (~230 events), and saved ~19 us on one at 1491 x
-# 1491 (~1,650 events).
+# 1491 (~1,650 events).  Such leaves, and the grid's 10-cell ones
+# (~140 / ~970 events), are all the runs the package itself sweeps.
 _PRUNE_EVENTS = 1 << 10
 
 
@@ -452,9 +457,12 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     The value at every exponent of the run is at least the run's
     floor, the statistic of the coarse points ranked at their outer
     ranks over the run, so a run of more than 1,024 crossings skips
-    those that cannot beat its floor: of the full mesh's ~92,000
+    those that cannot beat its floor: of the whole 1e-4 mesh's ~92,000
     crossings at 500 x 500 it places ~30 %, of ~740,000 at 1491 x 1491
-    ~6 %.  It places each crossing among the run's exponents from
+    ~6 %.  The package's own searches hand it far shorter runs: the
+    grid and the plateau sweep evaluate leaves of at most 16 exponents,
+    of ~100 to ~2,000 crossings, and pass over the rest on
+    ``bound``.  It places each crossing among the run's exponents from
     the logarithms of the two points, with no search: right away on a
     run of evenly spaced exponents such as mesh points, within a few
     steps on others, and then checks the place against the rescaled

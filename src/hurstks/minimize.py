@@ -13,6 +13,7 @@ stopping bracket.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 import time
@@ -43,7 +44,7 @@ __all__ = [
 _GOLDEN = 0.3819660112501051
 
 # Lower end of the interval [_LOCAL_LO, 1] that Brent, Nelder-Mead and
-# annealing search; the grid walks its whole mesh instead.
+# annealing search; the grid searches its whole mesh instead.
 _LOCAL_LO = 1e-3
 
 # The empirical objective is a step function, so a local method can
@@ -54,7 +55,8 @@ _SWEEP_GAP = 150
 
 # Number of sweep cells nearest the walk's front that are evaluated,
 # in one call to the tracker's ``many``, when the objective's bound
-# fails to rule out the whole look-ahead.
+# fails to rule out the whole look-ahead; also the longest run of mesh
+# cells that the grid evaluates rather than halves.
 _SWEEP_LEAF = 16
 
 # Brent and Nelder-Mead first evaluate this many evenly spaced points
@@ -265,10 +267,36 @@ def _mesh(step: float, lo: float = 0.0) -> range:
 
 
 def _grid(tracker: _Tracker, config: OptimizerConfig) -> None:
-    # One cell past the budget, so that a mesh longer than the budget
-    # ends unconverged.
-    ks = _mesh(config.grid_step)[: config.max_evals + 1]
-    tracker.many(_cells(ks, config.grid_step))
+    # Best-first branch and bound over runs [lo, hi) of mesh indices,
+    # least (bound, lo) first.  The objective's bound is at most its
+    # value at every cell of a run, so a run whose (bound, first cell)
+    # is not below the best (value, exponent) pair can neither beat the
+    # best nor tie it further left: its cells are counted, not
+    # evaluated.  A NaN bound compares false and rules out nothing.  A
+    # run of at most _SWEEP_LEAF cells is evaluated, a longer one
+    # halved, so the best pair ends as the mesh's least, as one call per
+    # cell would find it.  Without a bound of its own every run reads
+    # -inf, and the cells are called in mesh order.
+    step, mesh = config.grid_step, _mesh(config.grid_step)
+    ks = mesh[: config.max_evals]
+    # Nothing can be ruled out before the first leaf: no bound for the mesh.
+    heap = [(-math.inf, ks.start, ks.stop)]
+
+    def push(lo: int, hi: int) -> None:
+        heapq.heappush(heap, (tracker.bound(_cell(lo, step), _cell(hi - 1, step)), lo, hi))
+
+    while heap:
+        bound, lo, hi = heapq.heappop(heap)
+        if (bound, _cell(lo, step)) >= (tracker.best_f, tracker.best_h):
+            tracker.skip(hi - lo)
+        elif hi - lo <= _SWEEP_LEAF:
+            tracker.many(_cells(range(lo, hi), step))
+        else:
+            push(lo, (lo + hi) // 2)
+            push((lo + hi) // 2, hi)
+    # A mesh longer than the budget ends unconverged.
+    if len(mesh) > len(ks):
+        tracker.skip(1)
 
 
 def _brent_core(f: _Tracker, lo: float, hi: float) -> None:
@@ -469,9 +497,18 @@ def minimize_scalar(
     returns that point with ``converged`` off.
 
     ``"grid"``
-        Exhaustive search on the mesh ``{step, 2*step, ..., 1}``.  The
-        number of evaluations is exactly ``floor(1 / grid_step)``,
-        unless the budget runs out first.
+        The least point of the mesh ``{step, 2*step, ..., 1}``, found
+        by best-first branch and bound over runs of mesh cells.  A run
+        whose ``bound`` (see :func:`~hurstks.ksdist.scaled_diameter_fn`)
+        shows it holds no better point is passed over, a run of at most
+        16 cells is evaluated in one ``many`` call, and a longer one is
+        halved.  Its report is the exhaustive search's, bit for bit,
+        but for the wall time, and every cell counts: the number of
+        evaluations is exactly
+        ``floor(1 / grid_step)``, unless the budget runs out first, in
+        which case only the first ``max_evals`` cells are searched.  An
+        objective without ``bound`` is called at every cell, in mesh
+        order.
     ``"brent"``
         Golden section with parabolic interpolation.
     ``"nelder_mead"``

@@ -122,6 +122,62 @@ class TestGridSearch:
         r = minimize_scalar(quad, OptimizerConfig(method="grid", grid_step=1e-3))
         assert r.delta_min == quad(r.h_hat)
 
+    @pytest.mark.parametrize("budget", [1, 50, 10_000])
+    def test_plain_callable_is_called_in_mesh_order(self, budget):
+        # With no bound to rank runs by, the search calls every cell
+        # once, in mesh order, smallest first.
+        calls = []
+
+        def plain(h):
+            calls.append(h)
+            return quad(h)
+
+        minimize_scalar(plain, OptimizerConfig(method="grid", grid_step=1e-3, max_evals=budget))
+        assert calls == [_cell(k, 1e-3) for k in _mesh(1e-3)[:budget]]
+
+    def test_tie_left_of_an_earlier_find_still_wins(self):
+        # Zero on the cells 30 .. 70 of the 1/100 mesh and one elsewhere,
+        # with a bound that is exact on the left half of the mesh and one
+        # too low on the right half.  The search finds a zero right of
+        # 0.5 first; a left run whose bound only ties that value may
+        # still hold a zero further left, so it is not passed over.
+        class Plateau:
+            def __call__(self, h):
+                return 0.0 if 0.295 < h < 0.705 else 1.0
+
+            def bound(self, h_first, h_last):
+                touches = h_first < 0.705 and h_last > 0.295
+                return (0.0 if touches else 1.0) - (h_last > 0.5)
+
+        config = OptimizerConfig(method="grid", grid_step=1e-2)
+        got = minimize_scalar(Plateau(), config)
+        assert (got.h_hat, got.delta_min) == (_cell(30, 1e-2), 0.0)
+        want = minimize_scalar(lambda h: Plateau()(h), config)
+        assert replace(got, wall_time_s=0.0) == replace(want, wall_time_s=0.0)
+
+    @pytest.mark.parametrize("offset", [math.inf, math.nan], ids=["-inf", "nan"])
+    def test_bound_that_rules_out_nothing_walks_the_whole_mesh(self, offset):
+        # A bound of -inf or NaN passes over no run, so every cell is
+        # computed, in leaves, and the report is the per-cell walk's.
+        frozen = _golden_objective(0.5)
+        counted = _CountingObjective(_WeakBound(frozen, [offset]))
+        config = OptimizerConfig(method="grid", grid_step=1e-3)
+        got = minimize_scalar(counted, config)
+        want = minimize_scalar(lambda h: frozen(h), config)
+        assert counted.rows == 1000
+        assert max(counted.many_runs) <= minimize._SWEEP_LEAF
+        assert replace(got, wall_time_s=0.0) == replace(want, wall_time_s=0.0)
+
+    @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
+    def test_decides_the_mesh_from_few_passes(self, hurst):
+        # The golden record's objectives: all 10**4 cells are counted,
+        # from 20 bound passes and one leaf of 10 computed cells each.
+        counted = _CountingObjective(_golden_objective(hurst))
+        report = minimize_scalar(counted, OptimizerConfig(method="grid"))
+        assert (report.evaluations, report.converged) == (10_000, True)
+        assert counted.bounds <= 30
+        assert sum(counted.many_runs) <= 2 * minimize._SWEEP_LEAF
+
 
 class TestBrent:
     def test_quadratic_interior_minimum(self):
@@ -279,10 +335,11 @@ class TestDispatch:
 
 
 class TestBlockEvaluation:
-    """Mesh runs evaluated in blocks and sweep runs passed over on the
-    objective's ``bound`` leave every report field but the wall time
-    exactly as one call per exponent would: the plain lambda below has
-    neither ``many`` nor ``bound`` and so takes the per-exponent path."""
+    """Mesh runs evaluated in blocks and grid and sweep runs passed over
+    on the objective's ``bound`` leave every report field but the wall
+    time exactly as one call per exponent would: the plain lambda below
+    has neither ``many`` nor ``bound`` and so takes the per-exponent
+    path."""
 
     @staticmethod
     def _same_report(frozen, config):
@@ -296,7 +353,7 @@ class TestBlockEvaluation:
         st.lists(st.integers(-6, 6), min_size=2, max_size=50),
         st.sampled_from([2, 10, 50]),
         st.sampled_from(METHODS),
-        st.sampled_from([1e-4, 1e-3, 1e-2]),
+        st.sampled_from([1e-4, 1e-3, 1e-2, 0.07, 1 / 3]),
         st.sampled_from([1, 49, 50, 51, 200, 10_000]),
     )
     @settings(max_examples=150, deadline=None)
@@ -473,12 +530,13 @@ class _WeakBound:
 
 
 class TestBoundStrength:
-    """The sweep's report does not depend on how strong the bound is:
-    a run the bound passes over holds no cell the walk would keep, so
-    a weaker bound only makes the sweep compute cells it could skip."""
+    """The grid's and the sweep's reports do not depend on how strong
+    the bound is: a run the bound passes over holds no cell the search
+    would keep, so a weaker bound only makes it compute cells it could
+    skip."""
 
     @given(
-        st.sampled_from(["brent", "nelder_mead", "simulated_annealing"]),
+        st.sampled_from(METHODS),
         st.one_of(st.integers(1, 700), st.just(10_000)),
         st.lists(st.one_of(st.floats(0.0, 1.0), st.just(math.inf)), min_size=1, max_size=20),
     )
