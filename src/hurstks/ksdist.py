@@ -70,42 +70,20 @@ class RescaledPair:
 
 # Most crossing events one sweep piece, counted as it expands them, or
 # products one ranked piece, may hold; it also bounds every temporary of
-# the piece, about a hundred bytes per event.  Of 2**11 .. 2**15, 2**13
-# was fastest on the full mesh at 500 x 500 and 1491 x 1491.  Re-timed
-# with pruning on (12 objectives per shape, medians of 5 rounds), 2**13
-# still was at 500 x 500 (3.9 ms, against 5.0 at 2**12 and 4.7 at
-# 2**14), but 2**14 was faster at 1491 x 1491 (12.4 ms against 18.1).
-# Those were full-mesh runs, which the package no longer makes: the
-# grid and the plateau sweep hand many leaves of at most 16 cells, of
-# ~140 / ~970 crossing events (grid) and ~240 / ~1,600 (sweep) at 500 x
-# 500 / 1491 x 1491, none above ~2,000, so no budget in that range
-# splits them.  It stays for longer runs from outside callers, and so
-# that the ranked pieces of least keep their memory.
+# the piece, about a hundred bytes per event.  The package's own runs,
+# the grid's and the plateau sweep's leaves of at most 16 cells, hold at
+# most ~2,000 events, so it bounds only the memory of longer runs from
+# outside callers and of the ranked pieces of least.
 _SWEEP_EVENTS = 1 << 13
 
 # Crossing events per product above which a run, or a piece of one, is
-# ranked row by row instead of swept.  Timed against rows on two pairs
-# at each of 500 x 500 and 1491 x 1491 before pruning (medians of 9 ..
-# 15), the two cost the same at 0.34 .. 0.39 events per product on whole
-# runs of 150 .. 3,000 exponents over [1e-3, 1] and on 300-cell meshes.
-# Counted in kept events, with pruning on (the same runs and meshes of
-# steps 1e-3 .. 1e-2, minima of 5), they cost the same at ~0.7 at 500 x
-# 500 and ~0.9 at 1491 x 1491; at 0.35 the sweep took 0.35 .. 0.5 of the
-# time of rows, at 1.0 0.9 .. 1.2 times it.  No run the package makes
-# comes near: its densest, the grid's and the plateau sweep's leaves at
-# 1491 x 1491, hold at most ~0.08 before pruning.
+# ranked row by row instead of swept.  Counted in kept events, on whole
+# runs of 150 .. 3,000 exponents over [1e-3, 1] and on meshes of steps
+# 1e-3 .. 1e-2 (minima of 5), the two cost the same at ~0.7 at 500 x
+# 500 and ~0.9 at 1491 x 1491; at 0.35 the sweep took 0.35 .. 0.5 of
+# the time of rows, at 1.0 0.9 .. 1.2 times it.  The package's own
+# leaves hold at most ~0.08 even before pruning.
 _SWEEP_PER_PRODUCT = 0.6
-
-# Crossing events above which a sweep expands only the events that may
-# beat the run's floor (see _SortedPair.kept); its few passes over the
-# m columns cost more than they save on a run of fewer.  On 1e-4 mesh
-# runs of 8 .. 64 cells at 36 places per shape (minima of 9, alternated),
-# pruning broke even at ~700 .. 1,000 events at 500 x 500 and ~800 ..
-# 1,200 at 1491 x 1491.  It cost ~15 us more on a 16-cell plateau-sweep
-# leaf at 500 x 500 (~230 events), and saved ~19 us on one at 1491 x
-# 1491 (~1,650 events).  Such leaves, and the grid's 10-cell ones
-# (~140 / ~970 events), are all the runs the package itself sweeps.
-_PRUNE_EVENTS = 1 << 10
 
 
 class _SortedPair:
@@ -115,15 +93,10 @@ class _SortedPair:
     # of b, looks its quotients up in.  F at rank r is
     # frac[r] = r / n; G at the right and left limit of its j-th jump,
     # j = 0 .. m-1, is up_base[j] = (j+1) / m and dn_base[j] = j / m.
-    # negative counts the points of b below zero.  log_a and log_b are
-    # log|a| and log|b|, from which sweep guesses where a product meets a
-    # fine point; a zero reads -745, below the log of any nonzero float.
+    # negative counts the points of b below zero.
 
     def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
         self.a, self.b = a, b
-        self.log_a, self.log_b = (
-            np.log(np.abs(x), out=np.full(x.size, -745.0), where=x != 0.0) for x in (a, b)
-        )
         self.negative = int(b.searchsorted(0.0))
         self.frac = np.arange(a.size + 1) / a.size
         bases = np.arange(b.size + 1) / b.size
@@ -217,22 +190,18 @@ class _SortedPair:
         # The outer-rank statistic, floor, is thus a lower bound at every
         # cell, and out starts there.  An event whose up and dn terms are
         # both at most floor never sets a cell's maximum, whichever of
-        # them is in force, and max is exact; so a run of more than
-        # _PRUNE_EVENTS events expands only the events kept, those whose
-        # terms may beat floor, and every value stays bit for bit.  The
-        # budgets below count kept events, so that each piece of a split
-        # run bounds its own, narrower run by its own, higher floor.
+        # them is in force, and max is exact; so only the events kept,
+        # those whose terms may beat floor, are expanded, and every value
+        # stays bit for bit.  The budgets below count kept events, so that
+        # each piece of a split run bounds its own, narrower run by its
+        # own, higher floor.
         a, b, k = self.a, self.b, scales.size
         first, last = b * scales[0], b * scales[-1]
         right, left = self.outer_ranks(first, last)
         floor = float(self.statistic(right, left))
         # A product that never moves crosses no fine point.
-        width = (right - left) * (first != last)
-        starts, stride = left, 1
+        starts, width = self.kept(left, left + (right - left) * (first != last), floor)
         events = int(width.sum())
-        if events > _PRUNE_EVENTS:
-            starts, width = self.kept(left, left + width, floor)
-            stride, events = 2, int(width.sum())
         if events > _SWEEP_PER_PRODUCT * k * b.size:
             # Windows so wide that ranking every product costs less.
             return self.rows(scales)
@@ -242,39 +211,27 @@ class _SortedPair:
         out = np.full(k, floor)
         if not events:
             return out
-        # Segment s holds events of column s // stride, from starts[s] on;
-        # the columns stay in order, so those of b < 0 still come first.
+        # Segment s holds events of column s // 2, from starts[s] on; the
+        # columns stay in order, so those of b < 0 still come first.
         segs = width.nonzero()[0]
         w = width[segs]
-        col = np.repeat(segs // stride, w)
+        col = np.repeat(segs // 2, w)
         i = np.arange(events) + np.repeat(starts[segs] - (np.cumsum(w) - w), w)
         # With b_j < 0 the product falls as s grows: -(b_j s) = |b_j| s
         # exactly, so both signs ask for the first cell where |b_j| s
         # reaches target = +-a_i, "cell" with >= and "past" with >.  The
         # columns of b < 0 come first, so their events are the first down.
-        down = int(width[: stride * self.negative].sum())
+        down = int(width[: 2 * self.negative].sum())
         target, mult = a[i], b[col]
         np.negative(target[:down], out=target[:down])
         np.negative(mult[:down], out=mult[:down])
         # An event's window point has the sign of b_j, or is zero, so its
-        # cell is about the first whose log-scale reaches log|a_i| -
-        # log|b_j|.  The log-scales' range is cut into k buckets of equal
-        # width, and an event's guess is the first cell at or above the
-        # lower edge of its log-quotient's bucket, moved up one cell if
-        # that cell's log-scale falls short of the log-quotient.  A run of
-        # mesh cells, whose log-scales are evenly spaced, has at most one
-        # cell per bucket, so the guess is exact up to rounding.  The
-        # loops then step each guess to the exact cell, however far off
-        # rounding or an uneven run leaves it.  (An edge that rounds past
-        # the last log-scale still finds the last cell.)
-        logs = np.log(scales)
-        span = logs[-1] - logs[0]
-        firsts = logs[:-1].searchsorted(logs[0] + np.arange(k) * (span / k))
-        quotient = self.log_a[i] - self.log_b[col]
-        bucket = (quotient - logs[0]) * (k / span if span > 0.0 else 0.0)
-        np.maximum(bucket, 0.0, out=bucket)
-        cell = firsts[np.minimum(bucket, k - 1).astype(np.intp)]
-        cell += logs[cell] < quotient
+        # cell is about the first whose scale reaches target / mult.  The
+        # window keeps that quotient within rounding of the run's largest
+        # scale, or a half above it where the product is subnormal, so it
+        # never overflows.  The loops then step each guess to the exact
+        # cell, however far off rounding leaves it.
+        cell = scales.searchsorted(target / mult)
         # fenced[c + 1] is the scale of cell c, between -inf and +inf, so
         # that the cells on either side of any c in 0 .. k read unclamped.
         fenced = np.concatenate(([-np.inf], scales, [np.inf]))
@@ -456,18 +413,14 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     such as consecutive mesh points costs little more than one call.
     The value at every exponent of the run is at least the run's
     floor, the statistic of the coarse points ranked at their outer
-    ranks over the run, so a run of more than 1,024 crossings skips
-    those that cannot beat its floor: of the whole 1e-4 mesh's ~92,000
-    crossings at 500 x 500 it places ~30 %, of ~740,000 at 1491 x 1491
-    ~6 %.  The package's own searches hand it far shorter runs: the
-    grid and the plateau sweep evaluate leaves of at most 16 exponents,
-    of ~100 to ~2,000 crossings, and pass over the rest on
-    ``bound``.  It places each crossing among the run's exponents from
-    the logarithms of the two points, with no search: right away on a
-    run of evenly spaced exponents such as mesh points, within a few
-    steps on others, and then checks the place against the rescaled
-    point itself.  A run with more than 0.6 crossings it places per
-    (exponent, point) pair ranks every rescaled point instead.
+    ranks over the run, so it skips the crossings that cannot beat
+    that floor.  The package's own searches hand it leaves of at most
+    16 exponents, of ~100 to ~2,000 crossings, and pass over the rest
+    on ``bound``.  It places each crossing it keeps by searching the
+    run's scales for the quotient of the two points, then checks the
+    place against the rescaled point itself.  A run with more than
+    0.6 kept crossings per (exponent, point) pair ranks every
+    rescaled point instead.
     Its ``least(hursts)`` method returns an array like ``many``'s for
     a run of which only the least value is wanted: ``many``'s value,
     bit for bit, at every exponent that may hold the least, and

@@ -368,21 +368,21 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
     # and none can become the tracker's best, since the running
     # minimum is never below the best value, and a right-walk cell
     # that ties it lies right of the best point (the anchors bracket
-    # the incumbent).  Otherwise its nearest _SWEEP_LEAF cells are
-    # evaluated in one tracker call, and the next look-ahead starts
-    # after them.
+    # the incumbent).  A NaN bound compares false and rules out
+    # nothing.  Otherwise its nearest _SWEEP_LEAF cells are evaluated
+    # in one tracker call, and the next look-ahead starts after them.
     if not math.isfinite(tracker.best_h):
         return
     ks = _mesh(step, _LOCAL_LO)
     kf = int(math.floor(tracker.best_h / step))
     anchors = [k for k in (kf, kf + 1) if k in ks] or [min(max(kf, ks[0]), ks[-1])]
     f0, k0 = min((tracker(_cell(k, step)), k) for k in anchors)
-    for way, keeps in ((-1, operator.le), (1, operator.lt)):
+    for way, keeps, beyond in ((-1, operator.le, operator.gt), (1, operator.lt, operator.ge)):
         cur, gap, k = f0, 0, k0 + way
         while k in ks and gap <= _SWEEP_GAP:
             last = min(max(k + way * (_SWEEP_GAP - gap), ks[0]), ks[-1])
             ahead = range(k, last + way, way)
-            if not keeps(tracker.bound(_cell(k, step), _cell(last, step)), cur):
+            if beyond(tracker.bound(_cell(k, step), _cell(last, step)), cur):
                 tracker.skip(len(ahead))
                 gap, k = gap + len(ahead), ahead.stop
                 continue

@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hurstks.fgn import FgnSpec, IncrementSample, increments, simulate_fbm
@@ -449,6 +449,17 @@ coarse_with_zeros = st.lists(
     st.one_of(st.integers(-8, 8).map(float), st.just(-0.0)), min_size=2, max_size=60
 )
 
+# -9 .. 9 times 1e-320 (subnormal), 1e-300, 1 or 1e300.
+extreme_values = st.lists(
+    st.builds(
+        lambda digit, power: digit * 10.0**power,
+        st.integers(-9, 9),
+        st.sampled_from([-320, -300, 0, 300]),
+    ),
+    min_size=2,
+    max_size=60,
+)
+
 
 def _simulated_pair(hurst, seed):
     # A 500 x 500 pair as estimate_hurst draws it from a 4097-point path.
@@ -464,7 +475,7 @@ def _simulated_pair(hurst, seed):
 # The lines of the sweep's fix-up loops that move guesses, and the
 # line that makes the guesses.
 _FIX_UP_LINES = ("cell -= behind", "cell += ahead")
-_GUESS_LINE = "cell += logs[cell] < quotient"
+_GUESS_LINE = "cell = scales.searchsorted(target / mult)"
 
 
 def _fix_up_steps(run):
@@ -530,9 +541,8 @@ class TestBlockEvaluation:
     def test_mesh_run_matches_per_exponent_calls(
         self, xs, coarse, a_max, step, k0, length, backwards, removed, stray
     ):
-        # Rising or falling mesh runs, whose log-scales the sweep's guess
-        # expects evenly spaced; cells taken out, or one exponent off the
-        # mesh, leave buckets empty or doubly held for the fix-up loops.
+        # Rising or falling mesh runs, with cells taken out or one
+        # exponent off the mesh.
         assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
         k0 = min(k0, int(round(1.0 / step)))
         fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
@@ -566,8 +576,8 @@ class TestBlockEvaluation:
     def test_full_mesh_on_simulated_pair(self, hurst):
         # The grid's run, rising and falling, split into pieces, eight or
         # more of which place the events they keep (a piece may keep
-        # none): a guess a cell off would cost each of them a fix-up
-        # step; rounding may cost a few.
+        # none): the quotient search puts each guess on its cell up to
+        # rounding, which may cost a few fix-up steps.
         fn = scaled_diameter_fn(_simulated_pair(hurst, seed=int(hurst * 10)))
         hs = _mesh_run(1e-4, 1, 10_000)
         assert len(hs) == 10_000
@@ -648,14 +658,12 @@ class TestBlockEvaluation:
 
         def events(hs):
             # The crossing events of a run, counted as the kernel does:
-            # above _PRUNE_EVENTS, only those that may beat its floor.
+            # only those that may beat its floor.
             first, last = coarse * 50.0 ** -hs[0], coarse * 50.0 ** -hs[-1]
             right, left = kernel.outer_ranks(first, last)
-            width = (right - left) * (first != last)
-            if width.sum() > ksdist._PRUNE_EVENTS:
-                floor = float(kernel.statistic(right, left))
-                width = kernel.kept(left, left + width, floor)[1]
-            return int(width.sum())
+            end = left + (right - left) * (first != last)
+            floor = float(kernel.statistic(right, left))
+            return int(kernel.kept(left, end, floor)[1].sum())
 
         length = 2
         while events(_mesh_run(1e-4, 3000, length)) <= ksdist._SWEEP_EVENTS:
@@ -667,9 +675,36 @@ class TestBlockEvaluation:
         assert fn.many(hs).tolist() == want
         assert calls == {"sweep": 3, "ks": 0}
 
+    @given(
+        extreme_values,
+        extreme_values,
+        st.integers(2, 50),
+        st.sampled_from([(1e-4, 16), (1e-2, 100)]),
+        st.integers(1, 10_000),
+        st.integers(1, 100),
+        st.booleans(),
+    )
+    # Subnormal products that cross subnormal fine points, both ways.
+    @example([-1e-320, 1e-320, 3e-300], [2e-320, -2e-320, 1.0], 4, (1e-2, 100), 45, 10, False)
+    @example([-1e-320, 1e-320, 3e-300], [2e-320, -2e-320, 1.0], 4, (1e-2, 100), 45, 10, True)
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_magnitudes(self, xs, coarse, a_max, mesh, k0, length, backwards):
+        # Zeros, negatives and products and quotients near the ends of
+        # the float range; leaves of the 1e-4 mesh and runs of the 1e-2
+        # one, rising or falling.  The suite turns a float warning, such
+        # as an overflow, into an error.
+        assume(len(set(xs)) > 1 and len(set(coarse)) > 1)
+        step, longest = mesh
+        k0 = min(k0, int(round(1.0 / step)))
+        fn = scaled_diameter_fn(_pair(xs, coarse, a_max=a_max))
+        hs = _mesh_run(step, k0, min(length, longest))
+        if backwards:
+            hs.reverse()
+        assert fn.many(hs).tolist() == [fn(h) for h in hs]
+
     def test_sweep_on_scales_next_to_quotients(self):
-        # Scales one ulp either side of a_i / b_j, where the log-quotient
-        # the guess uses and the product it stands for round apart.
+        # Scales one ulp either side of a_i / b_j, where the quotient the
+        # guess searches for and the product it stands for round apart.
         import hurstks.ksdist as ksdist
 
         rng = np.random.default_rng(0)
@@ -685,14 +720,12 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("far", [-0.05, 0.05, 0.3])
     def test_clustered_run_with_one_far_exponent(self, size, far):
         # size exponents within 1e-12 around one where a product meets a
-        # fine point, and one far off: the cluster shares a bucket, so a
-        # guess may fall short by up to its size, and the loops step it
-        # no further than that.  The crossing is the one nearest the
-        # median of the quotients in (0.1, 0.5) whose event the run
-        # keeps, since an event that cannot beat the run's floor is
-        # never placed.
-        import hurstks.ksdist as ksdist
-
+        # fine point, and one far off: at size 400 the cluster's scales
+        # lie tens of ulps apart, so the quotient search may round a
+        # cell off, yet the loops step each guess at most a cell or two.
+        # The crossing is the one nearest the median of the quotients in
+        # (0.1, 0.5) whose event the run keeps, since an event that
+        # cannot beat the run's floor is never placed.
         fn = scaled_diameter_fn(_simulated_pair(0.5, seed=5))
         kernel = fn._pair
         quotients = kernel.a[:, None] / kernel.b
@@ -706,19 +739,17 @@ class TestBlockEvaluation:
             scales = np.sort([50.0**-h for h in hs])
             first, last = kernel.b * scales[0], kernel.b * scales[-1]
             right, left = kernel.outer_ranks(first, last)
-            width = (right - left) * (first != last)
-            if width.sum() <= ksdist._PRUNE_EVENTS:
-                break
-            starts, widths = kernel.kept(left, left + width, float(kernel.statistic(right, left)))
+            end = left + (right - left) * (first != last)
+            starts, widths = kernel.kept(left, end, float(kernel.statistic(right, left)))
             segments = zip(starts[2 * j : 2 * j + 2], widths[2 * j : 2 * j + 2])
             if any(s <= i < s + w for s, w in segments):
                 break
         out, counts = _fix_up_steps(lambda: fn.many(hs))
         assert out.tolist() == [fn(h) for h in hs]
-        assert counts["steps"] <= counts["calls"] * (size + 1)
+        assert counts["steps"] <= 2 * counts["calls"]
         if size == 400 and far != 0.3:
             # Swept in one piece, the crossing sits mid-cluster.
-            assert counts["calls"] == 1 and counts["steps"] >= size // 4
+            assert counts["calls"] == counts["placed"] == 1 and counts["steps"] <= 2
 
     def test_full_mesh_memory_stays_small(self):
         fn = scaled_diameter_fn(_simulated_pair(0.5, seed=1))
@@ -830,9 +861,8 @@ class TestPruning:
         fn = scaled_diameter_fn(_pair(np.array(xs) / 4.0, coarse, a_max=a_max))
         hs = sorted(set(_mesh_run(step, k0, length) + exact), reverse=backwards)
         want = [fn(h) for h in hs]
-        with patch.object(ksdist, "_PRUNE_EVENTS", -1):
-            with patch.object(ksdist, "_SWEEP_EVENTS", budget):
-                assert fn.many(hs).tolist() == want
+        with patch.object(ksdist, "_SWEEP_EVENTS", budget):
+            assert fn.many(hs).tolist() == want
 
     def test_every_event_that_beats_the_floor_is_kept(self):
         # Random runs on tied and on continuous samples: an event i of

@@ -515,7 +515,7 @@ class TestBoundedSweep:
 class _WeakBound:
     """Forwards a frozen objective, its ``many`` and ``least``, and a
     ``bound`` weakened by each of ``offsets`` in turn: the objective's
-    own bound less the offset, which may be infinite."""
+    own bound less the offset, which may be infinite or NaN."""
 
     def __init__(self, frozen, offsets):
         self._frozen = frozen
@@ -538,7 +538,11 @@ class TestBoundStrength:
     @given(
         st.sampled_from(METHODS),
         st.one_of(st.integers(1, 700), st.just(10_000)),
-        st.lists(st.one_of(st.floats(0.0, 1.0), st.just(math.inf)), min_size=1, max_size=20),
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.just(math.inf), st.just(math.nan)),
+            min_size=1,
+            max_size=20,
+        ),
     )
     @settings(max_examples=60, deadline=None)
     def test_weakened_bound_gives_the_same_report(self, method, max_evals, offsets):
@@ -547,6 +551,49 @@ class TestBoundStrength:
         got = minimize_scalar(_WeakBound(frozen, offsets), config)
         want = minimize_scalar(frozen, config)
         assert replace(got, wall_time_s=0.0) == replace(want, wall_time_s=0.0)
+
+
+class TestKernelTraffic:
+    """Every run the searches hand the crossing sweep is a leaf the
+    sweep serves whole, so a search that hands the kernel longer runs
+    shows up here rather than in a benchmark."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sweeps_only_leaves_in_one_piece(self, method, monkeypatch):
+        # The golden record's objectives and one analyze-shaped one: each
+        # sweep call holds at most _SWEEP_LEAF scales and, made from
+        # outside the kernel, is neither split into pieces (a sweep call
+        # from inside one) nor ranked row by row (a rows call from
+        # inside one).
+        from hurstks import ksdist
+
+        sweep, rows = ksdist._SortedPair.sweep, ksdist._SortedPair.rows
+        sizes, inside, depth = [], [], 0
+
+        def recorded_sweep(self, scales):
+            nonlocal depth
+            sizes.append(scales.size)
+            if depth:
+                inside.append("sweep")
+            depth += 1
+            try:
+                return sweep(self, scales)
+            finally:
+                depth -= 1
+
+        def recorded_rows(self, scales):
+            if depth:
+                inside.append("rows")
+            return rows(self, scales)
+
+        monkeypatch.setattr(ksdist._SortedPair, "sweep", recorded_sweep)
+        monkeypatch.setattr(ksdist._SortedPair, "rows", recorded_rows)
+        objectives = [_golden_objective(h) for h in (0.2, 0.5, 0.8)]
+        objectives.append(_frozen_objective(*_analyze_pair_plan(0))[0])
+        for frozen in objectives:
+            assert minimize_scalar(frozen, OptimizerConfig(method=method)).converged
+        assert sizes and max(sizes) <= minimize._SWEEP_LEAF
+        assert inside == []
 
 
 def _remembering_annealing(objective, config, memo):
