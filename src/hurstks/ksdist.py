@@ -73,17 +73,9 @@ class RescaledPair:
 # the piece, about a hundred bytes per event.  The package's own runs,
 # the grid's and the plateau sweep's leaves of at most 16 cells, hold at
 # most ~2,000 events, so it bounds only the memory of longer runs from
-# outside callers and of the ranked pieces of least.
+# outside callers, sparse runs with wide windows too, and of the ranked
+# pieces of least.
 _SWEEP_EVENTS = 1 << 13
-
-# Crossing events per product above which a run, or a piece of one, is
-# ranked row by row instead of swept.  Counted in kept events, on whole
-# runs of 150 .. 3,000 exponents over [1e-3, 1] and on meshes of steps
-# 1e-3 .. 1e-2 (minima of 5), the two cost the same at ~0.7 at 500 x
-# 500 and ~0.9 at 1491 x 1491; at 0.35 the sweep took 0.35 .. 0.5 of
-# the time of rows, at 1.0 0.9 .. 1.2 times it.  The package's own
-# leaves hold at most ~0.08 even before pruning.
-_SWEEP_PER_PRODUCT = 0.6
 
 
 class _SortedPair:
@@ -192,7 +184,7 @@ class _SortedPair:
         # both at most floor never sets a cell's maximum, whichever of
         # them is in force, and max is exact; so only the events kept,
         # those whose terms may beat floor, are expanded, and every value
-        # stays bit for bit.  The budgets below count kept events, so that
+        # stays bit for bit.  The budget below counts kept events, so that
         # each piece of a split run bounds its own, narrower run by its
         # own, higher floor.
         a, b, k = self.a, self.b, scales.size
@@ -202,9 +194,6 @@ class _SortedPair:
         # A product that never moves crosses no fine point.
         starts, width = self.kept(left, left + (right - left) * (first != last), floor)
         events = int(width.sum())
-        if events > _SWEEP_PER_PRODUCT * k * b.size:
-            # Windows so wide that ranking every product costs less.
-            return self.rows(scales)
         if events > _SWEEP_EVENTS:
             pieces = min(math.ceil(events / _SWEEP_EVENTS), k)
             return np.concatenate([self.sweep(part) for part in np.array_split(scales, pieces)])
@@ -418,9 +407,7 @@ def scaled_diameter_fn(pair: RescaledPair) -> Callable[[float], float]:
     16 exponents, of ~100 to ~2,000 crossings, and pass over the rest
     on ``bound``.  It places each crossing it keeps by searching the
     run's scales for the quotient of the two points, then checks the
-    place against the rescaled point itself.  A run with more than
-    0.6 kept crossings per (exponent, point) pair ranks every
-    rescaled point instead.
+    place against the rescaled point itself.
     Its ``least(hursts)`` method returns an array like ``many``'s for
     a run of which only the least value is wanted: ``many``'s value,
     bit for bit, at every exponent that may hold the least, and

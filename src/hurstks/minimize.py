@@ -16,6 +16,7 @@ import functools
 import heapq
 import math
 import operator
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Sequence
@@ -84,6 +85,7 @@ class OptimizerConfig:
     grid_step : float, optional
         Mesh of the grid search and of the plateau sweep that ends the
         others; it sets their resolution (local runs stop at a 1e-6 bracket).
+        In (0, 1], with at most ``sys.maxsize`` mesh cells.
     max_evals : int, optional
         Hard budget of objective evaluations.  The annealing chain runs
         for at most half of it and leaves the rest to its plateau sweep.
@@ -98,6 +100,10 @@ class OptimizerConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 < self.grid_step <= 1.0:
             raise ValueError("grid_step must lie in (0, 1]")
+        # _mesh counts floor(1 / grid_step + 1e-6) cells, which must be a
+        # finite index, at most sys.maxsize.
+        if not 1.0 / self.grid_step + 1e-6 < sys.maxsize + 1:
+            raise ValueError(f"grid_step {self.grid_step!r} gives more than sys.maxsize mesh cells")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
 
@@ -216,18 +222,13 @@ class _Tracker:
         # cells with the least non-NaN value, the smallest exponent, the
         # first if repeated; 0 if every value is NaN.
         fit = hs[: self._max - self.evaluations]
-        if run:
-            values = run(fit)
-            fs = values.tolist()
-        else:
-            fs = [self._fn(h) for h in fit]
-            values = np.array(fs, dtype=float)
+        fs = run(fit).tolist() if run else [self._fn(h) for h in fit]
         self.evaluations += len(fit)
-        least = np.fmin.reduce(values, initial=np.nan)
+        cells = [(f, h, j) for j, (f, h) in enumerate(zip(fs, fit)) if f == f]
         j = 0
-        if least == least:
-            j = min((values == least).nonzero()[0].tolist(), key=fit.__getitem__)
-            self._offer(fs[j], fit[j])
+        if cells:
+            f, h, j = min(cells)
+            self._offer(f, h)
         if len(fit) < len(hs):
             raise _Budget
         return fs, j
@@ -249,11 +250,6 @@ class _Tracker:
 
 def _cell(k: int, step: float) -> float:
     return min(k * step, 1.0)
-
-
-def _cells(ks: range, step: float) -> list[float]:
-    # _cell(k, step) for every k in ks, the same floats.
-    return np.minimum(np.arange(ks.start, ks.stop, ks.step) * step, 1.0).tolist()
 
 
 def _mesh(step: float, lo: float = 0.0) -> range:
@@ -290,7 +286,7 @@ def _grid(tracker: _Tracker, config: OptimizerConfig) -> None:
         if (bound, _cell(lo, step)) >= (tracker.best_f, tracker.best_h):
             tracker.skip(hi - lo)
         elif hi - lo <= _SWEEP_LEAF:
-            tracker.many(_cells(range(lo, hi), step))
+            tracker.many([_cell(k, step) for k in range(lo, hi)])
         else:
             push(lo, (lo + hi) // 2)
             push((lo + hi) // 2, hi)
@@ -387,7 +383,7 @@ def _plateau_sweep(tracker: _Tracker, step: float) -> None:
                 gap, k = gap + len(ahead), ahead.stop
                 continue
             leaf = ahead[:_SWEEP_LEAF]
-            for fk in tracker.many(_cells(leaf, step)):
+            for fk in tracker.many([_cell(k, step) for k in leaf]):
                 if keeps(fk, cur):
                     cur, gap = fk, 0
                 else:

@@ -108,7 +108,8 @@ class WindowConfig:
         up with the same size.  Both are at least 2: a one-value
         sample is constant.
     alpha : float
-        Level for the goodness-of-fit flag and confidence interval.
+        Level for the goodness-of-fit flag and confidence interval, in
+        (0, 1) and above about 1.1e-16, as the interval requires.
     """
 
     window_length: int = 1512
@@ -123,6 +124,8 @@ class WindowConfig:
             raise ValueError("window_length must exceed a_max + 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise ValueError(f"alpha {self.alpha!r} is too small: 1 - alpha/2 rounds to 1")
         if self.subseq is not None and not (
             2 <= self.subseq <= self.window_length - self.a_max
         ):

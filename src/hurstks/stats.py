@@ -179,7 +179,8 @@ def confidence_interval(
     a_max, n, m : int
         Coarse lag and sample sizes for :func:`estimator_sd`.
     alpha : float
-        Level in (0, 1).
+        Level in (0, 1), above about 1.1e-16 so that ``1 - alpha/2``
+        rounds below 1.
 
     Returns
     -------
@@ -188,6 +189,8 @@ def confidence_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
     half = normal_quantile(1.0 - alpha / 2.0) * estimator_sd(a_max, n, m)
     return (max(h_hat - half, 0.0), min(h_hat + half, 1.0))
 

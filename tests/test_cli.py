@@ -418,8 +418,13 @@ class TestAnalyze:
             "a_max = 10\nwindow_length = 11",
             "line 2: a_max, line 3: window_length: window_length must exceed a_max + 1",
         ),
+        (
+            "grid_step = 1e-20",
+            "line 2: grid_step: grid_step 1e-20 gives more than sys.maxsize mesh cells",
+        ),
+        ("alpha = 1e-17", "line 2: alpha: alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"),
     ], ids=["a_max", "optimizer", "perm_scheme", "tolerance", "seed", "window", "subseq",
-            "one-increment-window"])
+            "one-increment-window", "grid_step", "tiny-alpha"])
     def test_manifest_value_out_of_range_names_line_and_key(
         self, tmp_path, capsys, lines, message
     ):
@@ -780,6 +785,48 @@ def test_one_value_sample_is_an_input_error(
     assert err.startswith("error: ") and message in err
     assert stdout == ""
     assert not out.exists()
+
+
+# Settings that lie in their stated ranges but past what a float or an
+# index can carry: a mesh of more than sys.maxsize cells, or an alpha
+# so small that 1 - alpha/2 rounds to 1 and the interval has no quantile.
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("estimate", ["--grid-step", "1e-20"], "grid_step 1e-20 gives more than sys.maxsize mesh cells"),
+        ("estimate", ["--grid-step", "5e-324"], "grid_step 5e-324 gives more than sys.maxsize mesh cells"),
+        ("analyze", ["--grid-step", "1e-20"], "grid_step 1e-20 gives more than sys.maxsize mesh cells"),
+        ("analyze", ["--alpha", "1e-17"], "alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"),
+    ],
+    ids=["estimate-step", "estimate-subnormal-step", "analyze-step", "analyze-alpha"],
+)
+def test_settings_past_float_range_fail_before_any_estimate(
+    tmp_path, capsys, monkeypatch, command, flags, message
+):
+    monkeypatch.setattr(cli, "estimate_hurst", _no_work)
+    monkeypatch.setattr(cli, "run_static_analysis", _no_work)
+    out = tmp_path / "out"
+    argv = [command, *flags, "--optimizer", "grid", "--input-scale", "level"]
+    argv += ["--input", _level_csv(tmp_path, "v.csv", 300)]
+    if command == "analyze":
+        argv += ["--out-dir", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_estimate_alpha_too_small_for_the_interval_names_alpha(tmp_path, capsys):
+    # estimate's interval rejects the level after the estimate, before
+    # anything is printed.
+    file = _level_csv(tmp_path, "v.csv", 300)
+    code, stdout, err = run(
+        capsys, "estimate", "--input", file, "--input-scale", "level", "--alpha", "1e-17"
+    )
+    assert code == 1
+    assert err == "error: alpha 1e-17 is too small: 1 - alpha/2 rounds to 1\n"
+    assert stdout == ""
 
 
 def test_estimate_subseq_above_the_coarse_sample_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -625,29 +625,18 @@ class TestBlockEvaluation:
         }
         want = {name: [fn(h) for h in hs] for name, hs in runs.items()}
         calls = _count_calls(monkeypatch, ksdist._SortedPair, "sweep", "ks")
-        shapes, counted = [], ksdist._SortedPair.ks
-
-        def ranked(self, b):
-            shapes.append(b.shape)
-            return counted(self, b)
-
-        monkeypatch.setattr(ksdist._SortedPair, "ks", ranked)
         got = {}
         for name, hs in runs.items():
             calls.update(sweep=0, ks=0)
-            shapes.clear()
             assert fn.many(hs).tolist() == want[name]
-            got[name] = dict(calls, shapes=list(shapes))
+            got[name] = dict(calls)
         # A 50-point scan of the whole interval crosses more fine points
-        # than ranking its 50 rows of products takes, so it ranks them
-        # in one 2D pass, in pieces of at most _SWEEP_EVENTS products,
-        # and makes no per-exponent kernel call; runs of the mesh go
-        # through the sweep, a long one in pieces.
-        rows = ksdist._SWEEP_EVENTS // 400
-        assert got["scan"]["sweep"] == 1
-        assert got["scan"]["shapes"] == [(min(rows, 50 - i), 400) for i in range(0, 50, rows)]
+        # than one piece may hold, so it is swept in pieces, as the long
+        # run of the 1e-3 mesh is; no run makes a per-exponent kernel
+        # call.
+        assert got["scan"]["sweep"] > 2
         assert got["mesh 1e-3"]["sweep"] > 2
-        assert got["mesh 1e-4"]["ks"] == got["mesh 1e-3"]["ks"] == 0
+        assert all(counts["ks"] == 0 for counts in got.values())
 
     def test_run_just_over_the_event_budget_crosses_one_boundary(self, monkeypatch):
         import hurstks.ksdist as ksdist
@@ -776,18 +765,20 @@ class TestBlockEvaluation:
                 a_max=21,
             )
         )
-        # About the widest run of [1e-3, 1] that still ranks every
-        # product: 400 rows of 1491, 4.8 MB per array if formed at once.
+        # A wide run of [1e-3, 1]: 400 rows of 1491, 4.8 MB per array if
+        # its products were formed at once.  It is swept in pieces of at
+        # most _SWEEP_EVENTS events each, with no per-exponent call.
         hs = np.linspace(1e-3, 1.0, 400).tolist()
-        fn.many(hs)
-        calls = _count_calls(monkeypatch, ksdist._SortedPair, "ks")
+        want = [fn(h) for h in hs]
+        calls = _count_calls(monkeypatch, ksdist._SortedPair, "sweep", "ks")
         tracemalloc.start()
         try:
-            fn.many(hs)
+            got = fn.many(hs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls["ks"] == math.ceil(400 / (ksdist._SWEEP_EVENTS // 1491))
+        assert got.tolist() == want
+        assert calls["sweep"] > 1 and calls["ks"] == 0
         assert peak < 1_000_000
 
     @given(

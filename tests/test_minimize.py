@@ -27,7 +27,7 @@ from hurstks.minimize import (
     write_bench_csv,
 )
 from hurstks import minimize
-from hurstks.minimize import _cell, _cells, _frozen_objective, _mesh
+from hurstks.minimize import _cell, _frozen_objective, _mesh
 from hurstks.permute import PermutationPlan
 from hurstks.stats import estimator_sd
 
@@ -46,10 +46,23 @@ class TestConfig:
         {"grid_step": 0.0},
         {"grid_step": 1.5},
         {"max_evals": 0},
+        # floor(1 / step) cells would not fit a range's length, or
+        # 1 / step is infinite.
+        {"grid_step": 1e-20},
+        {"grid_step": 2.0**-63},
+        {"grid_step": 5e-324},
     ])
     def test_field_validation(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    def test_mesh_that_fits_an_index_runs_out_of_budget(self):
+        # Meshes of 2**62 and 10**18 cells fit an index: the grid
+        # searches the first max_evals cells and ends unconverged.
+        assert OptimizerConfig(grid_step=2.0**-62).grid_step == 2.0**-62
+        config = OptimizerConfig(method="grid", grid_step=1e-18, max_evals=100)
+        r = minimize_scalar(lambda h: -h, config)
+        assert (r.evaluations, r.converged, r.h_hat) == (100, False, _cell(100, 1e-18))
 
 
 class TestGridSearch:
@@ -89,13 +102,6 @@ class TestGridSearch:
         assert _mesh(1e-4, 1e-3) == range(10, 10_001)
         assert _mesh(0.07, 1e-3) == range(1, 15)
         assert _mesh(1 / (10 - 5e-7), 1e-3) == range(1, 11)
-
-    @pytest.mark.parametrize("step", [1e-4, 1e-2, 0.07, 1 / 3, 1 / (10 - 5e-7)])
-    def test_cells_are_the_single_cells(self, step):
-        # The array form of the mesh gives the floats of min(k * step, 1),
-        # in either direction.
-        for ks in (_mesh(step), _mesh(step, 1e-3)[::-1], range(3, 0, -1)):
-            assert _cells(ks, step) == [_cell(k, step) for k in ks]
 
     def test_nan_values_never_win(self):
         # A NaN value is never the best point, also where it leads the run.
@@ -562,38 +568,30 @@ class TestKernelTraffic:
     def test_sweeps_only_leaves_in_one_piece(self, method, monkeypatch):
         # The golden record's objectives and one analyze-shaped one: each
         # sweep call holds at most _SWEEP_LEAF scales and, made from
-        # outside the kernel, is neither split into pieces (a sweep call
-        # from inside one) nor ranked row by row (a rows call from
-        # inside one).
+        # outside the kernel, is never split into pieces (a sweep call
+        # from inside one).
         from hurstks import ksdist
 
-        sweep, rows = ksdist._SortedPair.sweep, ksdist._SortedPair.rows
-        sizes, inside, depth = [], [], 0
+        sweep = ksdist._SortedPair.sweep
+        sizes, inside, depth = [], 0, 0
 
         def recorded_sweep(self, scales):
-            nonlocal depth
+            nonlocal inside, depth
             sizes.append(scales.size)
-            if depth:
-                inside.append("sweep")
+            inside += depth > 0
             depth += 1
             try:
                 return sweep(self, scales)
             finally:
                 depth -= 1
 
-        def recorded_rows(self, scales):
-            if depth:
-                inside.append("rows")
-            return rows(self, scales)
-
         monkeypatch.setattr(ksdist._SortedPair, "sweep", recorded_sweep)
-        monkeypatch.setattr(ksdist._SortedPair, "rows", recorded_rows)
         objectives = [_golden_objective(h) for h in (0.2, 0.5, 0.8)]
         objectives.append(_frozen_objective(*_analyze_pair_plan(0))[0])
         for frozen in objectives:
             assert minimize_scalar(frozen, OptimizerConfig(method=method)).converged
         assert sizes and max(sizes) <= minimize._SWEEP_LEAF
-        assert inside == []
+        assert inside == 0
 
 
 def _remembering_annealing(objective, config, memo):

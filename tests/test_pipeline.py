@@ -479,6 +479,9 @@ class TestWindowConfig:
         # A one-value sample is constant.
         {"subseq": 1},
         {"window_length": 22, "a_max": 21},
+        # 1 - alpha/2 rounds to 1: the interval has no quantile.
+        {"alpha": 1e-17},
+        {"alpha": 2.0**-53},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

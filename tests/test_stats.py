@@ -88,10 +88,12 @@ class TestConfidenceInterval:
         assert lo == 0.0
         assert hi == 1.0
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
+    # At 2**-53 and below, 1 - alpha/2 rounds to 1 and has no quantile.
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1e-17, 2.0**-53])
     def test_alpha_domain(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             confidence_interval(0.5, *REF, alpha=alpha)
+        assert confidence_interval(0.5, *REF, alpha=2.0**-52) == (0.0, 1.0)
 
     def test_tighter_alpha_widens(self):
         narrow = confidence_interval(0.5, *REF, alpha=0.32)
