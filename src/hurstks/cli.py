@@ -37,7 +37,7 @@ from hurstks.pipeline import (
     parse_manifest,
     run_static_analysis,
 )
-from hurstks.stats import confidence_interval, estimator_sd
+from hurstks.stats import check_alpha, confidence_interval, estimator_sd
 
 __all__ = ["main"]
 
@@ -180,6 +180,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # A one-value sample is constant, so both samples need two values.
     if args.subseq is not None and args.subseq < 2:
         raise CsvFormatError("--subseq must be at least 2")
+    check_alpha(args.alpha)
     path = load_series(args.input, value_scale=args.input_scale).path
     if len(path) < args.amax + 2:
         raise CsvFormatError(

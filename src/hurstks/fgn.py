@@ -166,7 +166,8 @@ def embedding_eigenvalues(hurst: float, n_increments: int) -> tuple[np.ndarray, 
     two_h = 2.0 * hurst
     cov = 0.5 * ((q + 1.0) ** two_h - 2.0 * q**two_h + np.abs(q - 1.0) ** two_h)
     row = np.concatenate([cov, cov[-2:0:-1]])
-    eigs = np.fft.fft(row).real
+    spectrum = row.astype(complex)
+    eigs = np.fft.fft(spectrum, out=spectrum).real
     return row, eigs
 
 
@@ -175,13 +176,16 @@ def _embedding_weights(hurst: float, n_increments: int) -> np.ndarray:
     # sqrt(eigs / size) of the embedding, shared by every path of one
     # (hurst, n_increments), hence read-only.  A Monte Carlo run
     # simulates many paths of one shape; a raised EmbeddingError is
-    # not cached.  At 2**18 increments one entry holds 4 MB.
+    # not cached.  At 2**18 increments one entry holds 4 MiB, so the
+    # worst case is eight such entries, 32 MiB.
     _, eigs = embedding_eigenvalues(hurst, n_increments)
     if eigs.min() < -_EIG_TOL:
         raise EmbeddingError(
             f"embedding eigenvalue {eigs.min():.3e} below -{_EIG_TOL:.0e}"
         )
-    weights = np.sqrt(np.clip(eigs, 0.0, None) / eigs.size)
+    weights = np.clip(eigs, 0.0, None)
+    weights /= weights.size
+    np.sqrt(weights, out=weights)
     weights.flags.writeable = False
     return weights
 
@@ -195,7 +199,10 @@ def simulate_fbm(spec: FgnSpec) -> Path:
     sum of the noise, prefixed with a zero.  The frequency-domain
     weights depend only on the exponent and the length; they are
     computed once per pair and kept for the last eight pairs, so
-    repeated shapes draw the same paths at less cost.
+    repeated shapes draw the same paths at less cost.  The weighted
+    normals are formed in one complex array, which the FFT transforms
+    in place: besides the normals and the path, a call holds one
+    complex spectrum and the FFT's own scratch.
 
     Parameters
     ----------
@@ -220,8 +227,13 @@ def simulate_fbm(spec: FgnSpec) -> Path:
     # Draw order is part of the reproducibility contract: first the
     # real array, then the imaginary one.
     z = rng.standard_normal((2, weights.size))
-    freq = weights * (z[0] + 1j * z[1])
-    noise = spec.scale * np.fft.fft(freq).real[:n_inc]
+    # weights * (z[0] + 1j * z[1]) bit for bit (no weight is 0), built
+    # without the product's complex temporaries.
+    freq = np.empty(weights.size, dtype=complex)
+    np.multiply(weights, z[0], out=freq.real)
+    np.multiply(weights, z[1], out=freq.imag)
+    del z
+    noise = spec.scale * np.fft.fft(freq, out=freq).real[:n_inc]
     path = np.empty(spec.length)
     path[0] = 0.0
     np.cumsum(noise, out=path[1:])

@@ -33,6 +33,7 @@ from hurstks.permute import DegenerateSampleError, PermutationPlan
 from hurstks.stats import (
     AggregateReport,
     aggregate_windows,
+    check_alpha,
     confidence_interval,
     estimator_sd,
     z_test_means,
@@ -108,8 +109,8 @@ class WindowConfig:
         up with the same size.  Both are at least 2: a one-value
         sample is constant.
     alpha : float
-        Level for the goodness-of-fit flag and confidence interval, in
-        (0, 1) and above about 1.1e-16, as the interval requires.
+        Level for the goodness-of-fit flag and confidence interval, as
+        :func:`hurstks.stats.check_alpha` accepts it.
     """
 
     window_length: int = 1512
@@ -122,10 +123,7 @@ class WindowConfig:
             raise ValueError("a_max must exceed 1")
         if self.window_length <= self.a_max + 1:
             raise ValueError("window_length must exceed a_max + 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if 1.0 - self.alpha / 2.0 == 1.0:
-            raise ValueError(f"alpha {self.alpha!r} is too small: 1 - alpha/2 rounds to 1")
+        check_alpha(self.alpha)
         if self.subseq is not None and not (
             2 <= self.subseq <= self.window_length - self.a_max
         ):

@@ -24,6 +24,7 @@ __all__ = [
     "VarianceOrderingSpec",
     "VarianceOrderingReport",
     "estimator_sd",
+    "check_alpha",
     "confidence_interval",
     "chi2_constancy",
     "z_test_means",
@@ -164,6 +165,18 @@ def estimator_sd(a_max: int, n: int, m: int) -> float:
     return base * (1.0 / math.sqrt(n) + 1.0 / math.sqrt(m))
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a level for which :func:`confidence_interval` has no quantile.
+
+    ``alpha`` must lie in (0, 1) and above about 1.1e-16, so that
+    ``1 - alpha/2`` rounds below 1.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
+
+
 def confidence_interval(
     h_hat: float, a_max: int, n: int, m: int, alpha: float = 0.05
 ) -> tuple[float, float]:
@@ -179,18 +192,14 @@ def confidence_interval(
     a_max, n, m : int
         Coarse lag and sample sizes for :func:`estimator_sd`.
     alpha : float
-        Level in (0, 1), above about 1.1e-16 so that ``1 - alpha/2``
-        rounds below 1.
+        Level accepted by :func:`check_alpha`.
 
     Returns
     -------
     (float, float)
         Lower and upper endpoint, lower <= upper.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if 1.0 - alpha / 2.0 == 1.0:
-        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
+    check_alpha(alpha)
     half = normal_quantile(1.0 - alpha / 2.0) * estimator_sd(a_max, n, m)
     return (max(h_hat - half, 0.0), min(h_hat + half, 1.0))
 

@@ -797,8 +797,9 @@ def test_one_value_sample_is_an_input_error(
         ("estimate", ["--grid-step", "5e-324"], "grid_step 5e-324 gives more than sys.maxsize mesh cells"),
         ("analyze", ["--grid-step", "1e-20"], "grid_step 1e-20 gives more than sys.maxsize mesh cells"),
         ("analyze", ["--alpha", "1e-17"], "alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"),
+        ("estimate", ["--alpha", "1e-17"], "alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"),
     ],
-    ids=["estimate-step", "estimate-subnormal-step", "analyze-step", "analyze-alpha"],
+    ids=["estimate-step", "estimate-subnormal-step", "analyze-step", "analyze-alpha", "estimate-alpha"],
 )
 def test_settings_past_float_range_fail_before_any_estimate(
     tmp_path, capsys, monkeypatch, command, flags, message
@@ -817,9 +818,10 @@ def test_settings_past_float_range_fail_before_any_estimate(
     assert not out.exists()
 
 
-def test_estimate_alpha_too_small_for_the_interval_names_alpha(tmp_path, capsys):
-    # estimate's interval rejects the level after the estimate, before
-    # anything is printed.
+def test_estimate_alpha_too_small_for_the_interval_names_alpha(tmp_path, capsys, monkeypatch):
+    # The level is rejected before the series is read, so nothing is
+    # printed.
+    monkeypatch.setattr(cli, "load_series", _never_read)
     file = _level_csv(tmp_path, "v.csv", 300)
     code, stdout, err = run(
         capsys, "estimate", "--input", file, "--input-scale", "level", "--alpha", "1e-17"

@@ -7,6 +7,7 @@ observed errors.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,12 +143,20 @@ class TestEmbedding:
 
 
 def _rebuilt(spec):
-    # simulate_fbm's path formed straight from embedding_eigenvalues,
-    # with no cache in between.
+    # simulate_fbm's path formed from the definition with plain,
+    # out-of-place numpy: the folded covariance row, its real FFT, the
+    # complex product of the weights and the two normal arrays.  Shares
+    # no code with fgn and has no cache.
     n_inc = spec.length - 1
-    _, eigs = embedding_eigenvalues(spec.hurst, n_inc)
-    z = np.random.default_rng(spec.seed).standard_normal((2, eigs.size))
-    freq = np.sqrt(np.clip(eigs, 0.0, None) / eigs.size) * (z[0] + 1j * z[1])
+    size = 1
+    while size < 2 * n_inc:
+        size *= 2
+    q = np.arange(size // 2 + 1, dtype=float)
+    two_h = 2.0 * spec.hurst
+    cov = 0.5 * ((q + 1.0) ** two_h - 2.0 * q**two_h + np.abs(q - 1.0) ** two_h)
+    eigs = np.fft.fft(np.concatenate([cov, cov[-2:0:-1]])).real
+    z = np.random.default_rng(spec.seed).standard_normal((2, size))
+    freq = np.sqrt(np.clip(eigs, 0.0, None) / size) * (z[0] + 1j * z[1])
     noise = spec.scale * np.fft.fft(freq).real[:n_inc]
     return np.concatenate([[0.0], np.cumsum(noise)])
 
@@ -161,7 +170,12 @@ class TestWeightCache:
         FgnSpec(hurst=0.8, length=1512, scale=0.3, seed=11),
         FgnSpec(hurst=0.35, length=2, scale=2.0, seed=7),
         FgnSpec(hurst=0.95, length=1025, seed=0),
+        FgnSpec(hurst=0.01, length=17, seed=4),
+        FgnSpec(hurst=0.99, length=4097, scale=0.3, seed=9),
     ]
+    # The benchmark's CLI shape; three of them would crowd the others
+    # out of the eight-entry cache, so they are checked on their own.
+    LONG = [FgnSpec(hurst=h, length=262_145, seed=s) for h, s in ((0.2, 1), (0.5, 2), (0.8, 3))]
 
     def test_paths_equal_the_uncached_build_on_miss_and_hit(self):
         fgn._embedding_weights.cache_clear()
@@ -178,6 +192,10 @@ class TestWeightCache:
         info = fgn._embedding_weights.cache_info()
         assert info.misses == len(self.SPECS)
         assert info.hits == 3 * len(self.SPECS)
+
+    def test_long_paths_equal_the_uncached_build(self):
+        for spec in self.LONG:
+            assert simulate_fbm(spec).values.tobytes() == _rebuilt(spec).tobytes(), spec
 
     def test_cached_weights_are_read_only(self):
         weights = fgn._embedding_weights(0.5, 16)
@@ -203,6 +221,41 @@ class TestWeightCache:
         assert fgn._embedding_weights.cache_info().currsize == 0
         monkeypatch.setattr(fgn, "embedding_eigenvalues", real)
         assert simulate_fbm(spec).values.tobytes() == _rebuilt(spec).tobytes()
+
+
+def _traced_peak(fn):
+    # Peak bytes that fn allocates through tracked allocators (numpy's
+    # array data included) above what is already held.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """At 2**18 increments the spectrum holds 2**19 complex points
+    (8 MiB); weights and simulation each hold about two of those."""
+
+    N_INC = 2**18
+    SPECTRUM = 2 * N_INC * 16
+
+    def test_cold_weights_peak(self):
+        fgn._embedding_weights.cache_clear()
+        peak = _traced_peak(lambda: fgn._embedding_weights(0.2, self.N_INC))
+        assert peak <= 2.25 * self.SPECTRUM, peak / self.SPECTRUM
+
+    def test_warm_simulation_peak(self):
+        simulate_fbm(FgnSpec(hurst=0.2, length=self.N_INC + 1, seed=1))
+        spec = FgnSpec(hurst=0.2, length=self.N_INC + 1, seed=2)
+        peak = _traced_peak(lambda: simulate_fbm(spec))
+        assert peak <= 2.25 * self.SPECTRUM, peak / self.SPECTRUM
 
 
 class TestSimulate:
