@@ -16,9 +16,10 @@ import datetime as dt
 import logging
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -118,8 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Rows per write of ``simulate``; bounds the text held in memory.
-_CHUNK_ROWS = 1 << 16
+# Rows per write of ``simulate``; bounds the text held in memory, which
+# holds each row's date and value strings and their join at once.
+_CHUNK_ROWS = 1 << 14
 
 
 @contextmanager
@@ -140,17 +142,26 @@ def _output(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _empty(fh: TextIO) -> None:
+    # Empty the file _output opened, once the command's output exists.
+    # A device or a pipe holds nothing to empty and cannot be truncated.
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate(0)
+
+
 def _date_fields(start: dt.date) -> Iterator[str]:
-    # "YYYY-MM-DD," for every day from start on: the year joined to a
-    # table of "-MM-DD," for a common or a leap year.
+    # "\r\nYYYY-MM-DD," for every day from start on: the line break that
+    # ends the row before, then the year joined to a table of "-MM-DD,"
+    # for a common or a leap year.
     tables = [
         [(jan1 + dt.timedelta(i)).isoformat()[4:] + "," for i in range(365 + leap)]
         for leap, jan1 in enumerate((dt.date(2001, 1, 1), dt.date(2000, 1, 1)))
     ]
-    day = start.timetuple().tm_yday - 1
-    for year in count(start.year):
-        yield from map(f"{year:04d}".__add__, tables[calendar.isleap(year)][day:])
-        day = 0
+    first = start.timetuple().tm_yday - 1
+    return chain.from_iterable(
+        map(f"\r\n{year:04d}".__add__, tables[calendar.isleap(year)][day:])
+        for year, day in zip(count(start.year), chain([first], repeat(0)))
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -160,16 +171,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{spec.length} daily points from {args.start_date} run past {dt.date.max}"
         )
     # The bytes csv.writer would write: CRLF rows, nothing to quote.
+    # Each chunk is one join of its date and value fields, interleaved.
     with _output(args.out) as fh:
         path = simulate_fbm(spec)
-        fh.truncate(0)
-        fh.write("date,value\r\n")
+        _empty(fh)
+        fh.write("date,value")
         dates = _date_fields(args.start_date)
         for lo in range(0, len(path), _CHUNK_ROWS):
             values = path.values[lo : lo + _CHUNK_ROWS].tolist()
-            rows = map(str.__add__, islice(dates, len(values)), map(repr, values))
-            fh.write("\r\n".join(rows))
-            fh.write("\r\n")
+            fields = [""] * (2 * len(values))
+            fields[0::2] = islice(dates, len(values))
+            fields[1::2] = map(repr, values)
+            fh.write("".join(fields))
+        fh.write("\r\n")
     print(f"wrote {len(path)} points to {args.out}")
     return 0
 
@@ -340,7 +354,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             subsample=args.subseq,
             base_seed=args.seed,
         )
-        fh.truncate(0)
+        _empty(fh)
         write_bench_csv(rows, fh)
     failures = sum(1 for r in rows if r.error)
     unconverged = sum(1 for r in rows if not (r.error or r.converged))

@@ -317,6 +317,32 @@ def _columnar(dates: list[str], values: list[str]) -> tuple[np.ndarray, np.ndarr
     # converted by C-level maps: the day ordinals and values kept, the
     # count of data rows and of those dropped for a missing or NaN
     # value.  ValueError for anything _locate_error reports.
+    # A field that fromisoformat or float takes as it stands converts as
+    # its stripped text does, so a clean chunk is converted at once; a
+    # padded field float does not take (such as "1.0\x1c"), a blank row,
+    # a missing value or an error sends the chunk to _cleaned.
+    try:
+        days = _ordinals(dates)
+        column = np.fromiter(map(float, values), float, len(values))
+        parsed = len(dates)
+    except ValueError:
+        days, column, parsed = _cleaned(dates, values)
+    if np.isinf(column).any():
+        raise ValueError("non-finite value")
+    kept = ~np.isnan(column)
+    return days[kept], column[kept], parsed, parsed - int(np.count_nonzero(kept))
+
+
+def _ordinals(dates: list[str]) -> np.ndarray:
+    return np.fromiter(
+        map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), np.int64, len(dates)
+    )
+
+
+def _cleaned(dates: list[str], values: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
+    # (days, values, parsed) of two-field rows with their fields
+    # stripped: rows whose fields are all blank are skipped, and a row
+    # with a missing value is parsed but keeps neither day nor value.
     dates = list(map(str.strip, dates))
     values = list(map(str.strip, values))
     has_value = np.fromiter(map(bool, values), bool, len(values))
@@ -324,16 +350,10 @@ def _columnar(dates: list[str], values: list[str]) -> tuple[np.ndarray, np.ndarr
     if not data.all():
         dates, values = list(compress(dates, data)), list(compress(values, data))
         has_value = has_value[data]
-    days = np.fromiter(
-        map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), np.int64, len(dates)
-    )
+    days = _ordinals(dates)
     if not has_value.all():
         days, values = days[has_value], list(compress(values, has_value))
-    column = np.fromiter(map(float, values), float, len(values))
-    if np.isinf(column).any():
-        raise ValueError("non-finite value")
-    kept = ~np.isnan(column)
-    return days[kept], column[kept], len(dates), len(dates) - int(np.count_nonzero(kept))
+    return days, np.fromiter(map(float, values), float, len(values)), len(dates)
 
 
 def _locate_error(file, line: int, records) -> None:

@@ -29,6 +29,30 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_CHUNK_EDGES = [
+    cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 3,
+    4 * cli._CHUNK_ROWS, 4 * cli._CHUNK_ROWS + 1,
+]
+
+
+def _before_chunk_edge(day: str) -> str:
+    # The start date whose second chunk opens on ``day``.
+    return (dt.date.fromisoformat(day) - dt.timedelta(days=cli._CHUNK_ROWS)).isoformat()
+
+
+def _csv_writer_bytes(length: int, first: dt.date) -> bytes:
+    # Reference for `simulate --hurst 0.3 --seed 5`: the csv.writer loop,
+    # one row per point, whose bytes the chunked writer must reproduce.
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["date", "value"])
+    values = simulate_fbm(FgnSpec(hurst=0.3, length=length, seed=5)).values
+    for k, value in enumerate(values):
+        day = dt.date.fromordinal(first.toordinal() + k)
+        writer.writerow([day.isoformat(), repr(float(value))])
+    return want.getvalue().encode()
+
+
 class TestSimulate:
     def test_writes_date_value_csv(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -63,13 +87,16 @@ class TestSimulate:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("length", [1, 2, 65536, 65537, 70000])
+    # Lengths at and beside chunk edges, and one that ends inside a
+    # chunk; the last two starts put the first chunk edge between Feb 28
+    # and Feb 29, and between Dec 31 and Jan 1.
+    @pytest.mark.parametrize("length", [1, 2, *_CHUNK_EDGES, 70000])
     @pytest.mark.parametrize(
-        "start", ["1999-12-31", "2000-02-28", "last", "0999-12-20", "1899-12-30"]
+        "start",
+        ["1999-12-31", "2000-02-28", "last", "0999-12-20", "1899-12-30",
+         *(_before_chunk_edge(day) for day in ("2004-02-29", "2001-01-01"))],
     )
     def test_bytes_match_csv_writer(self, tmp_path, capsys, length, start):
-        # Reference: the csv.writer loop, one row per point, whose bytes
-        # the chunked writer must reproduce.
         last_fit = dt.date.max - dt.timedelta(days=length - 1)
         first = last_fit if start == "last" else dt.date.fromisoformat(start)
         out = tmp_path / "p.csv"
@@ -82,14 +109,7 @@ class TestSimulate:
             assert not out.exists()
             return
         assert code == 0
-        want = io.StringIO()
-        writer = csv.writer(want)
-        writer.writerow(["date", "value"])
-        values = simulate_fbm(FgnSpec(hurst=0.3, length=length, seed=5)).values
-        for k, value in enumerate(values):
-            day = dt.date.fromordinal(first.toordinal() + k)
-            writer.writerow([day.isoformat(), repr(float(value))])
-        assert out.read_bytes() == want.getvalue().encode()
+        assert out.read_bytes() == _csv_writer_bytes(length, first)
 
     def test_dates_past_year_9999_rejected_before_writing(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -714,6 +734,46 @@ class TestOutputPaths:
             assert list(tmp_path.iterdir()) == []
         else:
             assert out.read_bytes() == existing.encode()
+
+    _SIMULATE = ["simulate", "--hurst", "0.3", "--length", "300", "--seed", "5"]
+    _BENCH = ["bench", "--h-list", "0.5", "--reps", "1", "--methods", "brent",
+              "--length", "1025", "--subseq", "200"]
+
+    # A device or a pipe cannot be truncated; the command writes to it.
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_out_to_devnull(self, capsys, command):
+        argv = self._SIMULATE if command == "simulate" else self._BENCH
+        code, stdout, err = run(capsys, *argv, "--out", os.devnull)
+        assert (code, err) == (0, "")
+        assert stdout.startswith("wrote ")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/fd")
+    def test_out_to_a_pipe(self, capsys):
+        # The output (~9 kB) fits in the pipe's buffer, so nothing reads
+        # until the command is done.
+        read_end, write_end = os.pipe()
+        try:
+            code, _, err = run(capsys, *self._SIMULATE, "--out", f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            got = fh.read()
+        assert (code, err) == (0, "")
+        assert got == _csv_writer_bytes(300, dt.date(2000, 1, 3))
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_existing_longer_out_is_emptied_first(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old,row\r\n" * 100_000)
+        argv = self._SIMULATE if command == "simulate" else self._BENCH
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert (code, err) == (0, "")
+        if command == "simulate":
+            assert out.read_bytes() == _csv_writer_bytes(300, dt.date(2000, 1, 3))
+        else:
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(row["method"], row["h_true"]) for row in rows] == [("brent", "0.5")]
 
     def test_bench_out_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "bench_optimizers", self._never_called)

@@ -281,12 +281,13 @@ def _check_against_reference(tmp_path_factory, text, value_scale):
     assert (series.rows_parsed, series.rows_dropped) == (parsed, dropped)
 
 
-def _forbid_row_split(monkeypatch):
-    def fail(*args):
-        raise AssertionError("chunk walked row by row")
+def _fail(*args):
+    raise AssertionError("chunk left the fast path")
 
-    monkeypatch.setattr(pipeline, "_rows", fail)
-    monkeypatch.setattr(pipeline, "_locate_error", fail)
+
+def _forbid_row_split(monkeypatch):
+    monkeypatch.setattr(pipeline, "_rows", _fail)
+    monkeypatch.setattr(pipeline, "_locate_error", _fail)
 
 
 class TestColumnarParse:
@@ -306,11 +307,13 @@ class TestColumnarParse:
             _check_against_reference(tmp_path_factory, text, value_scale)
 
     # Valid rows of one comma each, quote-free, are converted by column
-    # alone: the per-row split and the error locator fail here.
+    # alone and at once: the per-row split, the error locator and the
+    # cleanup route fail here.
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("size", [1 << 16, 7])
     def test_valid_rows_take_the_fast_path(self, tmp_path, monkeypatch, newline, size):
         _forbid_row_split(monkeypatch)
+        monkeypatch.setattr(pipeline, "_cleaned", _fail)
         monkeypatch.setattr(pipeline, "_PIECE_BYTES", size)
         n = 4000
         days = np.datetime_as_string(np.datetime64("2001-01-01") + np.arange(n)).tolist()
@@ -321,6 +324,31 @@ class TestColumnarParse:
         _, got, parsed, dropped = _parse_series(file, "log")
         assert got.tolist() == values
         assert (parsed, dropped) == (n, 0)
+
+    # Rows of one width and pieces of five rows: the third piece alone
+    # holds a padded date, a blank row, a missing value and a value
+    # padded with a separator that str.strip drops and float does not.
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_only_a_chunk_that_needs_it_is_cleaned(
+        self, tmp_path_factory, monkeypatch, newline
+    ):
+        rows = [f"{dt.date(2001, 1, 1) + dt.timedelta(days=k)},{k:08.3f}" for k in range(20)]
+        rows[9:13] = [" 2001-01-10 ,09.000", " " * 19, "2001-01-12,", "2001-01-13,12.0\x1c"]
+        rows = [row.ljust(19) for row in rows]
+        text = newline.join(["date,value".ljust(19), *rows, ""])
+        cleaned = []
+
+        def spy(dates, values):
+            cleaned.append(dates)
+            return cleaner(dates, values)
+
+        cleaner = pipeline._cleaned
+        monkeypatch.setattr(pipeline, "_cleaned", spy)
+        monkeypatch.setattr(pipeline, "_PIECE_BYTES", 5 * (19 + len(newline)))
+        _check_against_reference(tmp_path_factory, text, "log")
+        # Each of the two parses in the check cleans the third piece alone.
+        piece = [row.split(",")[0] for row in rows[9:14] if "," in row]
+        assert cleaned == [piece, piece]
 
     def test_missing_and_nan_values_take_the_fast_path(self, tmp_path, monkeypatch):
         _forbid_row_split(monkeypatch)
